@@ -40,7 +40,6 @@ from .engine import (
     DUMMY_SCORE,
     EngineConfig,
     EntityCluster,
-    SpanCandidate,
     enumerate_spans,
     init_params,
     prune_spans,
@@ -51,11 +50,9 @@ from .training import (
     Checkpoint,
     TrainConfig,
     TrainResult,
-    antecedent_loss,
     continued_train,
     document_loss,
     evaluate_docs,
-    joint_loss,
     select_checkpoint,
     train,
 )

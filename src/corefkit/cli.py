@@ -330,7 +330,17 @@ def _load_model(path: str):
         )
     except (KeyError, TypeError) as exc:
         raise CliError("shape", f"checkpoint {path} lacks model configuration: {exc}") from exc
+    _check_segment_fits(encoder_cfg, engine_cfg)
     return params, encoder_cfg, engine_cfg, meta
+
+
+def _check_segment_fits(encoder_cfg: EncoderConfig, engine_cfg: EngineConfig) -> None:
+    """Reject a model whose segments could outgrow its position table."""
+    if engine_cfg.max_segment_tokens > encoder_cfg.max_position:
+        raise ValueError(
+            f"engine.max_segment_tokens {engine_cfg.max_segment_tokens} exceeds "
+            f"encoder.max_position {encoder_cfg.max_position}"
+        )
 
 
 def _split_from_args(args, fmt=None) -> CorpusSplit:
@@ -424,13 +434,15 @@ def cmd_resolve(args) -> int:
 
 
 def _train_common(config, source=None):
-    if source is None:
-        encoder_cfg = config.build("encoder")
-        engine_cfg = config.build("engine")
-    else:
-        _, encoder_cfg, engine_cfg, _ = source
-    train_cfg = config.build("train")
-    return encoder_cfg, engine_cfg, train_cfg
+    """Encoder, engine and train configs.
+
+    A source model fixes the encoder; its engine settings apply unless the
+    run gives [engine] values of its own.
+    """
+    encoder_cfg = config.build("encoder") if source is None else source[1]
+    engine_cfg = config.build("engine") if source is None or config.values["engine"] else source[2]
+    _check_segment_fits(encoder_cfg, engine_cfg)
+    return encoder_cfg, engine_cfg, config.build("train")
 
 
 def cmd_train(args) -> int:
@@ -468,8 +480,6 @@ def cmd_transfer(args) -> int:
     config = _effective_config(args)
     source = _load_model(args.source)
     encoder_cfg, engine_cfg, train_cfg = _train_common(config, source)
-    if config.values["engine"]:
-        engine_cfg = config.build("engine")  # target may use its own engine settings
     source_params = source[0]
     train_docs = load_docs(args.train) if args.train else []
     dev_docs = load_docs(args.dev)
@@ -498,8 +508,6 @@ def cmd_curve(args) -> int:
     if args.source:
         source = _load_model(args.source)
         encoder_cfg, engine_cfg, train_cfg = _train_common(config, source)
-        if config.values["engine"]:
-            engine_cfg = config.build("engine")
         source_params = source[0]
         init = "source_checkpoint"
     else:
@@ -513,7 +521,7 @@ def cmd_curve(args) -> int:
     )
     rows = learning_curve(
         split, encoder_cfg, engine_cfg, spec,
-        base_config=train_cfg, source_params=source_params, jobs=args.jobs,
+        base_config=train_cfg, source_params=source_params,
     )
     inputs = [args.train, args.dev, args.test] + ([args.source] if args.source else [])
     run = RunDir(args.out, "curve", config, inputs)
@@ -555,13 +563,13 @@ def cmd_devalloc(args) -> int:
 def cmd_forget(args) -> int:
     config = _effective_config(args)
     source = _load_model(args.source)
-    encoder_cfg, source_engine_cfg, train_cfg = _train_common(config, source)
-    target_engine_cfg = config.build("engine") if config.values["engine"] else source_engine_cfg
+    encoder_cfg, target_engine_cfg, train_cfg = _train_common(config, source)
+    source_engine_cfg = source[2]
     split = _split_from_args(args)
     source_test = load_docs(args.source_test)
     rows = forgetting_eval(
         source[0], source_test, split, _int_list(args.sizes),
-        encoder_cfg, source_engine_cfg, target_engine_cfg, train_cfg, jobs=args.jobs,
+        encoder_cfg, source_engine_cfg, target_engine_cfg, train_cfg,
     )
     run = RunDir(args.out, "forget", config, [args.source, args.source_test, args.train, args.dev, args.test])
     run.write_csv("forget.csv", rows)
@@ -579,8 +587,6 @@ def cmd_freeze_sweep(args) -> int:
     if args.source:
         source = _load_model(args.source)
         encoder_cfg, engine_cfg, train_cfg = _train_common(config, source)
-        if config.values["engine"]:
-            engine_cfg = config.build("engine")
         init, continued = source[0], True
     else:
         encoder_cfg, engine_cfg, train_cfg = _train_common(config)
@@ -588,7 +594,7 @@ def cmd_freeze_sweep(args) -> int:
     split = _split_from_args(args)
     rows = layer_freezing_sweep(
         init, split, _int_list(args.top_k), encoder_cfg, engine_cfg, train_cfg,
-        continued=continued, jobs=args.jobs,
+        continued=continued,
     )
     inputs = [args.train, args.dev, args.test] + ([args.source] if args.source else [])
     run = RunDir(args.out, "freeze-sweep", config, inputs)
@@ -638,7 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="global seed (default: COREF_SEED env var)")
         p.add_argument("--out", required=out_required, help="run directory for artifacts")
-        p.add_argument("--jobs", type=int, default=1, help="parallel independent runs")
 
     p = sub.add_parser("convert", help="convert between CoNLL and JSONL")
     p.add_argument("input")

@@ -52,13 +52,6 @@ class Document:
             offset += len(sent)
         return starts
 
-    def sentence_of_token(self, index: int) -> int:
-        starts = self.sentence_starts()
-        for i in range(len(starts) - 1, -1, -1):
-            if index >= starts[i]:
-                return i
-        raise IndexError(index)
-
     def mentions(self) -> set[Span]:
         return {span for cluster in self.clusters for span in cluster}
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -223,10 +223,6 @@ def pair_features_backward(dfeat: np.ndarray, x: np.ndarray, c: np.ndarray):
     return dx, dc
 
 
-def mention_scores(params: ParamStore, xs: np.ndarray):
-    return ffn_forward(params, "mention", xs)
-
-
 def pair_score(params: ParamStore, x: np.ndarray, c: np.ndarray):
     scores, cache = ffn_forward(params, "pair", pair_features(x, c)[None, :])
     return float(scores[0]), cache
@@ -279,13 +275,6 @@ def prune_spans(spans, scores, prune_ratio: float, n_tokens: int, mode: str) -> 
 
 
 @dataclass
-class SpanCandidate:
-    span: Span
-    embedding: np.ndarray
-    mention_score: float
-
-
-@dataclass
 class EntityCluster:
     cluster_id: int
     embedding: np.ndarray
@@ -313,26 +302,50 @@ class EngineState:
         return sum(len(c.mentions) for c in self.clusters)
 
 
-def _segment_candidates(doc: Document, segment: Segment, params, engine_cfg, h) -> list[SpanCandidate]:
-    """Surviving candidate spans for one segment, in document coordinates."""
+class SegmentForward(NamedTuple):
+    """One segment's candidates plus the caches its backward pass needs."""
+
+    spans: list[Span]  # candidates in document coordinates and order
+    xs: np.ndarray  # (S, span_dim) span embeddings
+    mention_scores: np.ndarray  # (S,); zeros under gold mentions
+    kept: list[int]  # rows that survive pruning, in document order
+    ids: np.ndarray
+    enc_caches: list
+    span_cache: tuple
+    mention_cache: Optional[tuple]  # None under gold mentions
+
+
+def segment_forward(
+    doc: Document,
+    segment: Segment,
+    params: ParamStore,
+    encoder_cfg: EncoderConfig,
+    engine_cfg: EngineConfig,
+) -> Optional[SegmentForward]:
+    """Encode a segment, embed and score its candidate spans, and prune them.
+
+    Candidates are the gold mentions inside the segment when
+    ``engine_cfg.gold_mentions`` is set (they skip the mention scorer and are
+    all kept), otherwise every span up to the maximum width. Returns None when
+    the segment has no candidates. Training and inference both call this.
+    """
+    x0, ids = embed_tokens_forward(params, encoder_cfg, segment.tokens)
+    h, enc_caches = encode_forward(params, encoder_cfg, x0)
     offset = segment.token_offset
-    end_excl = offset + len(segment)
     if engine_cfg.gold_mentions:
+        end_excl = offset + len(segment)
         spans = sorted(m for m in doc.mentions() if offset <= m[0] and m[1] < end_excl)
-        if not spans:
-            return []
-        local = [(s - offset, e - offset) for s, e in spans]
-        xs, _ = span_embeddings_forward(params, h, local)
-        # gold boundaries skip the mention scorer
-        return [SpanCandidate(span, xs[i], 0.0) for i, span in enumerate(spans)]
-    spans = enumerate_spans(segment.sentence_lengths, engine_cfg.max_span_width, offset)
+    else:
+        spans = enumerate_spans(segment.sentence_lengths, engine_cfg.max_span_width, offset)
     if not spans:
-        return []
-    local = [(s - offset, e - offset) for s, e in spans]
-    xs, _ = span_embeddings_forward(params, h, local)
-    sm, _ = mention_scores(params, xs)
-    kept = prune_spans(spans, sm, engine_cfg.prune_ratio, len(segment), engine_cfg.pruning_mode)
-    return [SpanCandidate(spans[i], xs[i], float(sm[i])) for i in kept]
+        return None
+    xs, span_cache = span_embeddings_forward(params, h, [(s - offset, e - offset) for s, e in spans])
+    if engine_cfg.gold_mentions:
+        sm, sm_cache, kept = np.zeros(len(spans)), None, list(range(len(spans)))
+    else:
+        sm, sm_cache = ffn_forward(params, "mention", xs)
+        kept = prune_spans(spans, sm, engine_cfg.prune_ratio, len(segment), engine_cfg.pruning_mode)
+    return SegmentForward(spans, xs, sm, kept, ids, enc_caches, span_cache, sm_cache)
 
 
 def resolve_document(
@@ -353,19 +366,16 @@ def resolve_document(
     engine_cfg.validate()
     state = EngineState()
     for seg_index, segment in enumerate(segment_document(doc, engine_cfg.max_segment_tokens)):
-        x0, _ = embed_tokens_forward(params, encoder_cfg, segment.tokens)
-        h, _ = encode_forward(params, encoder_cfg, x0)
-        for candidate in _segment_candidates(doc, segment, params, engine_cfg, h):
-            span, x = candidate.span, candidate.embedding
+        fwd = segment_forward(doc, segment, params, encoder_cfg, engine_cfg)
+        for row in fwd.kept if fwd is not None else ():
+            span, x = fwd.spans[row], fwd.xs[row]
             if state.clusters:
                 if pair_score_fn is None:
                     cmat = np.stack([c.embedding for c in state.clusters])
                     sa = pair_scores_batch(params, x, cmat)
                 else:
-                    sa = np.array(
-                        [pair_score_fn(span, x, c) for c in state.clusters]
-                    )
-                sc = candidate.mention_score + sa
+                    sa = np.array([pair_score_fn(span, x, c) for c in state.clusters])
+                sc = fwd.mention_scores[row] + sa
                 best_pos = int(np.argmax(sc))
                 best = float(sc[best_pos])
                 # ties between clusters go to the lower cluster id

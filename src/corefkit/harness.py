@@ -9,7 +9,7 @@ supersets of smaller ones.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
+import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -74,13 +74,6 @@ def nested_subsets(docs: Sequence[Document], sizes: Sequence[int], seed: int) ->
     return {int(s): shuffled[: int(s)] for s in sizes}
 
 
-def _run_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _train_one(
     train_docs, split, encoder_cfg, engine_cfg, config, init, source_params, init_seed
 ):
@@ -103,7 +96,6 @@ def learning_curve(
     spec: CurveSpec,
     base_config: Optional[TrainConfig] = None,
     source_params: Optional[ParamStore] = None,
-    jobs: int = 1,
 ) -> list[dict]:
     """One model per training-set size; test scores per size.
 
@@ -130,7 +122,7 @@ def learning_curve(
             "dev_avg_f1": result.checkpoint.dev_avg_f1,
         }
 
-    return _run_map(run, list(spec.train_sizes), jobs)
+    return [run(size) for size in spec.train_sizes]
 
 
 class MissingPredictionsError(ValueError):
@@ -196,8 +188,9 @@ def dev_allocation_experiment(
         rows.append(
             {
                 "subset_size": int(size),
-                "expected_test_f1": float(np.mean(selected_test)),
-                "std_test_f1": float(np.std(selected_test)),
+                # exact rational sums: identical scores give back the score and 0.0
+                "expected_test_f1": statistics.mean(selected_test),
+                "std_test_f1": statistics.pstdev(selected_test),
                 "agreement": agreement,
                 "num_subsets": spec.num_subsets,
                 "full_dev_epoch": full_best + 1,
@@ -216,7 +209,6 @@ def forgetting_eval(
     source_engine_cfg: EngineConfig,
     target_engine_cfg: EngineConfig,
     config: TrainConfig,
-    jobs: int = 1,
 ) -> list[dict]:
     """Continued training per target size, scoring both target and source tests.
 
@@ -242,7 +234,7 @@ def forgetting_eval(
             "source_avg_f1": source_report.avg_f1,
         }
 
-    return _run_map(run, [int(s) for s in sizes], jobs)
+    return [run(int(s)) for s in sizes]
 
 
 def layer_freezing_sweep(
@@ -253,7 +245,6 @@ def layer_freezing_sweep(
     engine_cfg: EngineConfig,
     config: TrainConfig,
     continued: bool = True,
-    jobs: int = 1,
 ) -> list[dict]:
     """One training run per number of trainable top layers; scorers always train."""
     for k in top_k_values:
@@ -276,4 +267,4 @@ def layer_freezing_sweep(
             "best_epoch": result.checkpoint.epoch,
         }
 
-    return _run_map(run, [int(k) for k in top_k_values], jobs)
+    return [run(int(k)) for k in top_k_values]

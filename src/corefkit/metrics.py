@@ -116,18 +116,13 @@ def phi4(a: frozenset, b: frozenset) -> float:
 def hungarian_max(scores) -> list[tuple[int, int]]:
     """Row-to-column one-to-one assignment maximizing the total score.
 
-    Rectangular matrices are padded to square with zeros; pairs assigned to a
-    padding row/column are dropped from the result.
+    A rectangular matrix assigns min(rows, cols) pairs.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         return []
-    rows, cols = scores.shape
-    side = max(rows, cols)
-    padded = np.zeros((side, side))
-    padded[:rows, :cols] = scores
-    row_ind, col_ind = linear_sum_assignment(-padded)
-    return [(int(r), int(c)) for r, c in zip(row_ind, col_ind) if r < rows and c < cols]
+    row_ind, col_ind = linear_sum_assignment(-scores)
+    return [(int(r), int(c)) for r, c in zip(row_ind, col_ind)]
 
 
 def ceaf_phi4_stats(key: Clustering, response: Clustering) -> tuple[float, float, float, float]:
@@ -213,11 +208,6 @@ class CorpusStats:
         for name, fn in _STATS_FNS.items():
             for i, v in enumerate(fn(key, response)):
                 self.totals[name][i] += v
-
-    def merge(self, other: "CorpusStats") -> None:
-        for name in self.totals:
-            for i in range(4):
-                self.totals[name][i] += other.totals[name][i]
 
     def report(self) -> MetricReport:
         prfs = {name: PRF.from_stats(*self.totals[name]) for name in self.totals}

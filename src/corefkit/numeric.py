@@ -1,14 +1,15 @@
-"""Dense float64 tensor math with hand-derived reverse-mode gradients.
+"""Parameters, optimizer, gradient checking and checkpoints, all in float64.
 
-The model's computation graph is small and fixed, so each primitive ships a
-paired backward function instead of a general autodiff tape: callers keep the
-forward cache and apply the backwards in reverse order. Everything is double
-precision, which keeps finite-difference verification tight.
+The model's computation graph is small and fixed, so each layer (in
+``encoder`` and ``engine``) ships a paired backward function instead of a
+general autodiff tape: callers keep the forward cache and apply the backwards
+in reverse order. Everything is double precision, which keeps
+finite-difference verification tight.
 """
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import json
 import struct
 from dataclasses import dataclass
@@ -66,14 +67,6 @@ class ParamStore:
     def value(self, name: str) -> np.ndarray:
         return self._params[name].value
 
-    def accumulate(self, name: str, grad: np.ndarray) -> None:
-        param = self._params[name]
-        if grad.shape != param.value.shape:
-            raise NumericError(
-                f"gradient shape {grad.shape} does not match {name} shape {param.value.shape}"
-            )
-        param.grad += grad
-
     def zero_grads(self) -> None:
         for p in self._params.values():
             p.grad[...] = 0.0
@@ -95,97 +88,15 @@ class ParamStore:
             if not (trainable_only and p.frozen)
         )
 
-    def flat_values(self) -> np.ndarray:
-        return np.concatenate([p.value.ravel() for p in self._params.values()])
-
-
-# ---------------------------------------------------------------------------
-# primitives: forward returns (output, cache); backward consumes the cache
-# ---------------------------------------------------------------------------
-
-
-def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """y = x @ w.T + b for x of shape (n, d_in), w (d_out, d_in), b (d_out,)."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise NumericError(f"linear: incompatible shapes x{x.shape} w{w.shape}")
-    return x @ w.T + b, (x, w)
-
-
-def linear_backward(dy: np.ndarray, cache):
-    x, w = cache
-    dw = dy.T @ x
-    db = dy.sum(axis=0)
-    dx = dy @ w
-    return dx, dw, db
-
-
-def tanh_forward(x: np.ndarray):
-    y = np.tanh(x)
-    return y, y
-
-
-def tanh_backward(dy: np.ndarray, cache):
-    y = cache
-    return dy * (1.0 - y * y)
-
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid_backward(dy, y):
-    return dy * y * (1.0 - y)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max()
     e = np.exp(shifted)
     return e / e.sum()
-
-
-def softmax_backward(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Gradient through p = softmax(s): ds = p * (dp - p . dp)."""
-    return p * (dp - float(p @ dp))
-
-
-def concat_forward(parts: list[np.ndarray]):
-    sizes = [p.shape[-1] for p in parts]
-    return np.concatenate(parts, axis=-1), sizes
-
-
-def concat_backward(dy: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    out = []
-    offset = 0
-    for s in sizes:
-        out.append(dy[..., offset : offset + s])
-        offset += s
-    return out
-
-
-def masked_softmax_rows(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over positions where mask is True; masked cells get 0."""
-    neg = np.where(mask, logits, -np.inf)
-    shifted = neg - neg.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def attention_pool_forward(h: np.ndarray, v: np.ndarray):
-    """Weighted sum of rows of h with weights softmax(h @ v)."""
-    logits = h @ v
-    a = softmax(logits)
-    out = a @ h
-    return out, (h, v, a)
-
-
-def attention_pool_backward(dout: np.ndarray, cache):
-    h, v, a = cache
-    dh = np.outer(a, dout)
-    da = h @ dout
-    dlogits = softmax_backward(da, a)
-    dh += np.outer(dlogits, v)
-    dv = h.T @ dlogits
-    return dh, dv
 
 
 # ---------------------------------------------------------------------------
@@ -255,29 +166,6 @@ class AdamOptimizer:
             p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
         params.zero_grads()
         return norm
-
-    def state_dict(self) -> dict:
-        return {
-            "step_count": self.step_count,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-            "config": dataclass_to_dict(self.config),
-        }
-
-    @staticmethod
-    def from_state(params: ParamStore, state: dict) -> "AdamOptimizer":
-        opt = AdamOptimizer(params, OptimizerConfig(**state["config"]))
-        opt.step_count = int(state["step_count"])
-        for k in opt.m:
-            opt.m[k] = np.array(state["m"][k], dtype=np.float64)
-            opt.v[k] = np.array(state["v"][k], dtype=np.float64)
-        return opt
-
-
-def dataclass_to_dict(obj) -> dict:
-    from dataclasses import asdict
-
-    return asdict(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +255,7 @@ def save_checkpoint(
     if optimizer is not None:
         header["optimizer"] = {
             "step_count": optimizer.step_count,
-            "config": dataclass_to_dict(optimizer.config),
+            "config": dataclasses.asdict(optimizer.config),
         }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -392,21 +280,32 @@ def save_checkpoint(
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+def _read_exact(fh, n: int, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise NumericError(f"truncated checkpoint: {what} needs {n} bytes, found {len(data)}")
+    return data
+
+
+def _read_tensor(fh, t: dict) -> np.ndarray:
+    data = _read_exact(fh, 8 * int(np.prod(t["shape"])), f"tensor {t['name']}")
+    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(t["shape"])
+
+
 def load_checkpoint(path) -> tuple[ParamStore, Optional[AdamOptimizer], dict]:
+    """Read a checkpoint; a short read or bytes after the last tensor raise NumericError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise NumericError(f"not a checkpoint file: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
         if version != _VERSION:
             raise NumericError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
+        header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
         params = ParamStore()
         for t in header["tensors"]:
-            size = int(np.prod(t["shape"])) if t["shape"] else 1
-            data = np.frombuffer(fh.read(size * 8), dtype="<f8").astype(np.float64)
-            p = params.add(t["name"], data.reshape(t["shape"]), t["group"])
+            p = params.add(t["name"], _read_tensor(fh, t), t["group"])
             p.frozen = bool(t["frozen"])
         optimizer = None
         if header.get("optimizer") is not None:
@@ -414,14 +313,10 @@ def load_checkpoint(path) -> tuple[ParamStore, Optional[AdamOptimizer], dict]:
             optimizer.step_count = int(header["optimizer"]["step_count"])
             for slot in (optimizer.m, optimizer.v):
                 for t in header["tensors"]:
-                    size = int(np.prod(t["shape"])) if t["shape"] else 1
-                    data = np.frombuffer(fh.read(size * 8), dtype="<f8").astype(np.float64)
-                    slot[t["name"]] = data.reshape(t["shape"])
+                    slot[t["name"]] = _read_tensor(fh, t)
+        if fh.read(1):
+            raise NumericError("corrupt checkpoint: trailing bytes after the last tensor")
     return params, optimizer, header.get("meta", {})
-
-
-def copy_params(params: ParamStore) -> ParamStore:
-    return params.copy()
 
 
 def params_allclose(a: ParamStore, b: ParamStore, exact: bool = True) -> bool:
@@ -435,7 +330,3 @@ def params_allclose(a: ParamStore, b: ParamStore, exact: bool = True) -> bool:
             if not np.allclose(a.value(name), b.value(name)):
                 return False
     return True
-
-
-def deep_copy_optimizer(optimizer: AdamOptimizer, params: ParamStore) -> AdamOptimizer:
-    return AdamOptimizer.from_state(params, copy.deepcopy(optimizer.state_dict()))

@@ -26,23 +26,19 @@ from .encoder import (
     FreezeMask,
     apply_freeze,
     embed_tokens_backward,
-    embed_tokens_forward,
     encode_backward,
-    encode_forward,
 )
 from .engine import (
     DUMMY_SCORE,
     EngineConfig,
-    enumerate_spans,
+    SegmentForward,
     ffn_backward,
-    ffn_forward,
-    mention_scores,
-    pair_features,
+    merge_alpha,
     pair_features_backward,
-    prune_spans,
+    pair_score,
     resolve_document,
+    segment_forward,
     span_embeddings_backward,
-    span_embeddings_forward,
 )
 from .metrics import MetricReport, score_corpus
 from .numeric import (
@@ -164,49 +160,13 @@ def document_loss(
     return total
 
 
-def antecedent_loss(doc, params, encoder_cfg, engine_cfg, backward: bool = True) -> float:
-    """Negative log likelihood of antecedent clusters under the s_c softmax."""
-    return document_loss(doc, params, encoder_cfg, engine_cfg, OBJECTIVE_ANTECEDENT, backward)
-
-
-def joint_loss(doc, params, encoder_cfg, engine_cfg, backward: bool = True) -> float:
-    """Joint mention-detection and cluster-choice objective (handles singletons)."""
-    return document_loss(doc, params, encoder_cfg, engine_cfg, OBJECTIVE_JOINT, backward)
-
-
 def _segment_loss(
     doc, segment, gold, state, params, encoder_cfg, engine_cfg, objective, backward
 ) -> float:
-    offset = segment.token_offset
-    end_excl = offset + len(segment)
-
-    x0, ids = embed_tokens_forward(params, encoder_cfg, segment.tokens)
-    h, enc_caches = encode_forward(params, encoder_cfg, x0)
-
-    if engine_cfg.gold_mentions:
-        spans = sorted(m for m in gold if offset <= m[0] and m[1] < end_excl)
-        if not spans:
-            return 0.0
-        local = [(s - offset, e - offset) for s, e in spans]
-        xs, span_cache = span_embeddings_forward(params, h, local)
-        sm = np.zeros(len(spans))
-        sm_cache = None
-        survivors = list(range(len(spans)))
-        missed_gold: list[int] = []
-    else:
-        spans = enumerate_spans(segment.sentence_lengths, engine_cfg.max_span_width, offset)
-        if not spans:
-            return 0.0
-        local = [(s - offset, e - offset) for s, e in spans]
-        xs, span_cache = span_embeddings_forward(params, h, local)
-        sm, sm_cache = mention_scores(params, xs)
-        survivors = prune_spans(
-            spans, sm, engine_cfg.prune_ratio, len(segment), engine_cfg.pruning_mode
-        )
-        survivor_set = set(survivors)
-        missed_gold = [
-            i for i, span in enumerate(spans) if span in gold and i not in survivor_set
-        ]
+    fwd = segment_forward(doc, segment, params, encoder_cfg, engine_cfg)
+    if fwd is None:
+        return 0.0
+    spans, xs, sm = fwd.spans, fwd.xs, fwd.mention_scores
 
     steps = []
     mention_terms = []  # (row, target_is_mention, sigmoid_value)
@@ -215,7 +175,7 @@ def _segment_loss(
     joint = objective == OBJECTIVE_JOINT
     use_mention_terms = joint and not engine_cfg.gold_mentions
 
-    for row in survivors:
+    for row in fwd.kept:
         span = spans[row]
         entity = gold.get(span)
         x = xs[row]
@@ -224,10 +184,9 @@ def _segment_loss(
         scores = []
         cluster_snapshot = list(state.clusters)
         for cluster in cluster_snapshot:
-            feats = pair_features(x, cluster.embedding)
-            sa, cache = ffn_forward(params, "pair", feats[None, :])
+            sa, cache = pair_score(params, x, cluster.embedding)
             score_caches.append((cluster, cluster.embedding.copy(), cache))
-            scores.append(float(sa[0]))
+            scores.append(sa)
         sa_vec = np.array(scores + [DUMMY_SCORE])  # dummy option last
         if joint:
             logits = sa_vec
@@ -270,9 +229,7 @@ def _segment_loss(
             if existing is None:
                 created = state.create(entity, x)
             else:
-                feats = pair_features(x, existing.embedding)
-                logit, cache = ffn_forward(params, "merge", feats[None, :])
-                alpha = float(sigmoid(logit[0]))
+                alpha, cache = merge_alpha(params, x, existing.embedding)
                 merge_cache = (existing, existing.embedding.copy(), alpha, cache)
                 existing.embedding = alpha * x + (1.0 - alpha) * existing.embedding
             state.record_antecedent(
@@ -281,7 +238,9 @@ def _segment_loss(
         steps.append((row, p, weights, q, score_caches, merge_cache, created))
 
     if use_mention_terms:
-        for row in missed_gold:
+        # gold mentions that pruning dropped still get a detection term
+        kept = set(fwd.kept)
+        for row in (i for i, span in enumerate(spans) if span in gold and i not in kept):
             s = sigmoid(sm[row])
             term = -np.log(s)
             if not np.isfinite(term):
@@ -290,18 +249,14 @@ def _segment_loss(
             mention_terms.append((row, True, s))
 
     if backward:
-        _segment_backward(
-            params, xs, sm, steps, mention_terms, joint,
-            span_cache, sm_cache, enc_caches, ids,
-        )
+        _segment_backward(params, fwd, steps, mention_terms, joint)
     return float(total)
 
 
-def _segment_backward(
-    params, xs, sm, steps, mention_terms, joint, span_cache, sm_cache, enc_caches, ids
-):
+def _segment_backward(params, fwd: SegmentForward, steps, mention_terms, joint):
+    xs = fwd.xs
     dxs = np.zeros_like(xs)
-    dsm = np.zeros_like(sm)
+    dsm = np.zeros_like(fwd.mention_scores)
     slots: dict[int, np.ndarray] = {}
 
     for (row, p, weights, q, score_caches, merge_cache, created) in reversed(steps):
@@ -338,11 +293,11 @@ def _segment_backward(
     for (row, is_mention, s) in mention_terms:
         dsm[row] += (s - 1.0) if is_mention else s
 
-    if sm_cache is not None:
-        dxs += ffn_backward(params, dsm, sm_cache)
-    dh = span_embeddings_backward(params, dxs, span_cache)
-    dx0 = encode_backward(params, dh, enc_caches)
-    embed_tokens_backward(params, dx0, ids)
+    if fwd.mention_cache is not None:
+        dxs += ffn_backward(params, dsm, fwd.mention_cache)
+    dh = span_embeddings_backward(params, dxs, fwd.span_cache)
+    dx0 = encode_backward(params, dh, fwd.enc_caches)
+    embed_tokens_backward(params, dx0, fwd.ids)
 
 
 # ---------------------------------------------------------------------------

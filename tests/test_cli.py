@@ -186,6 +186,43 @@ class TestTrainResolve:
         assert (transfer_dir / "model.ckpt").exists()
 
 
+class TestFailEarly:
+    @pytest.fixture
+    def model_file(self, capsys, corpus_files, tmp_path):
+        run_dir = tmp_path / "run"
+        code, _, _ = run_cli(
+            capsys, "train", "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--out", str(run_dir), "--seed", "0", *SMALL_MODEL,
+        )
+        assert code == 0
+        return run_dir / "model.ckpt"
+
+    def test_truncated_checkpoint(self, capsys, corpus_files, model_file):
+        data = model_file.read_bytes()
+        model_file.write_bytes(data[: len(data) // 2])
+        code, _, err = run_cli(capsys, "resolve", str(model_file), corpus_files["test"])
+        assert code == 1
+        assert err.startswith("error:numeric: truncated checkpoint")
+
+    def test_padded_checkpoint(self, capsys, corpus_files, model_file):
+        model_file.write_bytes(model_file.read_bytes() + b"junkjunk")
+        code, _, err = run_cli(capsys, "resolve", str(model_file), corpus_files["test"])
+        assert code == 1
+        assert err.startswith("error:numeric:") and "trailing bytes" in err
+
+    def test_segment_longer_than_positions(self, capsys, corpus_files, tmp_path, monkeypatch):
+        trained = []
+        monkeypatch.setattr("corefkit.cli.train", lambda *a, **k: trained.append(a))
+        code, _, err = run_cli(
+            capsys, "train", "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--out", str(tmp_path / "run"), "--seed", "0", *SMALL_MODEL,
+            "--set", "engine.max_segment_tokens=64", "--set", "encoder.max_position=16",
+        )
+        assert code == 1
+        assert err.startswith("error:config:") and "max_position 16" in err
+        assert trained == []
+
+
 class TestGradcheck:
     def test_bundled_doc_passes(self, capsys):
         code, out, _ = run_cli(

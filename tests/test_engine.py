@@ -7,7 +7,6 @@ from corefkit.engine import (
     EngineState,
     ffn_backward,
     ffn_forward,
-    mention_scores,
     merge_alpha,
     pair_features,
     pair_score,
@@ -115,7 +114,7 @@ class TestScorers:
         params["score.mention.w2"].value[...] = 0.0
         params["score.mention.b2"].value[...] = 1.5
         xs = np.random.default_rng(0).normal(size=(3, span_dim(enc, eng)))
-        scores, _ = mention_scores(params, xs)
+        scores, _ = ffn_forward(params, "mention", xs)
         np.testing.assert_allclose(scores, 1.5)
 
     def test_mention_probability_is_sigmoid(self):

@@ -6,36 +6,13 @@ from corefkit.numeric import (
     NumericError,
     OptimizerConfig,
     ParamStore,
-    attention_pool_backward,
-    attention_pool_forward,
-    concat_backward,
-    concat_forward,
     grad_check,
-    linear_backward,
-    linear_forward,
     load_checkpoint,
     params_allclose,
     save_checkpoint,
     sigmoid,
     softmax,
-    softmax_backward,
-    tanh_backward,
-    tanh_forward,
 )
-
-
-def numeric_grad(f, x, eps=1e-6):
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        plus = f()
-        flat[i] = orig - eps
-        minus = f()
-        flat[i] = orig
-        g.reshape(-1)[i] = (plus - minus) / (2 * eps)
-    return g
 
 
 class TestPrimitives:
@@ -46,69 +23,6 @@ class TestPrimitives:
 
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(softmax(np.zeros(2)), [0.5, 0.5])
-
-    def test_softmax_backward(self):
-        rng = np.random.default_rng(0)
-        s = rng.normal(size=5)
-        dp = rng.normal(size=5)
-        p = softmax(s)
-        analytic = softmax_backward(dp, p)
-        numeric = numeric_grad(lambda: float(softmax(s) @ dp), s)
-        np.testing.assert_allclose(analytic, numeric, atol=1e-8)
-
-    def test_linear_grads_match_fd(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(4, 3))
-        w = rng.normal(size=(2, 3))
-        b = rng.normal(size=2)
-        dy = rng.normal(size=(4, 2))
-
-        def loss():
-            return float(np.sum((x @ w.T + b) * dy))
-
-        y, cache = linear_forward(x, w, b)
-        dx, dw, db = linear_backward(dy, cache)
-        np.testing.assert_allclose(dw, numeric_grad(loss, w), atol=1e-6)
-        np.testing.assert_allclose(db, numeric_grad(loss, b), atol=1e-6)
-        np.testing.assert_allclose(dx, numeric_grad(loss, x), atol=1e-6)
-
-    def test_linear_shape_mismatch(self):
-        with pytest.raises(NumericError, match="shapes"):
-            linear_forward(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(2))
-
-    def test_tanh_backward(self):
-        x = np.array([[0.3, -0.7]])
-        y, cache = tanh_forward(x)
-        np.testing.assert_allclose(
-            tanh_backward(np.ones_like(x), cache), 1 - np.tanh(x) ** 2
-        )
-
-    def test_concat_round_trip(self):
-        parts = [np.ones((2, 3)), np.zeros((2, 1)), np.full((2, 2), 5.0)]
-        out, sizes = concat_forward(parts)
-        back = concat_backward(out, sizes)
-        for orig, got in zip(parts, back):
-            np.testing.assert_array_equal(orig, got)
-
-    def test_attention_pool_grads(self):
-        rng = np.random.default_rng(2)
-        h = rng.normal(size=(5, 4))
-        v = rng.normal(size=4)
-        dout = rng.normal(size=4)
-
-        def loss():
-            a = softmax(h @ v)
-            return float((a @ h) @ dout)
-
-        out, cache = attention_pool_forward(h, v)
-        dh, dv = attention_pool_backward(dout, cache)
-        np.testing.assert_allclose(dh, numeric_grad(loss, h), atol=1e-7)
-        np.testing.assert_allclose(dv, numeric_grad(loss, v), atol=1e-7)
-
-    def test_attention_pool_uniform_when_v_zero(self):
-        h = np.arange(12.0).reshape(4, 3)
-        out, _ = attention_pool_forward(h, np.zeros(3))
-        np.testing.assert_allclose(out, h.mean(axis=0))
 
 
 def quad_store():
@@ -297,4 +211,25 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"nope")
         with pytest.raises(NumericError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [6, 20, -100, -8, -1])
+    def test_truncated_rejected(self, tmp_path, keep):
+        params = ParamStore()
+        params.add("w", np.arange(6.0).reshape(2, 3), "task")
+        opt = AdamOptimizer(params)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, opt)
+        data = path.read_bytes()
+        path.write_bytes(data[:keep])
+        with pytest.raises(NumericError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        params = ParamStore()
+        params.add("w", np.zeros(3), "task")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(NumericError, match="trailing"):
             load_checkpoint(path)

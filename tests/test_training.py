@@ -14,11 +14,14 @@ from corefkit import (
     document_loss,
     evaluate_docs,
     init_params,
+    resolve_document,
+    segment_document,
     select_checkpoint,
     synth_corpus,
     train,
 )
 from corefkit.encoder import FreezeMask, encoder_param_names
+from corefkit.engine import segment_forward
 from corefkit.numeric import grad_check
 from corefkit.training import ShapeMismatchError, check_compatible
 
@@ -248,3 +251,35 @@ class TestContinuedTrain:
             dataclasses.replace(cfg, max_epochs=10, patience=10),
         )
         assert continued.checkpoint.dev_avg_f1 >= source.checkpoint.dev_avg_f1 - 0.02
+
+
+class TestSharedSegmentPipeline:
+    @pytest.mark.parametrize("gold_mentions", [False, True])
+    def test_loss_and_resolve_see_the_same_candidates(self, monkeypatch, gold_mentions):
+        eng = dataclasses.replace(ENG, pruning_mode="original", max_segment_tokens=16,
+                                  gold_mentions=gold_mentions)
+        doc = synth_corpus(SchemeConfig(num_docs=1, seed=5, sentences_per_doc=(5, 5),
+                                        entities_per_doc=(3, 3), mentions_per_entity=(2, 4)))[0]
+        params = init_params(ENC, eng, seed=3)
+        seen = []
+
+        def recording(*args):
+            seen.append(segment_forward(*args))
+            return seen[-1]
+
+        monkeypatch.setattr("corefkit.engine.segment_forward", recording)
+        monkeypatch.setattr("corefkit.training.segment_forward", recording)
+        document_loss(doc, params, ENC, eng, "joint_singleton", backward=True)
+        from_loss = list(seen)
+        seen.clear()
+        resolve_document(doc, params, ENC, eng)
+
+        assert len(from_loss) == len(seen) == len(segment_document(doc, 16)) > 1
+        assert sum(len(f.kept) for f in from_loss if f is not None) > 0
+        for a, b in zip(from_loss, seen):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.spans == b.spans
+                assert a.kept == b.kept
+                np.testing.assert_array_equal(a.xs, b.xs)
+                np.testing.assert_array_equal(a.mention_scores, b.mention_scores)
