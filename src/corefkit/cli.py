@@ -536,15 +536,15 @@ def cmd_devalloc(args) -> int:
     config = _effective_config(args)
     encoder_cfg, engine_cfg, train_cfg = _train_common(config)
     split = _split_from_args(args)
-    params = init_params(encoder_cfg, engine_cfg, seed=train_cfg.seed)
-    result = train(
-        split.train, split.dev, params, encoder_cfg, engine_cfg, train_cfg,
-        extra_eval_docs=split.test, cache_predictions=True, early_stop=False,
-    )
     spec = DevAllocSpec(
         dev_subset_sizes=tuple(_int_list(args.subset_sizes)),
         num_subsets=args.num_subsets,
         seed=train_cfg.seed,
+    ).validate(len(split.dev))
+    params = init_params(encoder_cfg, engine_cfg, seed=train_cfg.seed)
+    result = train(
+        split.train, split.dev, params, encoder_cfg, engine_cfg, train_cfg,
+        extra_eval_docs=split.test, cache_predictions=True, early_stop=False,
     )
     rows = dev_allocation_experiment(result.history, split.dev, split.test, spec, train_cfg.patience)
     run = RunDir(args.out, "devalloc", config, [args.train, args.dev, args.test])

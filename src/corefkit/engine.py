@@ -344,6 +344,8 @@ def segment_forward(
         sm, sm_cache, kept = np.zeros(len(spans)), None, list(range(len(spans)))
     else:
         sm, sm_cache = ffn_forward(params, "mention", xs)
+        if not np.isfinite(sm).all():
+            raise NumericError(f"non-finite mention score in segment at token {offset}")
         kept = prune_spans(spans, sm, engine_cfg.prune_ratio, len(segment), engine_cfg.pruning_mode)
     return SegmentForward(spans, xs, sm, kept, ids, enc_caches, span_cache, sm_cache)
 
@@ -378,6 +380,9 @@ def resolve_document(
                 sc = fwd.mention_scores[row] + sa
                 best_pos = int(np.argmax(sc))
                 best = float(sc[best_pos])
+                # argmax returns the first NaN, so this also covers NaN anywhere in sc
+                if not math.isfinite(best):
+                    raise NumericError(f"non-finite cluster score {best} at span {span}")
                 # ties between clusters go to the lower cluster id
                 tied = np.flatnonzero(sc == best)
                 if len(tied) > 1:
@@ -393,6 +398,8 @@ def resolve_document(
                     alpha, _ = merge_alpha(params, x, cluster.embedding)
                 else:
                     alpha = alpha_fn(span, x, cluster)
+                if not math.isfinite(alpha):
+                    raise NumericError(f"non-finite merge weight {alpha} at span {span}")
                 cluster.embedding = alpha * x + (1.0 - alpha) * cluster.embedding
                 cluster.mentions.append(span)
         if on_segment is not None:

@@ -18,7 +18,7 @@ import numpy as np
 from .documents import Document
 from .encoder import EncoderConfig, FreezeMask
 from .engine import EngineConfig, init_params
-from .metrics import score_corpus
+from .metrics import CorpusStats, document_stats
 from .numeric import ParamStore
 from .training import (
     EpochRecord,
@@ -64,6 +64,16 @@ class DevAllocSpec:
     dev_subset_sizes: tuple[int, ...]
     num_subsets: int = 20
     seed: int = 0
+
+    def validate(self, dev_size: int) -> "DevAllocSpec":
+        for size in self.dev_subset_sizes:
+            if size < 1:
+                raise ValueError(f"dev subset size {size} is below 1")
+            if size > dev_size:
+                raise ValueError(f"subset size {size} exceeds dev set size {dev_size}")
+        if self.num_subsets < 1:
+            raise ValueError(f"num_subsets {self.num_subsets} is below 1")
+        return self
 
 
 def nested_subsets(docs: Sequence[Document], sizes: Sequence[int], seed: int) -> dict[int, list[Document]]:
@@ -146,8 +156,18 @@ def _scores_from_cached(history: Sequence[EpochRecord], docs: Sequence[Document]
     return per_epoch
 
 
-def _subset_score(cached_epoch: dict, docs: Sequence[Document]) -> float:
-    return score_corpus((doc.clusters, cached_epoch[doc.doc_id]) for doc in docs).avg_f1
+def _stats_from_cached(history: Sequence[EpochRecord], docs: Sequence[Document], which: str) -> np.ndarray:
+    """(epochs, docs, metric, 4) per-document metric counts of the cached predictions."""
+    stats = np.zeros((len(history), len(docs)) + CorpusStats().totals.shape)
+    for e, cached in enumerate(_scores_from_cached(history, docs, which)):
+        for d, doc in enumerate(docs):
+            stats[e, d] = document_stats(doc.clusters, cached[doc.doc_id])
+    return stats
+
+
+def _epoch_f1s(totals: np.ndarray) -> list[float]:
+    """avg F1 per epoch from (epochs, metric, 4) summed counts."""
+    return [CorpusStats(epoch_totals).report().avg_f1 for epoch_totals in totals]
 
 
 def dev_allocation_experiment(
@@ -164,14 +184,19 @@ def dev_allocation_experiment(
     stopping is replayed on the subset's per-epoch scores; the table reports
     the mean/std of the test score at the selected checkpoints and how many
     subsets agreed with the full-dev selection.
-    """
-    if any(size > len(dev_docs) for size in spec.dev_subset_sizes):
-        raise ValueError("subset size exceeds dev set size")
-    dev_cached = _scores_from_cached(history, dev_docs, "dev")
-    test_cached = _scores_from_cached(history, test_docs, "extra")
 
-    full_scores = [_subset_score(epoch, dev_docs) for epoch in dev_cached]
-    full_best, _ = select_checkpoint(full_scores, patience)
+    Each cached (epoch, document) prediction is scored once; a subset's
+    per-epoch score sums its documents' counts in the drawn order, so the
+    cost grows with epochs x documents, not with the number of subsets.
+    """
+    spec.validate(len(dev_docs))
+    dev_stats = _stats_from_cached(history, dev_docs, "dev")
+    test_stats = _stats_from_cached(history, test_docs, "extra")
+
+    # summing over the document axis adds rows one at a time, in index order,
+    # which is the order score_corpus adds documents in
+    test_f1 = _epoch_f1s(test_stats.sum(axis=1))
+    full_best, _ = select_checkpoint(_epoch_f1s(dev_stats.sum(axis=1)), patience)
 
     rng = np.random.default_rng(spec.seed)
     rows = []
@@ -180,10 +205,8 @@ def dev_allocation_experiment(
         agreement = 0
         for _ in range(spec.num_subsets):
             chosen = rng.choice(len(dev_docs), size=int(size), replace=False)
-            subset = [dev_docs[i] for i in chosen]
-            scores = [_subset_score(epoch, subset) for epoch in dev_cached]
-            best, _ = select_checkpoint(scores, patience)
-            selected_test.append(_subset_score(test_cached[best], test_docs))
+            best, _ = select_checkpoint(_epoch_f1s(dev_stats[:, chosen].sum(axis=1)), patience)
+            selected_test.append(test_f1[best])
             agreement += int(best == full_best)
         rows.append(
             {
@@ -194,7 +217,7 @@ def dev_allocation_experiment(
                 "agreement": agreement,
                 "num_subsets": spec.num_subsets,
                 "full_dev_epoch": full_best + 1,
-                "full_dev_test_f1": _subset_score(test_cached[full_best], test_docs),
+                "full_dev_test_f1": test_f1[full_best],
             }
         )
     return rows

@@ -2,8 +2,12 @@
 
 All metrics are computed from numerator/denominator pairs so that scores can
 be aggregated over a corpus by summing the pairs across documents, the way the
-shared-task scorer does. Degenerate denominators (all-singleton MUC, an empty
-side) score zero and are flagged rather than silently dropped.
+shared-task scorer does. ``document_stats`` gives one document's pairs as a
+float64 (metric, 4) array; any set of documents is then scored by summing
+their rows and reporting the total (``CorpusStats``), so a document scored
+once can be reused in every corpus or subset that contains it. Degenerate
+denominators (all-singleton MUC, an empty side) score zero and are flagged
+rather than silently dropped.
 
 MUC recall counts, per key cluster, the links recoverable from the response
 partition of that cluster: |K| minus the number of parts K is split into,
@@ -17,7 +21,7 @@ phi4(K, R) = 2|K n R| / (|K| + |R|), then divides by the cluster counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -173,6 +177,16 @@ def _flatten(clustering: Clustering) -> set:
     return {m for c in clustering for m in c}
 
 
+def document_stats(key: Clustering, response: Clustering) -> np.ndarray:
+    """One document's (p_num, p_den, r_num, r_den) per metric.
+
+    A float64 array of shape (metric, 4), rows in _STATS_FNS order (muc,
+    b_cubed, ceaf_phi4, mention, exact_cluster); a corpus is scored by
+    summing the rows of its documents.
+    """
+    return np.array([fn(key, response) for fn in _STATS_FNS.values()], dtype=np.float64)
+
+
 @dataclass
 class MetricReport:
     muc: PRF
@@ -199,18 +213,20 @@ def avg_f1(muc_prf: PRF, b_cubed_prf: PRF, ceaf_prf: PRF) -> float:
 
 
 class CorpusStats:
-    """Accumulates per-document numerators/denominators for corpus-level scores."""
+    """Accumulates per-document numerators/denominators for corpus-level scores.
 
-    def __init__(self):
-        self.totals = {name: [0.0, 0.0, 0.0, 0.0] for name in _STATS_FNS}
+    ``totals`` is a (metric, 4) array of ``document_stats`` rows summed in the
+    order the documents were added; pass one to report an existing sum.
+    """
+
+    def __init__(self, totals: Optional[np.ndarray] = None):
+        self.totals = np.zeros((len(_STATS_FNS), 4)) if totals is None else totals
 
     def add(self, key: Clustering, response: Clustering) -> None:
-        for name, fn in _STATS_FNS.items():
-            for i, v in enumerate(fn(key, response)):
-                self.totals[name][i] += v
+        self.totals += document_stats(key, response)
 
     def report(self) -> MetricReport:
-        prfs = {name: PRF.from_stats(*self.totals[name]) for name in self.totals}
+        prfs = {name: PRF.from_stats(*row) for name, row in zip(_STATS_FNS, self.totals.tolist())}
         flags = [f"{name}:degenerate" for name in sorted(prfs) if prfs[name].degenerate]
         return MetricReport(
             muc=prfs["muc"],

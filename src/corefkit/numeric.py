@@ -293,7 +293,8 @@ def _read_tensor(fh, t: dict) -> np.ndarray:
 
 
 def load_checkpoint(path) -> tuple[ParamStore, Optional[AdamOptimizer], dict]:
-    """Read a checkpoint; a short read or bytes after the last tensor raise NumericError."""
+    """Read a checkpoint; a short read, a corrupt header or bytes after the last
+    tensor raise NumericError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -302,31 +303,24 @@ def load_checkpoint(path) -> tuple[ParamStore, Optional[AdamOptimizer], dict]:
         if version != _VERSION:
             raise NumericError(f"unsupported checkpoint version {version}")
         (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
-        header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
-        params = ParamStore()
-        for t in header["tensors"]:
-            p = params.add(t["name"], _read_tensor(fh, t), t["group"])
-            p.frozen = bool(t["frozen"])
-        optimizer = None
-        if header.get("optimizer") is not None:
-            optimizer = AdamOptimizer(params, OptimizerConfig(**header["optimizer"]["config"]))
-            optimizer.step_count = int(header["optimizer"]["step_count"])
-            for slot in (optimizer.m, optimizer.v):
-                for t in header["tensors"]:
-                    slot[t["name"]] = _read_tensor(fh, t)
+        header_bytes = _read_exact(fh, header_len, "header")
+        try:
+            header = json.loads(header_bytes.decode("utf-8"))
+            params = ParamStore()
+            for t in header["tensors"]:
+                p = params.add(t["name"], _read_tensor(fh, t), t["group"])
+                p.frozen = bool(t["frozen"])
+            optimizer = None
+            if header.get("optimizer") is not None:
+                optimizer = AdamOptimizer(params, OptimizerConfig(**header["optimizer"]["config"]))
+                optimizer.step_count = int(header["optimizer"]["step_count"])
+                for slot in (optimizer.m, optimizer.v):
+                    for t in header["tensors"]:
+                        slot[t["name"]] = _read_tensor(fh, t)
+            meta = header.get("meta", {})
+        # undecodable or non-JSON bytes (both ValueError), missing or mistyped fields
+        except (ValueError, KeyError, TypeError) as exc:
+            raise NumericError(f"corrupt checkpoint header: {type(exc).__name__} {exc}") from exc
         if fh.read(1):
             raise NumericError("corrupt checkpoint: trailing bytes after the last tensor")
-    return params, optimizer, header.get("meta", {})
-
-
-def params_allclose(a: ParamStore, b: ParamStore, exact: bool = True) -> bool:
-    if set(a.names()) != set(b.names()):
-        return False
-    for name in a.names():
-        if exact:
-            if not np.array_equal(a.value(name), b.value(name)):
-                return False
-        else:
-            if not np.allclose(a.value(name), b.value(name)):
-                return False
-    return True
+    return params, optimizer, meta

@@ -2,15 +2,18 @@
 
 These deliberately use different machinery than the library: MUC via
 union-find connected components, B-cubed via per-mention loops, CEAF and the
-assignment solver via explicit permutation enumeration.
+assignment solver via explicit permutation enumeration. The dev-set
+allocation reference re-scores every sampled subset from cluster lists.
 """
 
 import itertools
 import math
+import statistics
 
 import numpy as np
 
-from corefkit.metrics import phi4
+from corefkit.metrics import phi4, score_corpus
+from corefkit.training import select_checkpoint
 
 
 def oracle_muc_side(clusters, other):
@@ -114,3 +117,40 @@ def random_clustering(rng, mentions, max_clusters):
         clusters.append(set(chosen[prev:cut]))
         prev = cut
     return [c for c in clusters if c]
+
+
+def oracle_dev_allocation(history, dev_docs, test_docs, spec, patience):
+    """dev_allocation_experiment by re-scoring each subset at each epoch."""
+
+    def subset_score(cached_epoch, docs):
+        return score_corpus((doc.clusters, cached_epoch[doc.doc_id]) for doc in docs).avg_f1
+
+    dev_cached = [record.dev_predictions for record in history]
+    test_cached = [record.extra_predictions for record in history]
+    full_scores = [subset_score(epoch, dev_docs) for epoch in dev_cached]
+    full_best, _ = select_checkpoint(full_scores, patience)
+
+    rng = np.random.default_rng(spec.seed)
+    rows = []
+    for size in spec.dev_subset_sizes:
+        selected_test = []
+        agreement = 0
+        for _ in range(spec.num_subsets):
+            chosen = rng.choice(len(dev_docs), size=int(size), replace=False)
+            subset = [dev_docs[i] for i in chosen]
+            scores = [subset_score(epoch, subset) for epoch in dev_cached]
+            best, _ = select_checkpoint(scores, patience)
+            selected_test.append(subset_score(test_cached[best], test_docs))
+            agreement += int(best == full_best)
+        rows.append(
+            {
+                "subset_size": int(size),
+                "expected_test_f1": statistics.mean(selected_test),
+                "std_test_f1": statistics.pstdev(selected_test),
+                "agreement": agreement,
+                "num_subsets": spec.num_subsets,
+                "full_dev_epoch": full_best + 1,
+                "full_dev_test_f1": subset_score(test_cached[full_best], test_docs),
+            }
+        )
+    return rows

@@ -210,6 +210,14 @@ class TestFailEarly:
         assert code == 1
         assert err.startswith("error:numeric:") and "trailing bytes" in err
 
+    def test_corrupt_header_checkpoint(self, capsys, corpus_files, model_file):
+        data = bytearray(model_file.read_bytes())
+        data[20] ^= 0xFF  # inside the JSON header, which starts at byte 16
+        model_file.write_bytes(bytes(data))
+        code, _, err = run_cli(capsys, "resolve", str(model_file), corpus_files["test"])
+        assert code == 1
+        assert err.startswith("error:numeric: corrupt checkpoint header")
+
     def test_segment_longer_than_positions(self, capsys, corpus_files, tmp_path, monkeypatch):
         trained = []
         monkeypatch.setattr("corefkit.cli.train", lambda *a, **k: trained.append(a))
@@ -267,6 +275,25 @@ class TestExperimentCommands:
         assert (out_dir / "predictions.jsonl").exists()
         first = json.loads((out_dir / "predictions.jsonl").read_text().splitlines()[0])
         assert {"epoch", "split", "doc_id", "clusters"} <= set(first)
+
+    @pytest.mark.parametrize("flag,value,detail", [
+        ("--num-subsets", "0", "num_subsets 0 is below 1"),
+        ("--subset-sizes", "0,2", "dev subset size 0 is below 1"),
+    ])
+    def test_devalloc_bad_spec_rejected_before_training(
+        self, capsys, corpus_files, tmp_path, monkeypatch, flag, value, detail
+    ):
+        trained = []
+        monkeypatch.setattr("corefkit.cli.train", lambda *a, **k: trained.append(a))
+        args = {"--subset-sizes": "1,2", "--num-subsets": "4", flag: value}
+        code, _, err = run_cli(
+            capsys, "devalloc", "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--test", corpus_files["test"], *[x for kv in args.items() for x in kv],
+            "--out", str(tmp_path / "da"), "--seed", "0", *SMALL_MODEL,
+        )
+        assert code == 1
+        assert err.startswith("error:config:") and detail in err
+        assert trained == []
 
     def test_forget_and_freeze(self, capsys, corpus_files, tmp_path):
         src_dir = tmp_path / "src"

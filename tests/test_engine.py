@@ -16,7 +16,7 @@ from corefkit.engine import (
     span_embeddings_backward,
     span_embeddings_forward,
 )
-from corefkit.numeric import grad_check, sigmoid
+from corefkit.numeric import NumericError, grad_check, sigmoid
 
 
 @pytest.fixture
@@ -225,6 +225,16 @@ class TestResolve:
         params["score.mention.b2"].value[...] = -5.0  # every s_m negative
         doc = Document("d", [["a", "b", "c"]], [])
         assert resolve_document(doc, params, enc, eng) == []
+
+    @pytest.mark.parametrize("scorer", ["mention", "pair", "merge"])
+    def test_non_finite_score_rejected(self, model, scorer):
+        params, enc, eng = model
+        params["score.mention.b2"].value[...] = 5.0  # spans survive pruning
+        params["score.pair.b2"].value[...] = 50.0  # and merge into clusters
+        params[f"score.{scorer}.b2"].value[...] = np.nan
+        doc = Document("d", [[f"t{i}" for i in range(10)]], [])
+        with pytest.raises(NumericError, match="non-finite"):
+            resolve_document(doc, params, enc, eng)
 
     def test_gold_mentions_with_oracle_scorer(self, model, tiny_doc):
         params, enc, eng = model

@@ -24,7 +24,9 @@ from corefkit.harness import (
     learning_curve,
     nested_subsets,
 )
-from corefkit.training import EpochRecord, evaluate_docs
+from corefkit.metrics import score_corpus
+from corefkit.training import EpochRecord, evaluate_docs, select_checkpoint
+from oracles import oracle_dev_allocation, random_clustering
 
 ENC = EncoderConfig(num_layers=2, hidden_dim=8, hash_vocab_size=64, max_position=48)
 ENG = EngineConfig(max_span_width=3, scorer_hidden_dim=8, width_embedding_dim=4,
@@ -187,6 +189,21 @@ class TestDevAllocation:
                 history, self.dev, self.test, DevAllocSpec(dev_subset_sizes=(9,)), patience=2
             )
 
+    def test_empty_subset_rejected(self):
+        history = fake_history(self.dev, self.test, [1])
+        with pytest.raises(ValueError, match="size 0 is below 1"):
+            dev_allocation_experiment(
+                history, self.dev, self.test, DevAllocSpec(dev_subset_sizes=(2, 0)), patience=2
+            )
+
+    def test_zero_subsets_rejected(self):
+        history = fake_history(self.dev, self.test, [1])
+        with pytest.raises(ValueError, match="num_subsets 0 is below 1"):
+            dev_allocation_experiment(
+                history, self.dev, self.test,
+                DevAllocSpec(dev_subset_sizes=(2,), num_subsets=0), patience=2,
+            )
+
     def test_end_to_end_with_real_training(self):
         docs = corpus(10, seed=34)
         split = split_of(docs, 4, 3, 3)
@@ -202,10 +219,61 @@ class TestDevAllocation:
         )
         assert len(rows) == 2
         full_scores = [r.dev_avg_f1 for r in result.history]
-        from corefkit import select_checkpoint
-
         best, _ = select_checkpoint(full_scores, 3)
         assert rows[0]["full_dev_epoch"] == best + 1
+        assert rows == oracle_dev_allocation(
+            result.history, split.dev, split.test,
+            DevAllocSpec(dev_subset_sizes=(2, 3), num_subsets=5, seed=1), patience=3,
+        )
+
+
+def random_history(dev_docs, test_docs, epochs, seed):
+    """Cached predictions that regroup and drop each document's gold mentions at random.
+
+    When ``test_docs is dev_docs`` both caches share one dict per epoch, as the
+    CLI's history does.
+    """
+    rng = np.random.default_rng(seed)
+
+    def predict(docs):
+        return {d.doc_id: random_clustering(rng, sorted(d.mentions()), 4) for d in docs}
+
+    history = []
+    for epoch in range(1, epochs + 1):
+        dev = predict(dev_docs)
+        test = dev if test_docs is dev_docs else predict(test_docs)
+        history.append(EpochRecord(epoch=epoch, train_loss=0.0, dev_avg_f1=0.0,
+                                   dev_predictions=dev, extra_predictions=test))
+    return history
+
+
+class TestDevAllocationParity:
+    """Summing per-document counts gives the rows of re-scoring every subset."""
+
+    def setup_method(self):
+        docs = corpus(20, seed=37)
+        self.dev = docs[:12]
+        self.test = docs[12:]
+
+    def assert_rows_equal(self, history, test_docs, sizes, seed, patience):
+        spec = DevAllocSpec(dev_subset_sizes=sizes, num_subsets=15, seed=seed)
+        rows = dev_allocation_experiment(history, self.dev, test_docs, spec, patience)
+        assert rows == oracle_dev_allocation(history, self.dev, test_docs, spec, patience)
+        return rows
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_rows_equal_rescoring_with_early_stopping(self, seed):
+        history = random_history(self.dev, self.test, 10, seed)
+        full = [score_corpus((d.clusters, r.dev_predictions[d.doc_id]) for d in self.dev).avg_f1
+                for r in history]
+        _, stop = select_checkpoint(full, 2)
+        assert stop < len(history) - 1
+        rows = self.assert_rows_equal(history, self.test, (1, 3, 7, 12), seed, patience=2)
+        assert rows[-1]["agreement"] == 15
+
+    def test_test_set_is_dev_set(self):
+        history = random_history(self.dev, self.dev, 6, 4)
+        self.assert_rows_equal(history, self.dev, (2, 12), 4, patience=6)
 
 
 class TestForgetting:

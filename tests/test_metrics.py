@@ -4,7 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefkit import avg_f1, b_cubed, ceaf_phi4, hungarian_max, mention_f1, muc, score_clustering
-from corefkit.metrics import exact_cluster_f1
+from corefkit.metrics import (
+    CorpusStats,
+    b_cubed_stats,
+    ceaf_phi4_stats,
+    document_stats,
+    exact_cluster_f1,
+    exact_cluster_stats,
+    mention_stats,
+    muc_stats,
+    score_corpus,
+)
 from oracles import (
     oracle_assignment_total,
     oracle_b_cubed,
@@ -143,6 +153,35 @@ class TestOracleEquivalence:
                 assert got.precision == pytest.approx(p, abs=1e-12), name
                 assert got.recall == pytest.approx(r, abs=1e-12), name
                 assert got.f1 == pytest.approx(f, abs=1e-12), name
+
+
+class TestDocumentStats:
+    def test_summed_rows_report_score_corpus(self):
+        rng = np.random.default_rng(124)
+        mentions = [f"m{i}" for i in range(9)]
+        for _ in range(20):
+            pairs = [
+                (random_clustering(rng, mentions, 5), random_clustering(rng, mentions, 5))
+                for _ in range(int(rng.integers(1, 30)))
+            ]
+            total = np.zeros((5, 4))
+            # the per-metric python-float sums of a corpus scored pair by pair
+            expected = [[0.0] * 4 for _ in range(5)]
+            for key, response in pairs:
+                row = document_stats(key, response)
+                assert row.dtype == np.float64 and row.shape == (5, 4)
+                total = total + row
+                stats = (
+                    muc_stats(key, response), b_cubed_stats(key, response),
+                    ceaf_phi4_stats(key, response),
+                    mention_stats({m for c in key for m in c}, {m for c in response for m in c}),
+                    exact_cluster_stats(key, response),
+                )
+                for m, values in enumerate(stats):
+                    for i, v in enumerate(values):
+                        expected[m][i] += v
+            assert total.tolist() == expected
+            assert score_corpus(pairs) == CorpusStats(total).report()
 
 
 clusterings = st.lists(

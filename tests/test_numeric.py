@@ -8,7 +8,6 @@ from corefkit.numeric import (
     ParamStore,
     grad_check,
     load_checkpoint,
-    params_allclose,
     save_checkpoint,
     sigmoid,
     softmax,
@@ -185,7 +184,9 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, opt, meta={"epoch": 3})
         loaded, loaded_opt, meta = load_checkpoint(path)
-        assert params_allclose(params, loaded, exact=True)
+        assert loaded.names() == params.names()
+        for name in params.names():
+            np.testing.assert_array_equal(loaded.value(name), params.value(name))
         assert loaded["e"].frozen and not loaded["w"].frozen
         assert loaded_opt.step_count == 1
         np.testing.assert_array_equal(loaded_opt.m["w"], opt.m["w"])
@@ -223,6 +224,24 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:keep])
         with pytest.raises(NumericError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["tensors", "frozen"])
+    def test_header_without_field_rejected(self, tmp_path, field):
+        import json
+        import struct
+
+        params = ParamStore()
+        params.add("w", np.zeros(3), "task")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params)
+        data = path.read_bytes()
+        (n,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16 : 16 + n])
+        del (header if field == "tensors" else header["tensors"][0])[field]
+        header_bytes = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + data[16 + n :])
+        with pytest.raises(NumericError, match=f"corrupt checkpoint header: KeyError '{field}'"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
