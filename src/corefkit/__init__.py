@@ -35,7 +35,7 @@ from .numeric import (
     load_checkpoint,
     save_checkpoint,
 )
-from .encoder import EncoderConfig, FreezeMask, apply_freeze, encode_tokens
+from .encoder import EncoderConfig, FreezeMask, apply_freeze
 from .engine import (
     DUMMY_SCORE,
     EngineConfig,

@@ -167,10 +167,3 @@ def encode_backward(params: ParamStore, dh: np.ndarray, caches) -> np.ndarray:
         params[f"enc.{i}.gate"].grad += np.array([dgate])
         dh = du + dz @ w
     return dh
-
-
-def encode_tokens(params: ParamStore, cfg: EncoderConfig, tokens):
-    """Forward-only convenience: embed then encode; returns (n, d) embeddings."""
-    x, _ = embed_tokens_forward(params, cfg, tokens)
-    h, _ = encode_forward(params, cfg, x)
-    return h

@@ -211,34 +211,33 @@ def ffn_backward(params: ParamStore, dscores: np.ndarray, cache) -> np.ndarray:
     return dz @ w1
 
 
-def pair_features(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """[span; cluster; span*cluster] featurization shared by s_a and alpha."""
-    return np.concatenate([x, c, x * c])
-
-
-def pair_features_backward(dfeat: np.ndarray, x: np.ndarray, c: np.ndarray):
+def pair_features(x: np.ndarray, cmat: np.ndarray) -> np.ndarray:
+    """[span; cluster; span*cluster] rows for one span against a (C, span_dim)
+    cluster matrix; shared by s_a and alpha."""
+    # filled in place: np.broadcast_to + np.concatenate costs twice as much
     n = x.shape[0]
-    dx = dfeat[:n] + dfeat[2 * n :] * c
-    dc = dfeat[n : 2 * n] + dfeat[2 * n :] * x
+    feats = np.empty((cmat.shape[0], 3 * n))
+    feats[:, :n] = x
+    feats[:, n : 2 * n] = cmat
+    np.multiply(x, cmat, out=feats[:, 2 * n :])
+    return feats
+
+
+def pair_features_backward(dfeat: np.ndarray, x: np.ndarray, cmat: np.ndarray):
+    """The span gradient summed over the rows, and one gradient row per cluster."""
+    n = x.shape[0]
+    dx = (dfeat[:, :n] + dfeat[:, 2 * n :] * cmat).sum(axis=0)
+    dc = dfeat[:, n : 2 * n] + dfeat[:, 2 * n :] * x
     return dx, dc
 
 
-def pair_score(params: ParamStore, x: np.ndarray, c: np.ndarray):
-    scores, cache = ffn_forward(params, "pair", pair_features(x, c)[None, :])
-    return float(scores[0]), cache
-
-
-def pair_scores_batch(params: ParamStore, x: np.ndarray, cmat: np.ndarray) -> np.ndarray:
+def pair_scores(params: ParamStore, x: np.ndarray, cmat: np.ndarray):
     """s_a of one span against a (C, span_dim) matrix of cluster embeddings."""
-    feats = np.concatenate(
-        [np.broadcast_to(x, cmat.shape), cmat, x[None, :] * cmat], axis=1
-    )
-    scores, _ = ffn_forward(params, "pair", feats)
-    return scores
+    return ffn_forward(params, "pair", pair_features(x, cmat))
 
 
 def merge_alpha(params: ParamStore, x: np.ndarray, c: np.ndarray):
-    logits, cache = ffn_forward(params, "merge", pair_features(x, c)[None, :])
+    logits, cache = ffn_forward(params, "merge", pair_features(x, c[None, :]))
     return float(sigmoid(logits[0])), cache
 
 
@@ -285,21 +284,29 @@ class EngineState:
     """Per-document cluster list; this is everything kept across segments."""
 
     def __init__(self):
-        self.clusters: list[EntityCluster] = []
-        self._next_id = 0
+        self.clusters: list[EntityCluster] = []  # only appended: position == cluster id
 
     def create(self, embedding: np.ndarray, span: Span) -> EntityCluster:
-        cluster = EntityCluster(self._next_id, embedding.copy(), [span])
-        self._next_id += 1
+        cluster = EntityCluster(len(self.clusters), embedding.copy(), [span])
         self.clusters.append(cluster)
         return cluster
+
+    def merge(self, cluster: EntityCluster, span: Span, x: np.ndarray, alpha: float) -> None:
+        """Move the cluster embedding towards x by alpha and add the mention.
+
+        The embedding array is replaced, not written in place, so a reference
+        taken before the merge still holds the old embedding.
+        """
+        cluster.embedding = alpha * x + (1.0 - alpha) * cluster.embedding
+        cluster.mentions.append(span)
+
+    def embeddings(self) -> np.ndarray:
+        """(C, span_dim) cluster embeddings; row i is cluster id i."""
+        return np.stack([c.embedding for c in self.clusters])
 
     def float_state_size(self) -> int:
         """Retained floating-point scalars: the cluster embeddings."""
         return sum(c.embedding.size for c in self.clusters)
-
-    def mention_count(self) -> int:
-        return sum(len(c.mentions) for c in self.clusters)
 
 
 class SegmentForward(NamedTuple):
@@ -373,20 +380,16 @@ def resolve_document(
             span, x = fwd.spans[row], fwd.xs[row]
             if state.clusters:
                 if pair_score_fn is None:
-                    cmat = np.stack([c.embedding for c in state.clusters])
-                    sa = pair_scores_batch(params, x, cmat)
+                    sa, _ = pair_scores(params, x, state.embeddings())
                 else:
                     sa = np.array([pair_score_fn(span, x, c) for c in state.clusters])
                 sc = fwd.mention_scores[row] + sa
+                # the first maximum, so ties go to the lower cluster id
                 best_pos = int(np.argmax(sc))
                 best = float(sc[best_pos])
                 # argmax returns the first NaN, so this also covers NaN anywhere in sc
                 if not math.isfinite(best):
                     raise NumericError(f"non-finite cluster score {best} at span {span}")
-                # ties between clusters go to the lower cluster id
-                tied = np.flatnonzero(sc == best)
-                if len(tied) > 1:
-                    best_pos = min(tied, key=lambda p: state.clusters[p].cluster_id)
             else:
                 best = -np.inf
                 best_pos = -1
@@ -400,8 +403,7 @@ def resolve_document(
                     alpha = alpha_fn(span, x, cluster)
                 if not math.isfinite(alpha):
                     raise NumericError(f"non-finite merge weight {alpha} at span {span}")
-                cluster.embedding = alpha * x + (1.0 - alpha) * cluster.embedding
-                cluster.mentions.append(span)
+                state.merge(cluster, span, x, alpha)
         if on_segment is not None:
             on_segment(seg_index, state)
     clusters = [tuple(c.mentions) for c in state.clusters]

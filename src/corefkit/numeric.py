@@ -224,8 +224,7 @@ def grad_check(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: versioned binary header + raw float64 tensors,
-# plus a JSON manifest sidecar
+# checkpoint format: versioned binary header + raw float64 tensors
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CKPT"
@@ -270,14 +269,6 @@ def save_checkpoint(
                 fh.write(np.ascontiguousarray(optimizer.m[name], dtype="<f8").tobytes())
             for name in params.names():
                 fh.write(np.ascontiguousarray(optimizer.v[name], dtype="<f8").tobytes())
-    manifest = {
-        "format_version": _VERSION,
-        "tensors": tensors,
-        "has_optimizer": optimizer is not None,
-        "meta": meta or {},
-    }
-    with open(str(path) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

@@ -1,9 +1,11 @@
 """Training objectives, the epoch loop with early stopping, continued training.
 
-Both objectives run the engine in teacher-forced mode: candidate spans are
-walked in document order and after each gold mention's decision the cluster
-state is updated with the gold assignment, so the per-span targets are always
-well defined. The antecedent objective softmaxes the combined score s_c over
+Both objectives walk the engine's cluster state (``EngineState``, scored
+with ``pair_scores``) in teacher-forced mode: candidate spans are walked in
+document order and each gold mention joins its entity's cluster, so teacher
+forcing keeps exactly one cluster per gold entity. A span's target is that
+cluster, or the dummy when the entity has no cluster yet or the span is no
+gold mention. The antecedent objective softmaxes the combined score s_c over
 live clusters plus the dummy; the joint objective factors each span into a
 mention-detection term (sigmoid of the mention score) and, for gold mentions,
 a cluster-choice term that softmaxes the pair score s_a instead. Gradients are
@@ -31,11 +33,13 @@ from .encoder import (
 from .engine import (
     DUMMY_SCORE,
     EngineConfig,
+    EngineState,
+    EntityCluster,
     SegmentForward,
     ffn_backward,
     merge_alpha,
     pair_features_backward,
-    pair_score,
+    pair_scores,
     resolve_document,
     segment_forward,
     span_embeddings_backward,
@@ -101,32 +105,6 @@ def _config_dict(cfg):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _TFCluster:
-    cluster_id: int
-    entity: int
-    embedding: np.ndarray
-
-
-class _TFState:
-    def __init__(self):
-        self.clusters: list[_TFCluster] = []
-        self.by_entity: dict[int, _TFCluster] = {}
-        self.ant_counts: dict[int, dict[int, int]] = {}
-        self._next_id = 0
-
-    def create(self, entity: int, embedding: np.ndarray) -> _TFCluster:
-        cluster = _TFCluster(self._next_id, entity, embedding.copy())
-        self._next_id += 1
-        self.clusters.append(cluster)
-        self.by_entity[entity] = cluster
-        return cluster
-
-    def record_antecedent(self, entity: int, cluster_id: int) -> None:
-        self.ant_counts.setdefault(entity, {})
-        self.ant_counts[entity][cluster_id] = self.ant_counts[entity].get(cluster_id, 0) + 1
-
-
 def _gold_entity_map(doc: Document) -> dict[Span, int]:
     mapping = {}
     for entity, cluster in enumerate(doc.clusters):
@@ -151,17 +129,18 @@ def document_loss(
     if objective not in (OBJECTIVE_ANTECEDENT, OBJECTIVE_JOINT):
         raise ValueError(f"unknown objective {objective!r}")
     gold = _gold_entity_map(doc)
-    state = _TFState()
+    state = EngineState()
+    by_entity: dict[int, EntityCluster] = {}
     total = 0.0
     for segment in segment_document(doc, engine_cfg.max_segment_tokens):
         total += _segment_loss(
-            doc, segment, gold, state, params, encoder_cfg, engine_cfg, objective, backward
+            doc, segment, gold, state, by_entity, params, encoder_cfg, engine_cfg, objective, backward
         )
     return total
 
 
 def _segment_loss(
-    doc, segment, gold, state, params, encoder_cfg, engine_cfg, objective, backward
+    doc, segment, gold, state, by_entity, params, encoder_cfg, engine_cfg, objective, backward
 ) -> float:
     fwd = segment_forward(doc, segment, params, encoder_cfg, engine_cfg)
     if fwd is None:
@@ -180,35 +159,22 @@ def _segment_loss(
         entity = gold.get(span)
         x = xs[row]
 
-        score_caches = []
-        scores = []
-        cluster_snapshot = list(state.clusters)
-        for cluster in cluster_snapshot:
-            sa, cache = pair_score(params, x, cluster.embedding)
-            score_caches.append((cluster, cluster.embedding.copy(), cache))
-            scores.append(sa)
-        sa_vec = np.array(scores + [DUMMY_SCORE])  # dummy option last
-        if joint:
-            logits = sa_vec
-        else:
-            # s_c = s_m + s_a against real clusters; the dummy cell stays fixed
-            logits = sa_vec + np.concatenate([np.full(len(scores), sm[row]), [0.0]])
-        p = softmax(logits)
+        pair = None
+        sa = np.zeros(0)
+        if state.clusters:
+            cmat = state.embeddings()
+            sa, cache = pair_scores(params, x, cmat)
+            pair = (cmat, cache)
+        # dummy option last; under the antecedent objective s_c = s_m + s_a
+        p = softmax(np.append(sa if joint else sm[row] + sa, DUMMY_SCORE))
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise NumericError(f"softmax not normalized at span {span}")
 
-        weights = np.zeros(len(p))
-        if entity is not None and entity in state.ant_counts and state.ant_counts[entity]:
-            counts = state.ant_counts[entity]
-            n_ant = sum(counts.values())
-            pos_by_id = {c.cluster_id: k for k, c in enumerate(cluster_snapshot)}
-            for cid, count in counts.items():
-                weights[pos_by_id[cid]] = count / n_ant
-        else:
-            weights[-1] = 1.0
-
-        q = float(weights @ p)
-        step_loss = -np.log(q)
+        # teacher forcing keeps one cluster per gold entity: it is the target,
+        # and the dummy is when there is none yet (or the span is no mention)
+        cluster = by_entity.get(entity)
+        target = len(p) - 1 if cluster is None else cluster.cluster_id
+        step_loss = -np.log(p[target])
         if not np.isfinite(step_loss):
             raise NumericError(f"non-finite loss at span {span}")
         total += step_loss
@@ -222,20 +188,16 @@ def _segment_loss(
             total += term
             mention_terms.append((row, is_mention, s))
 
-        merge_cache = None
+        merge = None
         created = None
-        if entity is not None:
-            existing = state.by_entity.get(entity)
-            if existing is None:
-                created = state.create(entity, x)
-            else:
-                alpha, cache = merge_alpha(params, x, existing.embedding)
-                merge_cache = (existing, existing.embedding.copy(), alpha, cache)
-                existing.embedding = alpha * x + (1.0 - alpha) * existing.embedding
-            state.record_antecedent(
-                entity, (created or state.by_entity[entity]).cluster_id
-            )
-        steps.append((row, p, weights, q, score_caches, merge_cache, created))
+        if cluster is not None:
+            alpha, cache = merge_alpha(params, x, cluster.embedding)
+            merge = (cluster.cluster_id, cluster.embedding, alpha, cache)
+            state.merge(cluster, span, x, alpha)
+        elif entity is not None:
+            by_entity[entity] = state.create(x, span)
+            created = by_entity[entity].cluster_id
+        steps.append((row, p, target, pair, merge, created))
 
     if use_mention_terms:
         # gold mentions that pruning dropped still get a detection term
@@ -249,46 +211,44 @@ def _segment_loss(
             mention_terms.append((row, True, s))
 
     if backward:
-        _segment_backward(params, fwd, steps, mention_terms, joint)
+        _segment_backward(params, fwd, len(state.clusters), steps, mention_terms, joint)
     return float(total)
 
 
-def _segment_backward(params, fwd: SegmentForward, steps, mention_terms, joint):
+def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, mention_terms, joint):
     xs = fwd.xs
     dxs = np.zeros_like(xs)
     dsm = np.zeros_like(fwd.mention_scores)
-    slots: dict[int, np.ndarray] = {}
+    # d loss / d cluster embedding as it stands after the step being undone;
+    # rows of clusters carried in from earlier segments are never read
+    dcs = np.zeros((n_clusters, xs.shape[1]))
 
-    for (row, p, weights, q, score_caches, merge_cache, created) in reversed(steps):
+    for (row, p, target, pair, merge, created) in reversed(steps):
         x = xs[row]
-        if merge_cache is not None:
-            cluster, c_before, alpha, cache = merge_cache
-            dc_after = slots.pop(cluster.cluster_id, None)
-            if dc_after is not None:
-                dalpha = float(dc_after @ (x - c_before))
-                dxs[row] += alpha * dc_after
-                dc_before = (1.0 - alpha) * dc_after
-                dlogit = dalpha * alpha * (1.0 - alpha)
-                dfeat = ffn_backward(params, np.array([dlogit]), cache)[0]
-                dx_f, dc_f = pair_features_backward(dfeat, x, c_before)
-                dxs[row] += dx_f
-                dc_before = dc_before + dc_f
-                slots[cluster.cluster_id] = dc_before
-        if created is not None:
-            dc = slots.pop(created.cluster_id, None)
-            if dc is not None:
-                dxs[row] += dc
-
-        # softmax cross-entropy over clusters + dummy: d s_k = p_k - w_k p_k / q
-        dscores = p - weights * p / q
-        for k, (cluster, c_snap, cache) in enumerate(score_caches):
-            ds = float(dscores[k])
-            if not joint:
-                dsm[row] += ds
-            dfeat = ffn_backward(params, np.array([ds]), cache)[0]
-            dx_f, dc_f = pair_features_backward(dfeat, x, c_snap)
+        if merge is not None:
+            j, c_before, alpha, cache = merge
+            dc_after = dcs[j]
+            dalpha = float(dc_after @ (x - c_before))
+            dxs[row] += alpha * dc_after
+            dlogit = dalpha * alpha * (1.0 - alpha)
+            dfeat = ffn_backward(params, np.array([dlogit]), cache)
+            dx_f, dc_f = pair_features_backward(dfeat, x, c_before[None, :])
             dxs[row] += dx_f
-            slots[cluster.cluster_id] = slots.get(cluster.cluster_id, 0.0) + dc_f
+            dcs[j] = (1.0 - alpha) * dc_after + dc_f[0]
+        if created is not None:
+            dxs[row] += dcs[created]
+
+        if pair is not None:
+            cmat, cache = pair
+            # softmax cross-entropy over clusters + dummy: d s_k = p_k - [k == target]
+            dscores = p.copy()
+            dscores[target] -= 1.0
+            ds = dscores[:-1]
+            if not joint:
+                dsm[row] += ds.sum()
+            dx_f, dc_f = pair_features_backward(ffn_backward(params, ds, cache), x, cmat)
+            dxs[row] += dx_f
+            dcs[: len(cmat)] += dc_f
 
     for (row, is_mention, s) in mention_terms:
         dsm[row] += (s - 1.0) if is_mention else s

@@ -3,7 +3,9 @@
 These deliberately use different machinery than the library: MUC via
 union-find connected components, B-cubed via per-mention loops, CEAF and the
 assignment solver via explicit permutation enumeration. The dev-set
-allocation reference re-scores every sampled subset from cluster lists.
+allocation reference re-scores every sampled subset from cluster lists. The
+teacher-forced loss reference scores each (span, cluster) pair on its own,
+with soft antecedent weights, and runs one backward call per pair.
 """
 
 import itertools
@@ -12,8 +14,21 @@ import statistics
 
 import numpy as np
 
+from corefkit.documents import segment_document
+from corefkit.engine import (
+    DUMMY_SCORE,
+    ffn_backward,
+    ffn_forward,
+    merge_alpha,
+    pair_features,
+    pair_features_backward,
+    segment_forward,
+    span_embeddings_backward,
+)
+from corefkit.encoder import embed_tokens_backward, encode_backward
 from corefkit.metrics import phi4, score_corpus
-from corefkit.training import select_checkpoint
+from corefkit.numeric import NumericError, sigmoid, softmax
+from corefkit.training import OBJECTIVE_JOINT, select_checkpoint
 
 
 def oracle_muc_side(clusters, other):
@@ -89,14 +104,11 @@ def oracle_assignment_total(matrix):
     rows, cols = matrix.shape
     if rows > cols:
         return oracle_assignment_total(matrix.T)
+    # leaving a row unassigned scores 0, so each pair counts at most its gain
     best = -math.inf
     for perm in itertools.permutations(range(cols), rows):
-        for subset in itertools.product([0, 1], repeat=rows):
-            total = sum(
-                matrix[i, j] if keep else 0.0
-                for (i, j), keep in zip(enumerate(perm), subset)
-            )
-            best = max(best, total)
+        total = sum(max(0.0, matrix[i, j]) for i, j in enumerate(perm))
+        best = max(best, total)
     return best
 
 
@@ -154,3 +166,160 @@ def oracle_dev_allocation(history, dev_docs, test_docs, spec, patience):
             }
         )
     return rows
+
+
+class _RefCluster:
+    def __init__(self, cluster_id, embedding):
+        self.cluster_id = cluster_id
+        self.embedding = embedding
+
+
+class _RefState:
+    def __init__(self):
+        self.clusters = []
+        self.by_entity = {}
+        self.ant_counts = {}
+
+    def create(self, entity, embedding):
+        cluster = _RefCluster(len(self.clusters), embedding.copy())
+        self.clusters.append(cluster)
+        self.by_entity[entity] = cluster
+        return cluster
+
+    def record_antecedent(self, entity, cluster_id):
+        counts = self.ant_counts.setdefault(entity, {})
+        counts[cluster_id] = counts.get(cluster_id, 0) + 1
+
+
+def reference_document_loss(doc, params, encoder_cfg, engine_cfg, objective, backward=True):
+    """training.document_loss with one pair-scorer call per (span, cluster).
+
+    The antecedent target is a weight per cluster, proportional to how often
+    the span's entity chose it; gradients accumulate into ``params``.
+    """
+    gold = {span: entity for entity, cluster in enumerate(doc.clusters) for span in cluster}
+    state = _RefState()
+    total = 0.0
+    for segment in segment_document(doc, engine_cfg.max_segment_tokens):
+        total += _reference_segment_loss(
+            doc, segment, gold, state, params, encoder_cfg, engine_cfg, objective, backward
+        )
+    return total
+
+
+def _reference_segment_loss(
+    doc, segment, gold, state, params, encoder_cfg, engine_cfg, objective, backward
+):
+    fwd = segment_forward(doc, segment, params, encoder_cfg, engine_cfg)
+    if fwd is None:
+        return 0.0
+    spans, xs, sm = fwd.spans, fwd.xs, fwd.mention_scores
+    joint = objective == OBJECTIVE_JOINT
+    use_mention_terms = joint and not engine_cfg.gold_mentions
+    steps = []
+    mention_terms = []
+    total = 0.0
+
+    for row in fwd.kept:
+        span = spans[row]
+        entity = gold.get(span)
+        x = xs[row]
+        score_caches = []
+        scores = []
+        for cluster in list(state.clusters):
+            s, cache = ffn_forward(params, "pair", pair_features(x, cluster.embedding[None, :]))
+            score_caches.append((cluster, cluster.embedding.copy(), cache))
+            scores.append(float(s[0]))
+        sa_vec = np.array(scores + [DUMMY_SCORE])
+        if joint:
+            logits = sa_vec
+        else:
+            logits = sa_vec + np.concatenate([np.full(len(scores), sm[row]), [0.0]])
+        p = softmax(logits)
+
+        weights = np.zeros(len(p))
+        if state.ant_counts.get(entity):
+            counts = state.ant_counts[entity]
+            n_ant = sum(counts.values())
+            for cid, count in counts.items():
+                weights[cid] = count / n_ant
+        else:
+            weights[-1] = 1.0
+        q = float(weights @ p)
+        total += -np.log(q)
+
+        if use_mention_terms:
+            s = sigmoid(sm[row])
+            is_mention = entity is not None
+            total += -np.log(s) if is_mention else -np.log(1.0 - s)
+            mention_terms.append((row, is_mention, s))
+
+        merge_cache = None
+        created = None
+        if entity is not None:
+            existing = state.by_entity.get(entity)
+            if existing is None:
+                created = state.create(entity, x)
+            else:
+                alpha, cache = merge_alpha(params, x, existing.embedding)
+                merge_cache = (existing, existing.embedding.copy(), alpha, cache)
+                existing.embedding = alpha * x + (1.0 - alpha) * existing.embedding
+            state.record_antecedent(entity, (created or state.by_entity[entity]).cluster_id)
+        steps.append((row, p, weights, q, score_caches, merge_cache, created))
+
+    if use_mention_terms:
+        kept = set(fwd.kept)
+        for row in (i for i, span in enumerate(spans) if span in gold and i not in kept):
+            s = sigmoid(sm[row])
+            total += -np.log(s)
+            mention_terms.append((row, True, s))
+    if not np.isfinite(total):
+        raise NumericError("non-finite reference loss")
+    if backward:
+        _reference_segment_backward(params, fwd, steps, mention_terms, joint)
+    return float(total)
+
+
+def _reference_segment_backward(params, fwd, steps, mention_terms, joint):
+    xs = fwd.xs
+    dxs = np.zeros_like(xs)
+    dsm = np.zeros_like(fwd.mention_scores)
+    slots = {}
+
+    for (row, p, weights, q, score_caches, merge_cache, created) in reversed(steps):
+        x = xs[row]
+        if merge_cache is not None:
+            cluster, c_before, alpha, cache = merge_cache
+            dc_after = slots.pop(cluster.cluster_id, None)
+            if dc_after is not None:
+                dalpha = float(dc_after @ (x - c_before))
+                dxs[row] += alpha * dc_after
+                dlogit = dalpha * alpha * (1.0 - alpha)
+                dfeat = ffn_backward(params, np.array([dlogit]), cache)
+                dx_f, dc_f = pair_features_backward(dfeat, x, c_before[None, :])
+                dxs[row] += dx_f
+                slots[cluster.cluster_id] = (1.0 - alpha) * dc_after + dc_f[0]
+        if created is not None:
+            dc = slots.pop(created.cluster_id, None)
+            if dc is not None:
+                dxs[row] += dc
+
+        # softmax cross-entropy against soft targets: d s_k = p_k - w_k p_k / q
+        dscores = p - weights * p / q
+        for k, (cluster, c_snap, cache) in enumerate(score_caches):
+            ds = float(dscores[k])
+            if not joint:
+                dsm[row] += ds
+            dfeat = ffn_backward(params, np.array([ds]), cache)
+            dx_f, dc_f = pair_features_backward(dfeat, x, c_snap[None, :])
+            dxs[row] += dx_f
+            slots[cluster.cluster_id] = slots.get(cluster.cluster_id, 0.0) + dc_f[0]
+
+    for (row, is_mention, s) in mention_terms:
+        dsm[row] += (s - 1.0) if is_mention else s
+
+    if fwd.mention_cache is not None:
+        dxs += ffn_backward(params, dsm, fwd.mention_cache)
+    dh = span_embeddings_backward(params, dxs, fwd.span_cache)
+    dx0 = encode_backward(params, dh, fwd.enc_caches)
+    embed_tokens_backward(params, dx0, fwd.ids)

@@ -151,7 +151,6 @@ class TestTrainResolve:
         assert code == 0
         assert "best dev avg F1" in out
         assert (run_dir / "model.ckpt").exists()
-        assert (run_dir / "model.ckpt.manifest.json").exists()
         assert (run_dir / "history.csv").read_text().startswith("epoch,train_loss,dev_avg_f1")
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["seed"] == 0

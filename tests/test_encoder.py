@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corefkit import EncoderConfig, FreezeMask, apply_freeze, encode_tokens
+from corefkit import EncoderConfig, FreezeMask, apply_freeze
 from corefkit.encoder import (
     embed_tokens_backward,
     embed_tokens_forward,
@@ -61,14 +61,18 @@ class TestEmbedding:
 class TestEncode:
     def test_shape_preserved(self, cfg):
         params = fresh_params(cfg)
-        h = encode_tokens(params, cfg, ["a", "b", "c", "d", "e"])
+        x, _ = embed_tokens_forward(params, cfg, ["a", "b", "c", "d", "e"])
+        h, _ = encode_forward(params, cfg, x)
         assert h.shape == (5, cfg.hidden_dim)
 
     def test_deterministic(self, cfg):
         params = fresh_params(cfg)
-        a = encode_tokens(params, cfg, ["x", "y"])
-        b = encode_tokens(params, cfg, ["x", "y"])
-        np.testing.assert_array_equal(a, b)
+
+        def encode():
+            x, _ = embed_tokens_forward(params, cfg, ["x", "y"])
+            return encode_forward(params, cfg, x)[0]
+
+        np.testing.assert_array_equal(encode(), encode())
 
     def test_zero_weight_layer_is_input_plus_mixing(self):
         cfg = EncoderConfig(num_layers=1, hidden_dim=4, hash_vocab_size=16, max_position=8)

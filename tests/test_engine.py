@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from corefkit import Document, EncoderConfig, EngineConfig, enumerate_spans, init_params, prune_spans, resolve_document, width_bucket
-from corefkit.encoder import encode_tokens
+from corefkit.encoder import embed_tokens_forward, encode_forward
 from corefkit.engine import (
     EngineState,
     ffn_backward,
     ffn_forward,
     merge_alpha,
     pair_features,
-    pair_score,
-    pair_scores_batch,
+    pair_scores,
     prune_cap,
     span_dim,
     span_embeddings_backward,
@@ -61,6 +60,12 @@ class TestWidthBuckets:
     )
     def test_bucket_table(self, width, bucket):
         assert width_bucket(width) == bucket
+
+
+def encode_tokens(params, enc, tokens):
+    x, _ = embed_tokens_forward(params, enc, tokens)
+    h, _ = encode_forward(params, enc, x)
+    return h
 
 
 class TestSpanEmbedding:
@@ -125,10 +130,10 @@ class TestScorers:
         rng = np.random.default_rng(1)
         x = rng.normal(size=span_dim(enc, eng))
         cmat = rng.normal(size=(4, span_dim(enc, eng)))
-        batch = pair_scores_batch(params, x, cmat)
+        batch, _ = pair_scores(params, x, cmat)
         for i in range(4):
-            single, _ = pair_score(params, x, cmat[i])
-            assert float(batch[i]) == pytest.approx(single, abs=1e-12)
+            single, _ = pair_scores(params, x, cmat[i : i + 1])
+            assert float(batch[i]) == pytest.approx(float(single[0]), abs=1e-12)
 
     def test_scorer_gradients(self, model):
         params, enc, eng = model
@@ -139,8 +144,8 @@ class TestScorers:
 
         for scorer in ("pair", "merge"):
             def loss(backward, scorer=scorer):
-                feats = pair_features(x, c)
-                s, cache = ffn_forward(params, scorer, feats[None, :])
+                feats = pair_features(x, c[None, :])
+                s, cache = ffn_forward(params, scorer, feats)
                 if backward:
                     ffn_backward(params, np.ones(1), cache)
                 return float(s[0])
@@ -265,6 +270,22 @@ class TestResolve:
             tiny_doc, params, enc, eng
         )
 
+    def test_tie_joins_lower_cluster_id(self, model):
+        import dataclasses
+
+        params, enc, eng = model
+        eng = dataclasses.replace(eng, gold_mentions=True, emit_singletons=True)
+        doc = Document("d", [["a", "b", "c"]], [((0, 0),), ((1, 1),), ((2, 2),)])
+
+        def pair_fn(span, x, cluster):
+            # (1, 1) starts a second cluster; (2, 2) then ties both clusters
+            return -1.0 if span == (1, 1) else 1.0
+
+        predicted = resolve_document(
+            doc, params, enc, eng, pair_score_fn=pair_fn, alpha_fn=lambda *a: 0.5
+        )
+        assert predicted == [((0, 0), (2, 2)), ((1, 1),)]
+
     def test_dummy_zero_is_creation_threshold(self, model):
         import dataclasses
 
@@ -355,5 +376,14 @@ class TestState:
         assert c.mentions == [(0, 1)]
         c2 = state.create(np.ones(5), (2, 3))
         assert state.float_state_size() == 10
-        assert state.mention_count() == 2
         assert (c.cluster_id, c2.cluster_id) == (0, 1)
+        np.testing.assert_array_equal(state.embeddings(), np.ones((2, 5)))
+
+    def test_merge_moves_embedding_and_adds_mention(self):
+        state = EngineState()
+        c = state.create(np.zeros(2), (0, 0))
+        before = c.embedding
+        state.merge(c, (1, 1), np.array([1.0, 2.0]), 0.25)
+        np.testing.assert_array_equal(c.embedding, [0.25, 0.5])
+        np.testing.assert_array_equal(before, [0.0, 0.0])  # replaced, not written in place
+        assert c.mentions == [(0, 0), (1, 1)]

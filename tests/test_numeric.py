@@ -193,21 +193,6 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded_opt.v["w"], opt.v["w"])
         assert meta == {"epoch": 3}
 
-    def test_manifest_written(self, tmp_path):
-        import json
-
-        params = ParamStore()
-        params.add("w", np.zeros((2, 2)), "task")
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, params)
-        manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
-        assert manifest["tensors"][0] == {
-            "name": "w",
-            "shape": [2, 2],
-            "group": "task",
-            "frozen": False,
-        }
-
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"nope")

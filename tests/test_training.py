@@ -21,9 +21,10 @@ from corefkit import (
     train,
 )
 from corefkit.encoder import FreezeMask, encoder_param_names
-from corefkit.engine import segment_forward
+from corefkit.engine import merge_alpha, segment_forward
 from corefkit.numeric import grad_check
 from corefkit.training import ShapeMismatchError, check_compatible
+from oracles import reference_document_loss
 
 ENC = EncoderConfig(num_layers=2, hidden_dim=8, hash_vocab_size=64, max_position=32)
 ENG = EngineConfig(max_span_width=3, scorer_hidden_dim=6, width_embedding_dim=4,
@@ -117,6 +118,38 @@ class TestLossProperties:
         params = init_params(ENC, ENG, seed=0)
         with pytest.raises(ValueError, match="objective"):
             document_loss(tiny_doc, params, ENC, ENG, "nonsense")
+
+
+class TestMatchesPerPairReference:
+    # one (C, k) matmul and C separate (1, k) ones differ in the last ulp, so
+    # the loss is compared at rtol 1e-12 and every gradient entry within
+    # 1e-12 of the largest gradient entry of the document
+    @pytest.mark.parametrize("objective", ["antecedent_only", "joint_singleton"])
+    @pytest.mark.parametrize("mode,gold_mentions", [
+        ("original", False), ("reformulated", False), ("original", True),
+    ])
+    def test_loss_and_gradients(self, monkeypatch, objective, mode, gold_mentions):
+        eng = dataclasses.replace(ENG, pruning_mode=mode, gold_mentions=gold_mentions,
+                                  max_segment_tokens=16)
+        docs = synth_corpus(SchemeConfig(num_docs=3, seed=5, sentences_per_doc=(4, 6),
+                                         entities_per_doc=(2, 3), mentions_per_entity=(2, 4)))
+        params = init_params(ENC, eng, seed=3)
+        merges = []
+        monkeypatch.setattr("corefkit.training.merge_alpha",
+                            lambda *a: merges.append(a) or merge_alpha(*a))
+        for doc in docs:
+            assert len(segment_document(doc, 16)) > 1
+            params.zero_grads()
+            loss = document_loss(doc, params, ENC, eng, objective)
+            grads = {n: params[n].grad.copy() for n in params.names()}
+            params.zero_grads()
+            expected = reference_document_loss(doc, params, ENC, eng, objective)
+            assert loss == pytest.approx(expected, rel=1e-12)
+            scale = max(float(np.abs(params[n].grad).max()) for n in params.names())
+            for name in params.names():
+                np.testing.assert_allclose(grads[name], params[name].grad, rtol=0,
+                                           atol=1e-12 * scale, err_msg=name)
+        assert merges
 
 
 class TestSelectCheckpoint:
