@@ -5,14 +5,25 @@ The model's computation graph is small and fixed, so each layer (in
 general autodiff tape: callers keep the forward cache and apply the backwards
 in reverse order. Everything is double precision, which keeps
 finite-difference verification tight.
+
+A ``ParamStore`` keeps all values in one contiguous float64 vector and all
+gradients in another, tensors packed in insertion order; each ``Param.value``
+and ``Param.grad`` is a reshaped view into them. The optimizer, zeroing,
+copying and checkpoints therefore work on whole vectors. Write through the
+views (``p.value[...] = x``, ``p.grad += g``); rebinding ``Param.value`` or
+``Param.grad`` raises, since a rebound array would silently detach from the
+buffers. A view taken before a later ``add`` may be stale: the buffers grow
+by reallocation.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -21,16 +32,36 @@ ENCODER_GROUP = "encoder"
 TASK_GROUP = "task"
 
 
+# Scalars a store's buffers hold at first (1 MiB each). Zero-filled pages are
+# mapped only when written, so spare capacity costs little memory, and models
+# up to this size (the acceptance model has 86,399 scalars) are built without
+# reallocating.
+_MIN_CAPACITY = 1 << 17
+
+
 class NumericError(RuntimeError):
     pass
 
 
-@dataclass
 class Param:
-    value: np.ndarray
-    grad: np.ndarray
-    group: str
-    frozen: bool = False
+    """One tensor of a ``ParamStore``: views into its buffers, lr group, freeze flag."""
+
+    __slots__ = ("value", "grad", "group", "frozen", "offset")
+
+    def __init__(self, group: str, offset: int, frozen: bool = False):
+        self.group = group
+        self.offset = offset  # position of the first scalar in the store's buffers
+        self.frozen = frozen
+
+    def __setattr__(self, name: str, new) -> None:
+        # reads stay plain slot reads; only assignment is checked. `p.grad += g`
+        # assigns back the same view, which is allowed.
+        if name in ("value", "grad") and hasattr(self, name) and new is not getattr(self, name):
+            raise AttributeError(
+                f"Param.{name} is a view into the store's buffer and cannot be rebound; "
+                f"write into it (p.{name}[...] = x) instead"
+            )
+        object.__setattr__(self, name, new)
 
 
 class ParamStore:
@@ -38,16 +69,61 @@ class ParamStore:
 
     def __init__(self):
         self._params: dict[str, Param] = {}
+        self._values = np.zeros(0)
+        self._grads = np.zeros(0)
+        self._size = 0  # scalars in use; the buffers may hold spare capacity
 
     def add(self, name: str, value: np.ndarray, group: str) -> Param:
+        self._check_new(name, group)
+        value = np.asarray(value, dtype=np.float64)
+        if self._size + value.size > self._values.size:
+            # grow geometrically, so that packing n tensors copies O(n) scalars
+            self._reallocate(max(self._size + value.size, 2 * self._values.size, _MIN_CAPACITY))
+        param = self._params[name] = Param(group, self._size)
+        self._bind(param, value.shape)
+        self._size += value.size
+        param.value[...] = value
+        return param
+
+    def _check_new(self, name: str, group: str) -> None:
         if name in self._params:
             raise KeyError(f"parameter {name!r} already exists")
         if group not in (ENCODER_GROUP, TASK_GROUP):
             raise ValueError(f"unknown group {group!r}")
-        value = np.asarray(value, dtype=np.float64)
-        param = Param(value=value, grad=np.zeros_like(value), group=group)
-        self._params[name] = param
-        return param
+
+    def _reallocate(self, capacity: int) -> None:
+        values, grads = np.zeros(capacity), np.zeros(capacity)
+        values[: self._size] = self.flat_values()
+        grads[: self._size] = self.flat_grads()
+        self._values, self._grads = values, grads
+        for p in self._params.values():
+            self._bind(p, p.value.shape)
+
+    def _bind(self, param: Param, shape) -> None:
+        stop = param.offset + math.prod(shape)
+        object.__setattr__(param, "value", self._values[param.offset : stop].reshape(shape))
+        object.__setattr__(param, "grad", self._grads[param.offset : stop].reshape(shape))
+
+    @classmethod
+    def _packed(cls, values: np.ndarray, layout) -> "ParamStore":
+        """A store owning ``values``, with (name, shape, group, frozen) tensors
+        packed in order over all of it."""
+        store = cls()
+        store._values, store._grads = values, np.zeros(values.size)
+        for name, shape, group, frozen in layout:
+            store._check_new(name, group)
+            param = store._params[name] = Param(group, store._size, bool(frozen))
+            store._bind(param, shape)
+            store._size += param.value.size
+        return store
+
+    def flat_values(self) -> np.ndarray:
+        """All values as one vector (a view), tensors in insertion order."""
+        return self._values[: self._size]
+
+    def flat_grads(self) -> np.ndarray:
+        """All gradients as one vector (a view), tensors in insertion order."""
+        return self._grads[: self._size]
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -68,18 +144,15 @@ class ParamStore:
         return self._params[name].value
 
     def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0.0
+        self.flat_grads().fill(0.0)
 
     def set_frozen(self, name: str, frozen: bool) -> None:
         self._params[name].frozen = frozen
 
     def copy(self) -> "ParamStore":
-        clone = ParamStore()
-        for name, p in self._params.items():
-            new = clone.add(name, p.value.copy(), p.group)
-            new.frozen = p.frozen
-        return clone
+        """Values and freeze flags in a new, tightly packed store; zero gradients."""
+        layout = [(name, p.value.shape, p.group, p.frozen) for name, p in self._params.items()]
+        return ParamStore._packed(self.flat_values().copy(), layout)
 
     def num_scalars(self, trainable_only: bool = False) -> int:
         return sum(
@@ -125,24 +198,49 @@ class AdamOptimizer:
     The encoder group additionally gets decoupled weight decay. Frozen tensors
     are skipped entirely: no update, no moment accumulation, and they do not
     contribute to the clipping norm. Gradients are zeroed after each step.
+
+    The moments are flat vectors laid out like the store's buffers; ``m`` and
+    ``v`` are read-only mappings from each name to its view. The optimizer
+    belongs to the store it was built for, or to a copy of it.
     """
 
     def __init__(self, params: ParamStore, config: Optional[OptimizerConfig] = None):
         self.config = config or OptimizerConfig()
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.value) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.value) for name, p in params.items()}
+        size = params.flat_values().size
+        self._m, self._v, self._scratch = np.zeros(size), np.zeros(size), np.zeros(size)
+        self.m = MappingProxyType(self._views(params, self._m))
+        self.v = MappingProxyType(self._views(params, self._v))
+
+    @staticmethod
+    def _views(params: ParamStore, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {
+            name: flat[p.offset : p.offset + p.value.size].reshape(p.value.shape)
+            for name, p in params.items()
+        }
 
     def step(self, params: ParamStore) -> float:
-        """Apply one update; returns the pre-clip global gradient norm."""
+        """Apply one update; returns the pre-clip global gradient norm.
+
+        Runs in place over contiguous runs of trainable tensors of one group.
+        Every element sees the same operations in the same order as a
+        per-tensor update, and the squared norm is summed per tensor in store
+        order, so results do not depend on the layout.
+        """
         cfg = self.config
+        values, grads, sq_g = params.flat_values(), params.flat_grads(), self._scratch
+        if grads.size != sq_g.size:
+            raise ValueError("optimizer was built for a store of another size")
+        tensors, runs = _trainable_layout(params)
+        for lo, hi, _ in runs:
+            np.multiply(grads[lo:hi], grads[lo:hi], out=sq_g[lo:hi])
         sq = 0.0
-        for name, p in params.items():
-            if p.frozen:
-                continue
-            if not np.all(np.isfinite(p.grad)):
-                raise NumericError(f"non-finite gradient in {name}")
-            sq += float(np.sum(p.grad * p.grad))
+        for lo, hi in tensors:
+            sq += float(np.add.reduce(sq_g[lo:hi]))  # np.sum's pairwise order
+        if not math.isfinite(sq):
+            for name, p in params.items():
+                if not p.frozen and not np.all(np.isfinite(p.grad)):
+                    raise NumericError(f"non-finite gradient in {name}")
         norm = float(np.sqrt(sq))
         scale = 1.0 if norm <= cfg.clip_norm or norm == 0.0 else cfg.clip_norm / norm
 
@@ -150,22 +248,49 @@ class AdamOptimizer:
         t = self.step_count
         bc1 = 1.0 - cfg.beta1**t
         bc2 = 1.0 - cfg.beta2**t
-        for name, p in params.items():
-            if p.frozen:
-                continue
-            g = p.grad * scale
-            m = self.m[name]
-            v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
+        for lo, hi, group in runs:
+            g, s, value = grads[lo:hi], sq_g[lo:hi], values[lo:hi]
+            m, v = self._m[lo:hi], self._v[lo:hi]
+            if scale != 1.0:
+                g *= scale
+                np.multiply(g, g, out=s)
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            lr = cfg.lr_for(p.group)
-            if p.group == ENCODER_GROUP and cfg.weight_decay_encoder > 0.0:
-                p.value -= lr * cfg.weight_decay_encoder * p.value
-            p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            s *= 1.0 - cfg.beta2
+            v += s
+            np.multiply(g, 1.0 - cfg.beta1, out=s)
+            m *= cfg.beta1
+            m += s
+            lr = cfg.lr_for(group)
+            if group == ENCODER_GROUP and cfg.weight_decay_encoder > 0.0:
+                np.multiply(value, lr * cfg.weight_decay_encoder, out=s)
+                value -= s
+            # the gradient is spent: its slots hold the denominator
+            np.divide(m, bc1, out=s)
+            s *= lr
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += cfg.eps
+            s /= g
+            value -= s
         params.zero_grads()
         return norm
+
+
+def _trainable_layout(params: ParamStore):
+    """[lo, hi) of each unfrozen tensor in the flat buffers, and the maximal
+    runs of them that share a group, as (lo, hi, group); both in order."""
+    tensors: list[tuple[int, int]] = []
+    runs: list[tuple[int, int, str]] = []
+    for _, p in params.items():
+        if p.frozen:
+            continue
+        lo, hi = p.offset, p.offset + p.value.size
+        tensors.append((lo, hi))
+        if runs and runs[-1][1] == lo and runs[-1][2] == p.group:
+            runs[-1] = (runs[-1][0], hi, p.group)
+        else:
+            runs.append((lo, hi, p.group))
+    return tensors, runs
 
 
 # ---------------------------------------------------------------------------
@@ -192,32 +317,30 @@ def grad_check(
     loss = float(loss_fn(backward=True))
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss} during gradient check")
-    analytic = {name: p.grad.copy() for name, p in params.items()}
+    analytic = params.flat_grads().copy()
     params.zero_grads()
 
-    coords = [
-        (name, idx)
-        for name, p in params.items()
-        for idx in range(p.value.size)
-    ]
+    values = params.flat_values()
+    coords = range(values.size)
     if max_scalars is not None and max_scalars < len(coords):
         rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(coords), size=max_scalars, replace=False)
-        coords = [coords[i] for i in chosen]
+        coords = rng.choice(len(coords), size=max_scalars, replace=False)
 
     max_rel = 0.0
-    for name, idx in coords:
-        flat = params[name].value.reshape(-1)
-        original = flat[idx]
-        flat[idx] = original + eps
+    for i in coords:
+        original = values[i]
+        values[i] = original + eps
         loss_plus = float(loss_fn(backward=False))
-        flat[idx] = original - eps
+        values[i] = original - eps
         loss_minus = float(loss_fn(backward=False))
-        flat[idx] = original
+        values[i] = original
         if not np.isfinite(loss_plus) or not np.isfinite(loss_minus):
-            raise NumericError(f"non-finite loss while perturbing {name}[{idx}]")
+            name, offset = next(
+                (name, p.offset) for name, p in reversed(params.items()) if p.offset <= i
+            )
+            raise NumericError(f"non-finite loss while perturbing {name}[{i - offset}]")
         numeric = (loss_plus - loss_minus) / (2.0 * eps)
-        a = float(analytic[name].reshape(-1)[idx])
+        a = float(analytic[i])
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
         max_rel = max(max_rel, rel)
     return max_rel
@@ -262,13 +385,12 @@ def save_checkpoint(
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for name, p in params.items():
-            fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+        # the buffers hold the tensors in header order, so each is one payload
+        payloads = [params.flat_values()]
         if optimizer is not None:
-            for name in params.names():
-                fh.write(np.ascontiguousarray(optimizer.m[name], dtype="<f8").tobytes())
-            for name in params.names():
-                fh.write(np.ascontiguousarray(optimizer.v[name], dtype="<f8").tobytes())
+            payloads += [optimizer._m, optimizer._v]
+        for flat in payloads:
+            fh.write(flat.astype("<f8", copy=False).tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -278,9 +400,9 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
-def _read_tensor(fh, t: dict) -> np.ndarray:
-    data = _read_exact(fh, 8 * int(np.prod(t["shape"])), f"tensor {t['name']}")
-    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(t["shape"])
+def _read_flat(fh, size: int, what: str) -> np.ndarray:
+    data = _read_exact(fh, 8 * size, what)
+    return np.frombuffer(data, dtype="<f8").astype(np.float64)
 
 
 def load_checkpoint(path) -> tuple[ParamStore, Optional[AdamOptimizer], dict]:
@@ -297,17 +419,18 @@ def load_checkpoint(path) -> tuple[ParamStore, Optional[AdamOptimizer], dict]:
         header_bytes = _read_exact(fh, header_len, "header")
         try:
             header = json.loads(header_bytes.decode("utf-8"))
-            params = ParamStore()
-            for t in header["tensors"]:
-                p = params.add(t["name"], _read_tensor(fh, t), t["group"])
-                p.frozen = bool(t["frozen"])
+            layout = [
+                (t["name"], tuple(int(d) for d in t["shape"]), t["group"], bool(t["frozen"]))
+                for t in header["tensors"]
+            ]
+            size = sum(math.prod(shape) for _, shape, _, _ in layout)
+            params = ParamStore._packed(_read_flat(fh, size, "parameter payload"), layout)
             optimizer = None
             if header.get("optimizer") is not None:
                 optimizer = AdamOptimizer(params, OptimizerConfig(**header["optimizer"]["config"]))
                 optimizer.step_count = int(header["optimizer"]["step_count"])
-                for slot in (optimizer.m, optimizer.v):
-                    for t in header["tensors"]:
-                        slot[t["name"]] = _read_tensor(fh, t)
+                optimizer._m[:] = _read_flat(fh, size, "first-moment payload")
+                optimizer._v[:] = _read_flat(fh, size, "second-moment payload")
             meta = header.get("meta", {})
         # undecodable or non-JSON bytes (both ValueError), missing or mistyped fields
         except (ValueError, KeyError, TypeError) as exc:

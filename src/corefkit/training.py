@@ -280,6 +280,10 @@ class EpochRecord:
     dev_avg_f1: float
     dev_predictions: Optional[dict] = None
     extra_predictions: Optional[dict] = None
+    # pre-clip global gradient norms of the epoch's optimizer steps
+    grad_norm_mean: float = 0.0
+    grad_norm_max: float = 0.0
+    clipped_steps: int = 0
 
 
 @dataclass
@@ -355,17 +359,25 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_docs))
         epoch_loss = 0.0
+        norms = []
         for doc_i in order:
             doc = train_docs[doc_i]
-            params.zero_grads()
+            # gradients start at zero: the copy has none, and each step zeroes them
             epoch_loss += document_loss(
                 doc, params, encoder_cfg, engine_cfg, config.objective, backward=True
             )
-            optimizer.step(params)
+            norms.append(optimizer.step(params))
         epoch_loss /= len(train_docs)
 
         dev_report, dev_preds = evaluate_docs(dev_docs, params, encoder_cfg, engine_cfg)
-        record = EpochRecord(epoch=epoch, train_loss=epoch_loss, dev_avg_f1=dev_report.avg_f1)
+        record = EpochRecord(
+            epoch=epoch,
+            train_loss=epoch_loss,
+            dev_avg_f1=dev_report.avg_f1,
+            grad_norm_mean=sum(norms) / len(norms),
+            grad_norm_max=max(norms),
+            clipped_steps=sum(norm > config.clip_norm for norm in norms),
+        )
         if cache_predictions:
             record.dev_predictions = dev_preds
             if extra_eval_docs is not None:

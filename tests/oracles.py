@@ -5,7 +5,8 @@ union-find connected components, B-cubed via per-mention loops, CEAF and the
 assignment solver via explicit permutation enumeration. The dev-set
 allocation reference re-scores every sampled subset from cluster lists. The
 teacher-forced loss reference scores each (span, cluster) pair on its own,
-with soft antecedent weights, and runs one backward call per pair.
+with soft antecedent weights, and runs one backward call per pair. The Adam
+reference updates one tensor at a time, each with its own moment arrays.
 """
 
 import itertools
@@ -27,7 +28,7 @@ from corefkit.engine import (
 )
 from corefkit.encoder import embed_tokens_backward, encode_backward
 from corefkit.metrics import phi4, score_corpus
-from corefkit.numeric import NumericError, sigmoid, softmax
+from corefkit.numeric import ENCODER_GROUP, NumericError, sigmoid, softmax
 from corefkit.training import OBJECTIVE_JOINT, select_checkpoint
 
 
@@ -323,3 +324,43 @@ def _reference_segment_backward(params, fwd, steps, mention_terms, joint):
     dh = span_embeddings_backward(params, dxs, fwd.span_cache)
     dx0 = encode_backward(params, dh, fwd.enc_caches)
     embed_tokens_backward(params, dx0, fwd.ids)
+
+
+def reference_adam_step(opt, params):
+    """One per-tensor Adam/AdamW step with global norm clipping.
+
+    ``opt`` carries ``config``, ``step_count`` and per-name ``m``/``v`` arrays
+    of its own; ``params`` is only read and written per tensor. Returns the
+    pre-clip global gradient norm.
+    """
+    cfg = opt.config
+    sq = 0.0
+    for name, p in params.items():
+        if p.frozen:
+            continue
+        if not np.all(np.isfinite(p.grad)):
+            raise NumericError(f"non-finite gradient in {name}")
+        sq += float(np.sum(p.grad * p.grad))
+    norm = float(np.sqrt(sq))
+    scale = 1.0 if norm <= cfg.clip_norm or norm == 0.0 else cfg.clip_norm / norm
+
+    opt.step_count += 1
+    t = opt.step_count
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    for name, p in params.items():
+        if p.frozen:
+            continue
+        g = p.grad * scale
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        lr = cfg.lr_for(p.group)
+        if p.group == ENCODER_GROUP and cfg.weight_decay_encoder > 0.0:
+            p.value -= lr * cfg.weight_decay_encoder * p.value
+        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    params.zero_grads()
+    return norm

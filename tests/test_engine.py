@@ -160,13 +160,15 @@ class TestScorers:
         assert 0.0 < alpha < 1.0
 
     def test_merge_convex_combination(self):
-        x = np.array([1.0, 0.0])
-        c = np.array([0.0, 1.0])
-        merged = 0.5 * x + 0.5 * c
-        np.testing.assert_allclose(merged, [0.5, 0.5])
-        lo = np.minimum(x, c)
-        hi = np.maximum(x, c)
-        assert np.all(merged >= lo) and np.all(merged <= hi)
+        x = np.array([1.0, 0.0, -2.0, 0.5])
+        c = np.array([0.0, 1.0, 3.0, 0.5])
+        for alpha in (0.0, 0.3, 1.0):
+            state = EngineState()
+            cluster = state.create(c, (0, 0))
+            state.merge(cluster, (2, 3), x, alpha)
+            merged = cluster.embedding
+            np.testing.assert_array_equal(merged, alpha * x + (1.0 - alpha) * c)
+            assert np.all(merged >= np.minimum(x, c)) and np.all(merged <= np.maximum(x, c))
 
 
 class TestPruning:

@@ -1,7 +1,13 @@
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from corefkit import Document, EncoderConfig, EngineConfig, document_loss
+from corefkit.engine import init_params
 from corefkit.numeric import (
+    _MIN_CAPACITY,
     AdamOptimizer,
     NumericError,
     OptimizerConfig,
@@ -12,6 +18,7 @@ from corefkit.numeric import (
     sigmoid,
     softmax,
 )
+from oracles import reference_adam_step
 
 
 class TestPrimitives:
@@ -170,7 +177,184 @@ class TestOptimizer:
         np.testing.assert_array_equal(run(), run())
 
 
+# task tensors first, then encoder ones, and groups interleaved, so the
+# trainable elements split into several runs of one group
+MIXED_LAYOUT = [
+    ("score.W1", (6, 5), "task"),
+    ("score.b1", (6,), "task"),
+    ("embed.token", (10, 4), "encoder"),
+    ("embed.pos", (7, 4), "encoder"),
+    ("enc.0.W", (4, 4), "encoder"),
+    ("enc.0.b", (4,), "encoder"),
+    ("head.w2", (3,), "task"),
+    ("enc.1.W", (4, 4), "encoder"),
+    ("enc.1.gate", (1,), "encoder"),
+]
+
+FROZEN = {
+    "none": lambda step: (),
+    "embeddings": lambda step: ("embed.token", "embed.pos"),
+    "middle_layer": lambda step: ("enc.0.W", "enc.0.b"),
+    # frozen on odd steps only, so a tensor's moments pause and resume
+    "toggled": lambda step: ("score.b1", "enc.0.W") if step % 2 else ("embed.pos",),
+}
+
+
+def mixed_store(seed=0):
+    rng = np.random.default_rng(seed)
+    params = ParamStore()
+    for name, shape, group in MIXED_LAYOUT:
+        params.add(name, rng.normal(size=shape), group)
+    return params
+
+
+class TestMatchesPerTensorReference:
+    """The flat in-place step against the per-tensor step it replaced: values,
+    moments and returned norms must be bit-identical."""
+
+    @pytest.mark.parametrize("grad_scale", [0.05, 5.0], ids=["no_clip", "clip"])
+    @pytest.mark.parametrize("frozen", sorted(FROZEN))
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_fifty_steps_bit_identical(self, grad_scale, frozen, weight_decay):
+        config = OptimizerConfig(lr_task=1e-2, lr_encoder=3e-3, weight_decay_encoder=weight_decay)
+        flat, ref = mixed_store(), mixed_store()
+        opt = AdamOptimizer(flat, config)
+        ref_opt = SimpleNamespace(
+            config=config,
+            step_count=0,
+            m={n: np.zeros_like(ref.value(n)) for n in ref.names()},
+            v={n: np.zeros_like(ref.value(n)) for n in ref.names()},
+        )
+        rng = np.random.default_rng(1)
+        clipped = 0
+        for step in range(50):
+            for store in (flat, ref):
+                for name in store.names():
+                    store.set_frozen(name, name in FROZEN[frozen](step))
+            for name in flat.names():
+                g = rng.normal(size=flat.value(name).shape) * grad_scale
+                flat[name].grad[...] = g
+                ref[name].grad[...] = g
+            norm = opt.step(flat)
+            assert norm == reference_adam_step(ref_opt, ref)
+            clipped += norm > config.clip_norm
+            for name in flat.names():
+                assert np.array_equal(flat.value(name), ref.value(name)), name
+                assert np.array_equal(opt.m[name], ref_opt.m[name]), name
+                assert np.array_equal(opt.v[name], ref_opt.v[name]), name
+            assert not flat.flat_grads().any()
+        assert clipped == (50 if grad_scale > 1.0 else 0)
+
+
+SRC_ENC = EncoderConfig(num_layers=2, hidden_dim=16, hash_vocab_size=2048, max_position=128)
+SRC_ENG = EngineConfig(max_span_width=3, pruning_mode="reformulated",
+                       scorer_hidden_dim=128, width_embedding_dim=8)
+
+
+class TestFlatStore:
+    def test_views_share_the_flat_buffers_in_insertion_order(self):
+        params = mixed_store()
+        offset = 0
+        for name in params.names():
+            p = params[name]
+            size = p.value.size
+            assert np.shares_memory(p.value, params.flat_values()[offset : offset + size])
+            assert np.shares_memory(p.grad, params.flat_grads()[offset : offset + size])
+            offset += size
+        assert offset == params.flat_values().size == params.num_scalars()
+
+    def test_growth_keeps_values_and_grads(self):
+        params = ParamStore()
+        params.add("a", np.arange(3.0), "task")
+        params["a"].grad[...] = 1.0
+        a = params["a"]
+        for i in range(3):  # each outgrows the buffers
+            params.add(f"b{i}", np.full((_MIN_CAPACITY, 2), float(i)), "encoder")
+        assert a is params["a"]
+        np.testing.assert_array_equal(params.value("a"), [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(params["a"].grad, [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(params.value("b1"), np.full((_MIN_CAPACITY, 2), 1.0))
+        assert np.shares_memory(params.value("a"), params.flat_values())
+
+    @pytest.mark.parametrize("attr", ["value", "grad"])
+    def test_rebinding_raises(self, attr):
+        params = mixed_store()
+        p = params["score.W1"]
+        with pytest.raises(AttributeError, match="cannot be rebound"):
+            setattr(p, attr, np.zeros((6, 5)))
+        view = getattr(p, attr)
+        setattr(p, attr, view)  # what `p.grad += g` does after adding in place
+        view += 1.0
+        assert np.shares_memory(getattr(p, attr), params.flat_values() if attr == "value"
+                                else params.flat_grads())
+
+    @pytest.mark.parametrize("made_by", ["copy", "load_checkpoint", "set_frozen"])
+    def test_step_visible_through_every_view(self, tmp_path, made_by):
+        enc = EncoderConfig(num_layers=2, hidden_dim=8, hash_vocab_size=128, max_position=64)
+        eng = EngineConfig(max_span_width=3, scorer_hidden_dim=6, width_embedding_dim=4)
+        doc = Document(
+            "d",
+            [["Anna", "saw", "the", "dog"], ["Anna", "fed", "it", "happily"]],
+            [((0, 0), (4, 4)), ((2, 3), (6, 6))],
+        )
+        params = init_params(enc, eng, seed=0)
+        if made_by == "copy":
+            params = params.copy()
+        elif made_by == "load_checkpoint":
+            save_checkpoint(tmp_path / "m.ckpt", params)
+            params, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+        else:
+            params.set_frozen("embed.token", True)
+            params.set_frozen("embed.token", False)
+            params.set_frozen("enc.0.W", True)
+        held = {name: params.value(name) for name in params.names()}
+        before = params.flat_values().copy()
+        opt = AdamOptimizer(params, OptimizerConfig(weight_decay_encoder=0.0))
+        # the encoder and engine write their gradients through the views
+        loss_before = document_loss(doc, params, enc, eng, "joint_singleton", backward=True)
+        reached = {name: params[name].grad.any() for name in params.names()}
+        assert sum(reached.values()) >= len(reached) // 2
+        opt.step(params)
+
+        for name in params.names():
+            p = params[name]
+            moved = not np.array_equal(p.value.ravel(), before[p.offset : p.offset + p.value.size])
+            assert moved == (reached[name] and not p.frozen), name
+            assert np.shares_memory(held[name], params.flat_values())
+            np.testing.assert_array_equal(held[name], params.value(name))
+        # the encoder and engine read the stepped values: the loss they compute
+        # matches one on a store rebuilt from the flat buffer
+        def loss(store):
+            return document_loss(doc, store, enc, eng, "joint_singleton", backward=False)
+
+        assert loss(params) != loss_before
+        assert loss(params) == loss(params.copy())
+
+
 class TestCheckpoint:
+    # sha256 of the v1 files written by the per-tensor writer the flat one replaced
+    PINNED_PLAIN = "71ea8bf5c871d10acd0f7894a4cc06035e13bd29ea57f8d6e14f0346c2be68a7"
+    PINNED_WITH_OPTIMIZER = "87fa48d52317d35e6082f40e021915c6b1fd5baf7ec06e847568ea9a5b8a0d0f"
+
+    def test_bytes_pinned(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        params = init_params(SRC_ENC, SRC_ENG, seed=0)
+        save_checkpoint(path, params)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_PLAIN
+
+        opt = AdamOptimizer(params)
+        rng = np.random.default_rng(0)
+        for name in params.names():
+            params[name].grad[...] = rng.normal(size=params.value(name).shape)
+        params.set_frozen("embed.pos", True)
+        opt.step(params)
+        save_checkpoint(path, params, opt, meta={"epoch": 1})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_WITH_OPTIMIZER
+        loaded, loaded_opt, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.flat_values(), params.flat_values())
+        np.testing.assert_array_equal(loaded_opt.m["enc.1.W"], opt.m["enc.1.W"])
+        np.testing.assert_array_equal(loaded_opt.v["score.pair.W1"], opt.v["score.pair.W1"])
+
     def test_round_trip_with_optimizer(self, tmp_path):
         params = ParamStore()
         rng = np.random.default_rng(7)

@@ -22,7 +22,7 @@ from corefkit import (
 )
 from corefkit.encoder import FreezeMask, encoder_param_names
 from corefkit.engine import merge_alpha, segment_forward
-from corefkit.numeric import grad_check
+from corefkit.numeric import AdamOptimizer, grad_check
 from corefkit.training import ShapeMismatchError, check_compatible
 from oracles import reference_document_loss
 
@@ -231,6 +231,32 @@ class TestTrainLoop:
         result = train(docs, docs, params, ENC, ENG, cfg)
         losses = [r.train_loss for r in result.history]
         assert np.mean(losses[-3:]) < np.mean(losses[:3])
+
+    def test_epoch_records_gradient_norms(self):
+        """The norm fields summarise the steps' pre-clip norms, and recording
+        them leaves losses and F1 as a hand-written epoch loop gives them."""
+        docs = small_corpus()
+        cfg = TrainConfig(max_epochs=3, patience=3, seed=2, clip_norm=1.0)
+        init = init_params(ENC, ENG, seed=4)
+        result = train(docs[:4], docs[4:], init, ENC, ENG, cfg)
+
+        params = init.copy()
+        optimizer = AdamOptimizer(params, cfg.optimizer_config())
+        rng = np.random.default_rng(cfg.seed)
+        clipped_any = False
+        for record in result.history:
+            loss, norms = 0.0, []
+            for i in rng.permutation(4):
+                loss += document_loss(docs[i], params, ENC, ENG, cfg.objective, backward=True)
+                norms.append(optimizer.step(params))
+            report, _ = evaluate_docs(docs[4:], params, ENC, ENG)
+            assert record.train_loss == loss / 4
+            assert record.dev_avg_f1 == report.avg_f1
+            assert record.grad_norm_mean == sum(norms) / 4
+            assert record.grad_norm_max == max(norms)
+            assert record.clipped_steps == sum(n > cfg.clip_norm for n in norms)
+            clipped_any |= 0 < record.clipped_steps
+        assert clipped_any
 
     def test_init_params_not_mutated(self):
         docs = small_corpus()
