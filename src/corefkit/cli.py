@@ -32,7 +32,6 @@ from .encoder import EncoderConfig, FreezeMask
 from .engine import EngineConfig, init_params, resolve_document
 from .harness import (
     CorpusSplit,
-    CurveSpec,
     DevAllocSpec,
     MissingPredictionsError,
     dev_allocation_experiment,
@@ -166,12 +165,12 @@ class EffectiveConfig:
                 raise CliError("config", f"unknown config section [{section}]")
             self.values[section][key] = _coerce(section, key, text)
 
-    def build(self, section: str, **extra):
-        cls = _SECTIONS[section]
-        kwargs = dict(self.values[section])
-        kwargs.update(extra)
+    def build(self, section: str, base=None):
+        """The section's config: ``base`` (default: the defaults) with this run's keys replaced."""
+        if base is None:
+            base = _SECTIONS[section]()
         try:
-            cfg = cls(**kwargs)
+            cfg = dataclasses.replace(base, **self.values[section])
             if hasattr(cfg, "validate"):
                 cfg.validate()
             return cfg
@@ -247,7 +246,7 @@ class RunDir:
         self.path = Path(path) if path else None
         self.command = command
         self.config = config
-        self.inputs = list(inputs)
+        self.inputs = [p for p in inputs if p]  # optional inputs arrive as None
         self.outputs: list[str] = []
         if self.path:
             self.path.mkdir(parents=True, exist_ok=True)
@@ -322,6 +321,7 @@ def _save_model(path: Path, params, encoder_cfg, engine_cfg, meta=None) -> None:
 
 
 def _load_model(path: str):
+    """(params, encoder config, engine config) of a saved model."""
     params, _, meta = load_checkpoint(path)
     try:
         encoder_cfg = EncoderConfig(**meta["encoder"])
@@ -331,7 +331,7 @@ def _load_model(path: str):
     except (KeyError, TypeError) as exc:
         raise CliError("shape", f"checkpoint {path} lacks model configuration: {exc}") from exc
     _check_segment_fits(encoder_cfg, engine_cfg)
-    return params, encoder_cfg, engine_cfg, meta
+    return params, encoder_cfg, engine_cfg
 
 
 def _check_segment_fits(encoder_cfg: EncoderConfig, engine_cfg: EngineConfig) -> None:
@@ -408,7 +408,7 @@ def cmd_score(args) -> int:
 
 def cmd_resolve(args) -> int:
     config = _effective_config(args)
-    params, encoder_cfg, engine_cfg, _ = _load_model(args.model)
+    params, encoder_cfg, engine_cfg = _load_model(args.model)
     docs = load_docs(args.input, args.format)
     predicted = [
         doc.replace_clusters(resolve_document(doc, params, encoder_cfg, engine_cfg))
@@ -433,21 +433,28 @@ def cmd_resolve(args) -> int:
     return 0
 
 
-def _train_common(config, source=None):
-    """Encoder, engine and train configs.
-
-    A source model fixes the encoder; its engine settings apply unless the
-    run gives [engine] values of its own.
-    """
-    encoder_cfg = config.build("encoder") if source is None else source[1]
-    engine_cfg = config.build("engine") if source is None or config.values["engine"] else source[2]
+def _run_configs(config, encoder_cfg, source_engine_cfg=None):
+    """Engine and train configs; [engine] keys replace the source's settings one by one."""
+    engine_cfg = config.build("engine", base=source_engine_cfg)
     _check_segment_fits(encoder_cfg, engine_cfg)
-    return encoder_cfg, engine_cfg, config.build("train")
+    return engine_cfg, config.build("train")
+
+
+def _train_common(config, source_path=None):
+    """(source params, encoder, engine, train configs); the params are None without a source.
+
+    A source model fixes the encoder and is the base of the engine settings.
+    """
+    if source_path is None:
+        source_params, encoder_cfg, source_engine_cfg = None, config.build("encoder"), None
+    else:
+        source_params, encoder_cfg, source_engine_cfg = _load_model(source_path)
+    return (source_params, encoder_cfg, *_run_configs(config, encoder_cfg, source_engine_cfg))
 
 
 def cmd_train(args) -> int:
     config = _effective_config(args)
-    encoder_cfg, engine_cfg, train_cfg = _train_common(config)
+    _, encoder_cfg, engine_cfg, train_cfg = _train_common(config)
     train_docs = load_docs(args.train)
     dev_docs = load_docs(args.dev)
     params = init_params(encoder_cfg, engine_cfg, seed=train_cfg.seed)
@@ -478,16 +485,13 @@ def cmd_train(args) -> int:
 
 def cmd_transfer(args) -> int:
     config = _effective_config(args)
-    source = _load_model(args.source)
-    encoder_cfg, engine_cfg, train_cfg = _train_common(config, source)
-    source_params = source[0]
+    source_params, encoder_cfg, engine_cfg, train_cfg = _train_common(config, args.source)
     train_docs = load_docs(args.train) if args.train else []
     dev_docs = load_docs(args.dev)
     result = continued_train(
         source_params, train_docs, dev_docs, encoder_cfg, engine_cfg, train_cfg,
     )
-    inputs = [args.source, args.dev] + ([args.train] if args.train else [])
-    run = RunDir(args.out, "transfer", config, inputs)
+    run = RunDir(args.out, "transfer", config, [args.source, args.dev, args.train])
     _save_model(
         run.file("model.ckpt"), result.checkpoint.params, encoder_cfg, engine_cfg,
         meta={"epoch": result.checkpoint.epoch, "dev_avg_f1": result.checkpoint.dev_avg_f1},
@@ -504,27 +508,11 @@ def cmd_transfer(args) -> int:
 def cmd_curve(args) -> int:
     config = _effective_config(args)
     split = _split_from_args(args)
-    source_params = None
-    if args.source:
-        source = _load_model(args.source)
-        encoder_cfg, engine_cfg, train_cfg = _train_common(config, source)
-        source_params = source[0]
-        init = "source_checkpoint"
-    else:
-        encoder_cfg, engine_cfg, train_cfg = _train_common(config)
-        init = "scratch"
-    spec = CurveSpec(
-        train_sizes=tuple(_int_list(args.sizes)),
-        init=init,
-        objective=train_cfg.objective,
-        seed=train_cfg.seed,
-    )
+    source_params, encoder_cfg, engine_cfg, train_cfg = _train_common(config, args.source)
     rows = learning_curve(
-        split, encoder_cfg, engine_cfg, spec,
-        base_config=train_cfg, source_params=source_params,
+        split, _int_list(args.sizes), encoder_cfg, engine_cfg, train_cfg, source_params
     )
-    inputs = [args.train, args.dev, args.test] + ([args.source] if args.source else [])
-    run = RunDir(args.out, "curve", config, inputs)
+    run = RunDir(args.out, "curve", config, [args.train, args.dev, args.test, args.source])
     run.write_csv("curve.csv", rows)
     run.finalize(train_cfg.seed)
     for row in rows:
@@ -534,7 +522,7 @@ def cmd_curve(args) -> int:
 
 def cmd_devalloc(args) -> int:
     config = _effective_config(args)
-    encoder_cfg, engine_cfg, train_cfg = _train_common(config)
+    _, encoder_cfg, engine_cfg, train_cfg = _train_common(config)
     split = _split_from_args(args)
     spec = DevAllocSpec(
         dev_subset_sizes=tuple(_int_list(args.subset_sizes)),
@@ -562,13 +550,12 @@ def cmd_devalloc(args) -> int:
 
 def cmd_forget(args) -> int:
     config = _effective_config(args)
-    source = _load_model(args.source)
-    encoder_cfg, target_engine_cfg, train_cfg = _train_common(config, source)
-    source_engine_cfg = source[2]
+    source_params, encoder_cfg, source_engine_cfg = _load_model(args.source)
+    target_engine_cfg, train_cfg = _run_configs(config, encoder_cfg, source_engine_cfg)
     split = _split_from_args(args)
     source_test = load_docs(args.source_test)
     rows = forgetting_eval(
-        source[0], source_test, split, _int_list(args.sizes),
+        source_params, source_test, split, _int_list(args.sizes),
         encoder_cfg, source_engine_cfg, target_engine_cfg, train_cfg,
     )
     run = RunDir(args.out, "forget", config, [args.source, args.source_test, args.train, args.dev, args.test])
@@ -584,20 +571,12 @@ def cmd_forget(args) -> int:
 
 def cmd_freeze_sweep(args) -> int:
     config = _effective_config(args)
-    if args.source:
-        source = _load_model(args.source)
-        encoder_cfg, engine_cfg, train_cfg = _train_common(config, source)
-        init, continued = source[0], True
-    else:
-        encoder_cfg, engine_cfg, train_cfg = _train_common(config)
-        init, continued = init_params(encoder_cfg, engine_cfg, seed=train_cfg.seed), False
+    source_params, encoder_cfg, engine_cfg, train_cfg = _train_common(config, args.source)
     split = _split_from_args(args)
     rows = layer_freezing_sweep(
-        init, split, _int_list(args.top_k), encoder_cfg, engine_cfg, train_cfg,
-        continued=continued,
+        split, _int_list(args.top_k), encoder_cfg, engine_cfg, train_cfg, source_params
     )
-    inputs = [args.train, args.dev, args.test] + ([args.source] if args.source else [])
-    run = RunDir(args.out, "freeze-sweep", config, inputs)
+    run = RunDir(args.out, "freeze-sweep", config, [args.train, args.dev, args.test, args.source])
     run.write_csv("freeze.csv", rows)
     run.finalize(train_cfg.seed)
     for row in rows:
@@ -607,7 +586,7 @@ def cmd_freeze_sweep(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config = _effective_config(args)
-    encoder_cfg, engine_cfg, train_cfg = _train_common(config)
+    _, encoder_cfg, engine_cfg, train_cfg = _train_common(config)
     doc = load_docs(args.doc)[0] if args.doc else load_bundled_doc()
     objective = {"joint": "joint_singleton", "antecedent": "antecedent_only"}.get(
         args.objective, args.objective

@@ -64,13 +64,6 @@ def token_ids(tokens, hash_vocab_size: int) -> np.ndarray:
     return np.array([token_id(t, hash_vocab_size) for t in tokens], dtype=np.intp)
 
 
-def encoder_param_names(cfg: EncoderConfig) -> list[str]:
-    names = ["embed.token", "embed.pos"]
-    for i in range(cfg.num_layers):
-        names += [f"enc.{i}.W", f"enc.{i}.b", f"enc.{i}.mix", f"enc.{i}.gate"]
-    return names
-
-
 def init_encoder_params(params: ParamStore, cfg: EncoderConfig, rng: np.random.Generator) -> None:
     d = cfg.hidden_dim
     params.add("embed.token", rng.normal(0.0, 0.5, size=(cfg.hash_vocab_size, d)), ENCODER_GROUP)

@@ -1,9 +1,13 @@
 """Experiment protocols: learning curves, dev-set allocation, forgetting, freezing.
 
-Every experiment is deterministic under its seed and returns plain row dicts
-ready for CSV. Training subsets are nested: the corpus is shuffled once and
-size-s runs take the first s documents, so larger training sets are always
-supersets of smaller ones.
+Every experiment is deterministic under ``TrainConfig.seed`` and returns plain
+row dicts ready for CSV. Training subsets are nested: the corpus is shuffled
+once and size-s runs take the first s documents, so larger training sets are
+always supersets of smaller ones.
+
+Where training starts is given by ``source_params`` alone: a source model's
+parameters mean continued training from it, and ``None`` means training from
+``init_params(encoder_cfg, engine_cfg, seed=config.seed)``.
 """
 
 from __future__ import annotations
@@ -29,34 +33,12 @@ from .training import (
     train,
 )
 
-INIT_SCRATCH = "scratch"
-INIT_SOURCE = "source_checkpoint"
-
 
 @dataclass(frozen=True)
 class CorpusSplit:
     train: list[Document]
     dev: list[Document]
     test: list[Document]
-
-
-@dataclass(frozen=True)
-class CurveSpec:
-    train_sizes: tuple[int, ...]
-    init: str = INIT_SCRATCH
-    objective: str = "joint_singleton"
-    seed: int = 0
-
-    def validate(self, pool_size: int) -> "CurveSpec":
-        if list(self.train_sizes) != sorted(self.train_sizes):
-            raise ValueError("train_sizes must be ascending")
-        if self.train_sizes and self.train_sizes[-1] > pool_size:
-            raise ValueError(
-                f"train size {self.train_sizes[-1]} exceeds pool of {pool_size}"
-            )
-        if self.init not in (INIT_SCRATCH, INIT_SOURCE):
-            raise ValueError(f"unknown init {self.init!r}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -84,44 +66,39 @@ def nested_subsets(docs: Sequence[Document], sizes: Sequence[int], seed: int) ->
     return {int(s): shuffled[: int(s)] for s in sizes}
 
 
-def _train_one(
-    train_docs, split, encoder_cfg, engine_cfg, config, init, source_params, init_seed
-):
-    if init == INIT_SOURCE:
-        if source_params is None:
-            raise ValueError("source_checkpoint init requires source parameters")
-        return continued_train(
-            source_params, train_docs, split.dev, encoder_cfg, engine_cfg, config
-        )
+def _train_from(source_params, train_docs, dev_docs, encoder_cfg, engine_cfg, config):
+    """Continued training from ``source_params``, or training from scratch without it."""
+    if source_params is not None:
+        return continued_train(source_params, train_docs, dev_docs, encoder_cfg, engine_cfg, config)
     if not train_docs:
         raise ValueError("scratch training needs at least one document")
-    params = init_params(encoder_cfg, engine_cfg, seed=init_seed)
-    return train(train_docs, split.dev, params, encoder_cfg, engine_cfg, config)
+    params = init_params(encoder_cfg, engine_cfg, seed=config.seed)
+    return train(train_docs, dev_docs, params, encoder_cfg, engine_cfg, config)
 
 
 def learning_curve(
     split: CorpusSplit,
+    sizes: Sequence[int],
     encoder_cfg: EncoderConfig,
     engine_cfg: EngineConfig,
-    spec: CurveSpec,
-    base_config: Optional[TrainConfig] = None,
+    config: TrainConfig,
     source_params: Optional[ParamStore] = None,
 ) -> list[dict]:
     """One model per training-set size; test scores per size.
 
-    The size-s training set is a prefix of every larger one. With the
-    source-checkpoint init, size 0 evaluates the source model zero-shot.
+    The size-s training set is a prefix of every larger one, drawn under
+    ``config.seed``. With ``source_params``, size 0 evaluates the source model
+    zero-shot.
     """
-    spec.validate(len(split.train))
-    config = dataclasses.replace(
-        base_config or TrainConfig(), objective=spec.objective, seed=spec.seed
-    )
-    subsets = nested_subsets(split.train, spec.train_sizes, spec.seed)
+    if list(sizes) != sorted(sizes):
+        raise ValueError("train sizes must be ascending")
+    if sizes and sizes[-1] > len(split.train):
+        raise ValueError(f"train size {sizes[-1]} exceeds pool of {len(split.train)}")
+    subsets = nested_subsets(split.train, sizes, config.seed)
 
     def run(size: int) -> dict:
-        result = _train_one(
-            subsets[size], split, encoder_cfg, engine_cfg, config,
-            spec.init, source_params, init_seed=spec.seed,
+        result = _train_from(
+            source_params, subsets[size], split.dev, encoder_cfg, engine_cfg, config
         )
         report, _ = evaluate_docs(split.test, result.checkpoint.params, encoder_cfg, engine_cfg)
         return {
@@ -132,7 +109,7 @@ def learning_curve(
             "dev_avg_f1": result.checkpoint.dev_avg_f1,
         }
 
-    return [run(size) for size in spec.train_sizes]
+    return [run(int(size)) for size in sizes]
 
 
 class MissingPredictionsError(ValueError):
@@ -261,13 +238,12 @@ def forgetting_eval(
 
 
 def layer_freezing_sweep(
-    init: ParamStore,
     split: CorpusSplit,
     top_k_values: Sequence[int],
     encoder_cfg: EncoderConfig,
     engine_cfg: EngineConfig,
     config: TrainConfig,
-    continued: bool = True,
+    source_params: Optional[ParamStore] = None,
 ) -> list[dict]:
     """One training run per number of trainable top layers; scorers always train."""
     for k in top_k_values:
@@ -275,16 +251,13 @@ def layer_freezing_sweep(
             raise ValueError(f"top_k {k} outside [0, {encoder_cfg.num_layers}]")
 
     def run(top_k: int) -> dict:
-        run_config = dataclasses.replace(config, freeze=FreezeMask(int(top_k)))
-        if continued:
-            result = continued_train(
-                init, split.train, split.dev, encoder_cfg, engine_cfg, run_config
-            )
-        else:
-            result = train(split.train, split.dev, init, encoder_cfg, engine_cfg, run_config)
+        run_config = dataclasses.replace(config, freeze=FreezeMask(top_k))
+        result = _train_from(
+            source_params, split.train, split.dev, encoder_cfg, engine_cfg, run_config
+        )
         report, _ = evaluate_docs(split.test, result.checkpoint.params, encoder_cfg, engine_cfg)
         return {
-            "top_k": int(top_k),
+            "top_k": top_k,
             "avg_f1": report.avg_f1,
             "mention_f1": report.mention.f1,
             "best_epoch": result.checkpoint.epoch,

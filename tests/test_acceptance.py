@@ -32,10 +32,9 @@ from corefkit import (
     write_jsonl,
 )
 from corefkit.bundled import load_bundled_doc
-from corefkit.encoder import encoder_param_names
 from corefkit.engine import prune_cap, prune_spans, span_dim
 from corefkit.harness import DevAllocSpec, dev_allocation_experiment
-from corefkit.numeric import grad_check
+from corefkit.numeric import ENCODER_GROUP, grad_check
 from oracles import oracle_b_cubed, oracle_ceaf, oracle_muc, random_clustering
 
 
@@ -274,8 +273,8 @@ def test_07_freeze_contract():
     frozen_cfg = TrainConfig(max_epochs=15, patience=15, seed=0, freeze=FreezeMask(0))
     frozen_run = train(split_train, split_dev, init, enc, eng, frozen_cfg)
     encoder_identical = all(
-        np.array_equal(frozen_run.checkpoint.params.value(n), init.value(n))
-        for n in encoder_param_names(enc)
+        np.array_equal(frozen_run.checkpoint.params.value(n), p.value)
+        for n, p in init.items() if p.group == ENCODER_GROUP
     )
     loss_before = dev_loss(init)
     loss_after = dev_loss(frozen_run.checkpoint.params)

@@ -1,9 +1,22 @@
+import csv
 import json
 
 import pytest
 
-from corefkit import SchemeConfig, parse_conll, parse_jsonl, synth_corpus, write_conll, write_jsonl
-from corefkit.cli import main
+from corefkit import (
+    EncoderConfig,
+    EngineConfig,
+    SchemeConfig,
+    TrainConfig,
+    load_checkpoint,
+    parse_conll,
+    parse_jsonl,
+    synth_corpus,
+    write_conll,
+    write_jsonl,
+)
+from corefkit.cli import load_docs, main
+from corefkit.harness import CorpusSplit, layer_freezing_sweep
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +197,30 @@ class TestTrainResolve:
         assert code == 0
         assert (transfer_dir / "model.ckpt").exists()
 
+    def test_transfer_engine_key_overrides_source_setting(self, capsys, corpus_files, tmp_path):
+        # the scheme-shift case: only pruning_mode differs from the source
+        run_dir = tmp_path / "src"
+        code, _, _ = run_cli(
+            capsys, "train", "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--out", str(run_dir), "--seed", "0", *SMALL_MODEL,
+            "--set", "engine.pruning_mode=reformulated",
+        )
+        assert code == 0
+        transfer_dir = tmp_path / "tr"
+        code, _, err = run_cli(
+            capsys, "transfer", "--source", str(run_dir / "model.ckpt"),
+            "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--out", str(transfer_dir), "--seed", "0",
+            "--set", "train.max_epochs=1", "--set", "train.patience=1",
+            "--set", "engine.pruning_mode=original",
+        )
+        assert code == 0, err
+        _, _, source_meta = load_checkpoint(run_dir / "model.ckpt")
+        _, _, meta = load_checkpoint(transfer_dir / "model.ckpt")
+        assert meta["encoder"] == source_meta["encoder"]
+        assert source_meta["engine"]["pruning_mode"] == "reformulated"
+        assert meta["engine"] == dict(source_meta["engine"], pruning_mode="original")
+
 
 class TestFailEarly:
     @pytest.fixture
@@ -321,6 +358,28 @@ class TestExperimentCommands:
         )
         assert code == 0
         assert (s_dir / "freeze.csv").read_text().startswith("top_k,")
+
+    def test_freeze_sweep_from_scratch(self, capsys, corpus_files, tmp_path):
+        s_dir = tmp_path / "sweep"
+        code, _, _ = run_cli(
+            capsys, "freeze-sweep",
+            "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--test", corpus_files["test"], "--top-k", "0,2", "--out", str(s_dir),
+            "--seed", "0", *SMALL_MODEL,
+        )
+        assert code == 0
+        with open(s_dir / "freeze.csv", newline="") as fh:
+            written = list(csv.DictReader(fh))
+        split = CorpusSplit(*(load_docs(corpus_files[n]) for n in ("train", "dev", "test")))
+        expected = layer_freezing_sweep(
+            split, [0, 2],
+            EncoderConfig(num_layers=2, hidden_dim=8, hash_vocab_size=64, max_position=64),
+            EngineConfig(max_span_width=3, scorer_hidden_dim=8, width_embedding_dim=4,
+                         max_segment_tokens=64),
+            TrainConfig(max_epochs=2, patience=2, seed=0),
+            source_params=None,
+        )
+        assert written == [{k: str(v) for k, v in row.items()} for row in expected]
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -12,10 +12,9 @@ from corefkit import (
     synth_corpus,
     train,
 )
-from corefkit.encoder import FreezeMask, encoder_param_names
+from corefkit.encoder import FreezeMask
 from corefkit.harness import (
     CorpusSplit,
-    CurveSpec,
     DevAllocSpec,
     MissingPredictionsError,
     dev_allocation_experiment,
@@ -25,6 +24,7 @@ from corefkit.harness import (
     nested_subsets,
 )
 from corefkit.metrics import score_corpus
+from corefkit.numeric import ENCODER_GROUP
 from corefkit.training import EpochRecord, evaluate_docs, select_checkpoint
 from oracles import oracle_dev_allocation, random_clustering
 
@@ -69,43 +69,55 @@ class TestNestedSubsets:
 class TestLearningCurve:
     def test_rows_and_sizes(self):
         split = split_of(corpus(12), 6, 3, 3)
-        rows = learning_curve(
-            split, ENC, ENG, CurveSpec(train_sizes=(2, 4, 6), seed=0), base_config=FAST
-        )
+        rows = learning_curve(split, (2, 4, 6), ENC, ENG, FAST)
         assert [r["train_size"] for r in rows] == [2, 4, 6]
         assert all(0.0 <= r["avg_f1"] <= 1.0 for r in rows)
 
     def test_size_zero_requires_source(self):
         split = split_of(corpus(12), 6, 3, 3)
         with pytest.raises(ValueError, match="at least one"):
-            learning_curve(split, ENC, ENG, CurveSpec(train_sizes=(0,), seed=0), base_config=FAST)
+            learning_curve(split, (0,), ENC, ENG, FAST)
 
     def test_size_zero_with_source_is_zero_shot(self):
         split = split_of(corpus(12), 6, 3, 3)
         source = init_params(ENC, ENG, seed=5)
-        rows = learning_curve(
-            split, ENC, ENG,
-            CurveSpec(train_sizes=(0,), init="source_checkpoint", seed=0),
-            base_config=FAST, source_params=source,
-        )
+        rows = learning_curve(split, (0,), ENC, ENG, FAST, source_params=source)
         report, _ = evaluate_docs(split.test, source, ENC, ENG)
         assert rows[0]["avg_f1"] == pytest.approx(report.avg_f1)
 
     def test_oversized_request_rejected(self):
         split = split_of(corpus(12), 6, 3, 3)
         with pytest.raises(ValueError, match="exceeds"):
-            learning_curve(split, ENC, ENG, CurveSpec(train_sizes=(2, 99)), base_config=FAST)
+            learning_curve(split, (2, 99), ENC, ENG, FAST)
 
     def test_non_ascending_rejected(self):
+        split = split_of(corpus(12), 6, 3, 3)
         with pytest.raises(ValueError, match="ascending"):
-            CurveSpec(train_sizes=(5, 2)).validate(10)
+            learning_curve(split, (5, 2), ENC, ENG, FAST)
 
     def test_deterministic_rows(self):
         split = split_of(corpus(12), 6, 3, 3)
-        spec = CurveSpec(train_sizes=(2, 4), seed=7)
-        a = learning_curve(split, ENC, ENG, spec, base_config=FAST)
-        b = learning_curve(split, ENC, ENG, spec, base_config=FAST)
+        config = dataclasses.replace(FAST, seed=7)
+        a = learning_curve(split, (2, 4), ENC, ENG, config)
+        b = learning_curve(split, (2, 4), ENC, ENG, config)
         assert a == b
+
+    def test_row_follows_the_given_config(self):
+        # objective and seed come from the config alone: the row is a direct
+        # train + evaluate under the same config on the same nested subset
+        split = split_of(corpus(12), 6, 3, 3)
+        config = dataclasses.replace(FAST, objective="antecedent_only", seed=9)
+        (row,) = learning_curve(split, (2,), ENC, ENG, config)
+        subset = nested_subsets(split.train, [2], seed=9)[2]
+        result = train(subset, split.dev, init_params(ENC, ENG, seed=9), ENC, ENG, config)
+        report, _ = evaluate_docs(split.test, result.checkpoint.params, ENC, ENG)
+        assert row == {
+            "train_size": 2,
+            "avg_f1": report.avg_f1,
+            "mention_f1": report.mention.f1,
+            "best_epoch": result.checkpoint.epoch,
+            "dev_avg_f1": result.checkpoint.dev_avg_f1,
+        }
 
 
 def fake_history(dev_docs, test_docs, per_epoch_quality):
@@ -297,11 +309,7 @@ class TestForgetting:
         rows = forgetting_eval(
             source_params, source_test, target, [2, 4], ENC, ENG, ENG, FAST
         )
-        curve = learning_curve(
-            target, ENC, ENG,
-            CurveSpec(train_sizes=(2, 4), init="source_checkpoint", seed=FAST.seed),
-            base_config=FAST, source_params=source_params,
-        )
+        curve = learning_curve(target, (2, 4), ENC, ENG, FAST, source_params=source_params)
         assert [r["target_avg_f1"] for r in rows] == [r["avg_f1"] for r in curve]
 
 
@@ -313,8 +321,9 @@ class TestFreezingSweep:
         cfg = TrainConfig(max_epochs=3, patience=3, seed=0)
         run_cfg = dataclasses.replace(cfg, freeze=FreezeMask(0))
         result = train(split.train, split.dev, init, ENC, ENG, run_cfg)
-        for name in encoder_param_names(ENC):
-            assert np.array_equal(result.checkpoint.params.value(name), init.value(name))
+        for name, p in init.items():
+            if p.group == ENCODER_GROUP:
+                assert np.array_equal(result.checkpoint.params.value(name), p.value)
         assert any(
             not np.array_equal(result.checkpoint.params.value(n), init.value(n))
             for n in init.names() if n.startswith("score.")
@@ -344,7 +353,7 @@ class TestFreezingSweep:
         docs = corpus(10, seed=39)
         split = split_of(docs, 4, 3, 3)
         init = init_params(ENC, ENG, seed=4)
-        rows = layer_freezing_sweep(init, split, [0, 1, 2], ENC, ENG, FAST)
+        rows = layer_freezing_sweep(split, [0, 1, 2], ENC, ENG, FAST, source_params=init)
         assert [r["top_k"] for r in rows] == [0, 1, 2]
         assert all(0.0 <= r["avg_f1"] <= 1.0 for r in rows)
 
@@ -353,4 +362,4 @@ class TestFreezingSweep:
         split = split_of(docs, 4, 3, 3)
         init = init_params(ENC, ENG, seed=4)
         with pytest.raises(ValueError, match="outside"):
-            layer_freezing_sweep(init, split, [5], ENC, ENG, FAST)
+            layer_freezing_sweep(split, [5], ENC, ENG, FAST, source_params=init)
