@@ -440,6 +440,18 @@ def _run_configs(config, encoder_cfg, source_engine_cfg=None):
     return engine_cfg, config.build("train")
 
 
+def _load_source(config, path: str):
+    """A source model's (params, encoder, engine); the run's [encoder] keys must match it."""
+    source_params, encoder_cfg, source_engine_cfg = _load_model(path)
+    for key, value in config.values["encoder"].items():
+        if getattr(encoder_cfg, key) != value:
+            raise CliError(
+                "config",
+                f"[encoder] {key}={value} differs from the source model's {getattr(encoder_cfg, key)}",
+            )
+    return source_params, encoder_cfg, source_engine_cfg
+
+
 def _train_common(config, source_path=None):
     """(source params, encoder, engine, train configs); the params are None without a source.
 
@@ -448,7 +460,7 @@ def _train_common(config, source_path=None):
     if source_path is None:
         source_params, encoder_cfg, source_engine_cfg = None, config.build("encoder"), None
     else:
-        source_params, encoder_cfg, source_engine_cfg = _load_model(source_path)
+        source_params, encoder_cfg, source_engine_cfg = _load_source(config, source_path)
     return (source_params, encoder_cfg, *_run_configs(config, encoder_cfg, source_engine_cfg))
 
 
@@ -550,7 +562,7 @@ def cmd_devalloc(args) -> int:
 
 def cmd_forget(args) -> int:
     config = _effective_config(args)
-    source_params, encoder_cfg, source_engine_cfg = _load_model(args.source)
+    source_params, encoder_cfg, source_engine_cfg = _load_source(config, args.source)
     target_engine_cfg, train_cfg = _run_configs(config, encoder_cfg, source_engine_cfg)
     split = _split_from_args(args)
     source_test = load_docs(args.source_test)

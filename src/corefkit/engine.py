@@ -211,34 +211,16 @@ def ffn_backward(params: ParamStore, dscores: np.ndarray, cache) -> np.ndarray:
     return dz @ w1
 
 
-def pair_features(x: np.ndarray, cmat: np.ndarray) -> np.ndarray:
+def pair_features(x: np.ndarray, cmat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """[span; cluster; span*cluster] rows for one span against a (C, span_dim)
-    cluster matrix; shared by s_a and alpha."""
+    cluster matrix; shared by s_a and alpha. Written into ``out`` when given."""
     # filled in place: np.broadcast_to + np.concatenate costs twice as much
     n = x.shape[0]
-    feats = np.empty((cmat.shape[0], 3 * n))
+    feats = np.empty((cmat.shape[0], 3 * n)) if out is None else out
     feats[:, :n] = x
     feats[:, n : 2 * n] = cmat
     np.multiply(x, cmat, out=feats[:, 2 * n :])
     return feats
-
-
-def pair_features_backward(dfeat: np.ndarray, x: np.ndarray, cmat: np.ndarray):
-    """The span gradient summed over the rows, and one gradient row per cluster."""
-    n = x.shape[0]
-    dx = (dfeat[:, :n] + dfeat[:, 2 * n :] * cmat).sum(axis=0)
-    dc = dfeat[:, n : 2 * n] + dfeat[:, 2 * n :] * x
-    return dx, dc
-
-
-def pair_scores(params: ParamStore, x: np.ndarray, cmat: np.ndarray):
-    """s_a of one span against a (C, span_dim) matrix of cluster embeddings."""
-    return ffn_forward(params, "pair", pair_features(x, cmat))
-
-
-def merge_alpha(params: ParamStore, x: np.ndarray, c: np.ndarray):
-    logits, cache = ffn_forward(params, "merge", pair_features(x, c[None, :]))
-    return float(sigmoid(logits[0])), cache
 
 
 # ---------------------------------------------------------------------------
@@ -275,38 +257,50 @@ def prune_spans(spans, scores, prune_ratio: float, n_tokens: int, mode: str) -> 
 
 @dataclass
 class EntityCluster:
-    cluster_id: int
-    embedding: np.ndarray
+    cluster_id: int  # its row in EngineState.embeddings()
     mentions: list[Span] = field(default_factory=list)
 
 
 class EngineState:
-    """Per-document cluster list; this is everything kept across segments."""
+    """Per-document clusters; this is everything kept across segments.
+
+    The cluster embeddings are the rows of one matrix that doubles its
+    capacity when it fills, so scoring a span reads a view of the live rows
+    instead of stacking them. A merge writes its row in place.
+    """
+
+    FIRST_CAPACITY = 16
 
     def __init__(self):
         self.clusters: list[EntityCluster] = []  # only appended: position == cluster id
+        self._matrix = np.empty((0, 0))
 
     def create(self, embedding: np.ndarray, span: Span) -> EntityCluster:
-        cluster = EntityCluster(len(self.clusters), embedding.copy(), [span])
+        n = len(self.clusters)
+        if n == len(self._matrix):
+            grown = np.empty((max(self.FIRST_CAPACITY, 2 * n), embedding.shape[0]))
+            if n:
+                grown[:n] = self._matrix
+            self._matrix = grown
+        self._matrix[n] = embedding
+        cluster = EntityCluster(n, [span])
         self.clusters.append(cluster)
         return cluster
 
     def merge(self, cluster: EntityCluster, span: Span, x: np.ndarray, alpha: float) -> None:
-        """Move the cluster embedding towards x by alpha and add the mention.
-
-        The embedding array is replaced, not written in place, so a reference
-        taken before the merge still holds the old embedding.
-        """
-        cluster.embedding = alpha * x + (1.0 - alpha) * cluster.embedding
+        """Move the cluster's row to (1 - alpha) * c + alpha * x, in place, and add the mention."""
+        row = self._matrix[cluster.cluster_id]
+        row *= 1.0 - alpha
+        row += alpha * x
         cluster.mentions.append(span)
 
     def embeddings(self) -> np.ndarray:
-        """(C, span_dim) cluster embeddings; row i is cluster id i."""
-        return np.stack([c.embedding for c in self.clusters])
+        """(C, span_dim) view of the cluster embeddings; row i is cluster id i."""
+        return self._matrix[: len(self.clusters)]
 
     def float_state_size(self) -> int:
-        """Retained floating-point scalars: the cluster embeddings."""
-        return sum(c.embedding.size for c in self.clusters)
+        """Retained floating-point scalars: the live cluster embeddings, not the spare rows."""
+        return self.embeddings().size
 
 
 class SegmentForward(NamedTuple):
@@ -379,8 +373,10 @@ def resolve_document(
         for row in fwd.kept if fwd is not None else ():
             span, x = fwd.spans[row], fwd.xs[row]
             if state.clusters:
+                # one feature row per live cluster, shared by s_a and the merge gate
+                feats = pair_features(x, state.embeddings())
                 if pair_score_fn is None:
-                    sa, _ = pair_scores(params, x, state.embeddings())
+                    sa, _ = ffn_forward(params, "pair", feats)
                 else:
                     sa = np.array([pair_score_fn(span, x, c) for c in state.clusters])
                 sc = fwd.mention_scores[row] + sa
@@ -398,7 +394,8 @@ def resolve_document(
             else:
                 cluster = state.clusters[best_pos]
                 if alpha_fn is None:
-                    alpha, _ = merge_alpha(params, x, cluster.embedding)
+                    logit, _ = ffn_forward(params, "merge", feats[best_pos : best_pos + 1])
+                    alpha = float(sigmoid(logit[0]))
                 else:
                     alpha = alpha_fn(span, x, cluster)
                 if not math.isfinite(alpha):

@@ -1,7 +1,7 @@
 """Training objectives, the epoch loop with early stopping, continued training.
 
-Both objectives walk the engine's cluster state (``EngineState``, scored
-with ``pair_scores``) in teacher-forced mode: candidate spans are walked in
+Both objectives walk the engine's cluster state (``EngineState``, one pair
+scorer call per kept span) in teacher-forced mode: candidate spans are walked in
 document order and each gold mention joins its entity's cluster, so teacher
 forcing keeps exactly one cluster per gold entity. A span's target is that
 cluster, or the dummy when the entity has no cluster yet or the span is no
@@ -11,6 +11,13 @@ mention-detection term (sigmoid of the mention score) and, for gold mentions,
 a cluster-choice term that softmaxes the pair score s_a instead. Gradients are
 backpropagated through cluster merges within a segment; cluster embeddings
 carried across segments are treated as constants.
+
+The backward pass makes one call per scorer per segment. Every pair score's
+gradient is known when the forward walk ends, so one call on the segment's
+stacked pair rows gives the pair scorer's gradients. The merge gate's input
+gradient depends on the clusters' gradients, so the reverse walk takes it one
+merge at a time, and one call after the walk gives the gate's parameter
+gradients.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,9 +45,8 @@ from .engine import (
     EntityCluster,
     SegmentForward,
     ffn_backward,
-    merge_alpha,
-    pair_features_backward,
-    pair_scores,
+    ffn_forward,
+    pair_features,
     resolve_document,
     segment_forward,
     span_embeddings_backward,
@@ -147,6 +154,22 @@ def _segment_loss(
         return 0.0
     spans, xs, sm = fwd.spans, fwd.xs, fwd.mention_scores
 
+    # teacher forcing fixes which spans create clusters before anything is
+    # scored, so the pair rows of every step are counted here and the
+    # segment's feature rows go into one buffer: step i scores rows
+    # offsets[i]:offsets[i + 1], one per cluster live before it
+    live, seen, sizes = len(state.clusters), set(by_entity), []
+    for row in fwd.kept:
+        sizes.append(live)
+        entity = gold.get(spans[row])
+        if entity is not None and entity not in seen:
+            seen.add(entity)
+            live += 1
+    offsets = list(accumulate(sizes, initial=0))
+    feats = np.empty((offsets[-1], 3 * xs.shape[1]))
+    hidden = np.empty((offsets[-1], params.value("score.pair.b1").shape[0]))
+    dscores = np.empty(offsets[-1])  # d loss / d s_a of every pair row
+
     steps = []
     mention_terms = []  # (row, target_is_mention, sigmoid_value)
     total = 0.0
@@ -154,17 +177,17 @@ def _segment_loss(
     joint = objective == OBJECTIVE_JOINT
     use_mention_terms = joint and not engine_cfg.gold_mentions
 
-    for row in fwd.kept:
+    for i, row in enumerate(fwd.kept):
         span = spans[row]
         entity = gold.get(span)
         x = xs[row]
+        a, b = offsets[i], offsets[i + 1]
 
-        pair = None
         sa = np.zeros(0)
-        if state.clusters:
-            cmat = state.embeddings()
-            sa, cache = pair_scores(params, x, cmat)
-            pair = (cmat, cache)
+        if b > a:
+            pair_features(x, state.embeddings(), out=feats[a:b])
+            sa, cache = ffn_forward(params, "pair", feats[a:b])
+            hidden[a:b] = cache[2]
         # dummy option last; under the antecedent objective s_c = s_m + s_a
         p = softmax(np.append(sa if joint else sm[row] + sa, DUMMY_SCORE))
         if abs(float(p.sum()) - 1.0) > 1e-12:
@@ -178,6 +201,8 @@ def _segment_loss(
         if not np.isfinite(step_loss):
             raise NumericError(f"non-finite loss at span {span}")
         total += step_loss
+        # softmax cross-entropy over clusters + dummy: d s_k = p_k - [k == target]
+        dscores[a:b] = p[:-1]
 
         if use_mention_terms:
             s = sigmoid(sm[row])
@@ -191,13 +216,16 @@ def _segment_loss(
         merge = None
         created = None
         if cluster is not None:
-            alpha, cache = merge_alpha(params, x, cluster.embedding)
-            merge = (cluster.cluster_id, cluster.embedding, alpha, cache)
+            dscores[a + target] -= 1.0
+            # the gate scores the target's pair row, which keeps its pre-merge embedding
+            logit, cache = ffn_forward(params, "merge", feats[a + target : a + target + 1])
+            alpha = float(sigmoid(logit[0]))
+            merge = (a + target, target, alpha, cache[2][0])
             state.merge(cluster, span, x, alpha)
         elif entity is not None:
             by_entity[entity] = state.create(x, span)
             created = by_entity[entity].cluster_id
-        steps.append((row, p, target, pair, merge, created))
+        steps.append((row, a, b, merge, created))
 
     if use_mention_terms:
         # gold mentions that pruning dropped still get a detection term
@@ -211,44 +239,60 @@ def _segment_loss(
             mention_terms.append((row, True, s))
 
     if backward:
-        _segment_backward(params, fwd, len(state.clusters), steps, mention_terms, joint)
+        _segment_backward(
+            params, fwd, len(state.clusters), steps, (feats, hidden, dscores), mention_terms, joint
+        )
     return float(total)
 
 
-def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, mention_terms, joint):
+def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, pair_rows, mention_terms, joint):
     xs = fwd.xs
+    n = xs.shape[1]
     dxs = np.zeros_like(xs)
     dsm = np.zeros_like(fwd.mention_scores)
     # d loss / d cluster embedding as it stands after the step being undone;
     # rows of clusters carried in from earlier segments are never read
-    dcs = np.zeros((n_clusters, xs.shape[1]))
+    dcs = np.zeros((n_clusters, n))
 
-    for (row, p, target, pair, merge, created) in reversed(steps):
+    # every pair score's gradient is known once the walk ends: one backward
+    # call gives the pair scorer's parameter gradients and every input row
+    feats, hidden, dscores = pair_rows
+    scored = [(row, a) for row, a, b, _, _ in steps if b > a]
+    if scored:
+        dfeat = ffn_backward(params, dscores, ("pair", feats, hidden))
+        # [x; c; x*c] rows: the span part is summed per step, the cluster part
+        # is added to dcs when the reverse walk reaches the step
+        dc_rows = dfeat[:, n : 2 * n] + dfeat[:, 2 * n :] * feats[:, :n]
+        rows, starts = (np.array(v, dtype=np.intp) for v in zip(*scored))
+        dxs[rows] += np.add.reduceat(dfeat[:, :n] + dfeat[:, 2 * n :] * feats[:, n : 2 * n], starts)
+        if not joint:
+            dsm[rows] += np.add.reduceat(dscores, starts)
+
+    # the merge gate's input gradient needs dcs, so it is taken step by step;
+    # its parameter gradients wait for one call after the walk
+    w1 = params.value("score.merge.W1")
+    w2 = params.value("score.merge.w2")
+    merged = []  # (pair row, gate hidden row, d logit)
+    for (row, a, b, merge, created) in reversed(steps):
         x = xs[row]
         if merge is not None:
-            j, c_before, alpha, cache = merge
+            r, j, alpha, gate_hidden = merge
+            c_before = feats[r, n : 2 * n]
             dc_after = dcs[j]
             dalpha = float(dc_after @ (x - c_before))
             dxs[row] += alpha * dc_after
             dlogit = dalpha * alpha * (1.0 - alpha)
-            dfeat = ffn_backward(params, np.array([dlogit]), cache)
-            dx_f, dc_f = pair_features_backward(dfeat, x, c_before[None, :])
-            dxs[row] += dx_f
-            dcs[j] = (1.0 - alpha) * dc_after + dc_f[0]
+            dfeat_gate = (dlogit * w2 * (1.0 - gate_hidden * gate_hidden)) @ w1
+            dxs[row] += dfeat_gate[:n] + dfeat_gate[2 * n :] * c_before
+            dcs[j] = (1.0 - alpha) * dc_after + (dfeat_gate[n : 2 * n] + dfeat_gate[2 * n :] * x)
+            merged.append((r, gate_hidden, dlogit))
         if created is not None:
             dxs[row] += dcs[created]
-
-        if pair is not None:
-            cmat, cache = pair
-            # softmax cross-entropy over clusters + dummy: d s_k = p_k - [k == target]
-            dscores = p.copy()
-            dscores[target] -= 1.0
-            ds = dscores[:-1]
-            if not joint:
-                dsm[row] += ds.sum()
-            dx_f, dc_f = pair_features_backward(ffn_backward(params, ds, cache), x, cmat)
-            dxs[row] += dx_f
-            dcs[: len(cmat)] += dc_f
+        if b > a:
+            dcs[: b - a] += dc_rows[a:b]
+    if merged:
+        r, gate_hidden, dlogits = zip(*merged)
+        ffn_backward(params, np.array(dlogits), ("merge", feats[list(r)], np.stack(gate_hidden)))
 
     for (row, is_mention, s) in mention_terms:
         dsm[row] += (s - 1.0) if is_mention else s

@@ -25,3 +25,20 @@ def small_engine_cfg():
         scorer_hidden_dim=6,
         width_embedding_dim=4,
     )
+
+
+@pytest.fixture
+def growing_doc():
+    """24 entities, each mentioned twice, over 24 four-token sentences: every
+    entity is live at once, more than EngineState.FIRST_CAPACITY of them."""
+    sentences, clusters = [], []
+    for s in range(12):  # two new entities per sentence
+        sentences.append([f"e{2 * s}", "saw", f"e{2 * s + 1}", "."])
+        clusters.append([(4 * s, 4 * s)])
+        clusters.append([(4 * s + 2, 4 * s + 2)])
+    for s in range(12):  # then each entity again, in the same order
+        base = 48 + 4 * s
+        sentences.append([f"e{2 * s}", "met", f"e{2 * s + 1}", "."])
+        clusters[2 * s].append((base, base))
+        clusters[2 * s + 1].append((base + 2, base + 2))
+    return Document("growing", sentences, [tuple(c) for c in clusters])

@@ -5,8 +5,9 @@ union-find connected components, B-cubed via per-mention loops, CEAF and the
 assignment solver via explicit permutation enumeration. The dev-set
 allocation reference re-scores every sampled subset from cluster lists. The
 teacher-forced loss reference scores each (span, cluster) pair on its own,
-with soft antecedent weights, and runs one backward call per pair. The Adam
-reference updates one tensor at a time, each with its own moment arrays.
+with soft antecedent weights, keeps a copy of each cluster embedding it
+scored, and runs one backward call per pair and per merge. The Adam reference
+updates one tensor at a time, each with its own moment arrays.
 """
 
 import itertools
@@ -20,9 +21,7 @@ from corefkit.engine import (
     DUMMY_SCORE,
     ffn_backward,
     ffn_forward,
-    merge_alpha,
     pair_features,
-    pair_features_backward,
     segment_forward,
     span_embeddings_backward,
 )
@@ -167,6 +166,25 @@ def oracle_dev_allocation(history, dev_docs, test_docs, spec, patience):
             }
         )
     return rows
+
+
+def pair_features_backward(dfeat, x, cmat):
+    """The span gradient summed over the rows, and one gradient row per cluster."""
+    n = x.shape[0]
+    dx = (dfeat[:, :n] + dfeat[:, 2 * n :] * cmat).sum(axis=0)
+    dc = dfeat[:, n : 2 * n] + dfeat[:, 2 * n :] * x
+    return dx, dc
+
+
+def pair_scores(params, x, cmat):
+    """s_a of one span against a (C, span_dim) matrix of cluster embeddings."""
+    return ffn_forward(params, "pair", pair_features(x, cmat))
+
+
+def merge_alpha(params, x, c):
+    """The merge gate's weight for span x joining the cluster with embedding c."""
+    logits, cache = ffn_forward(params, "merge", pair_features(x, c[None, :]))
+    return float(sigmoid(logits[0])), cache
 
 
 class _RefCluster:

@@ -267,6 +267,17 @@ class TestFailEarly:
         assert trained == []
 
 
+    def test_encoder_key_differing_from_source_rejected(self, capsys, corpus_files, tmp_path,
+                                                        model_file):
+        code, _, err = run_cli(
+            capsys, "transfer", "--source", str(model_file), "--dev", corpus_files["dev"],
+            "--out", str(tmp_path / "tr"), "--set", "encoder.hidden_dim=16",
+        )
+        assert code == 1
+        assert err.startswith("error:config:") and "hidden_dim" in err
+        assert not (tmp_path / "tr").exists()
+
+
 class TestGradcheck:
     def test_bundled_doc_passes(self, capsys):
         code, out, _ = run_cli(

@@ -7,15 +7,14 @@ from corefkit.engine import (
     EngineState,
     ffn_backward,
     ffn_forward,
-    merge_alpha,
     pair_features,
-    pair_scores,
     prune_cap,
     span_dim,
     span_embeddings_backward,
     span_embeddings_forward,
 )
 from corefkit.numeric import NumericError, grad_check, sigmoid
+from oracles import merge_alpha, pair_scores
 
 
 @pytest.fixture
@@ -166,7 +165,7 @@ class TestScorers:
             state = EngineState()
             cluster = state.create(c, (0, 0))
             state.merge(cluster, (2, 3), x, alpha)
-            merged = cluster.embedding
+            merged = state.embeddings()[cluster.cluster_id]
             np.testing.assert_array_equal(merged, alpha * x + (1.0 - alpha) * c)
             assert np.all(merged >= np.minimum(x, c)) and np.all(merged <= np.maximum(x, c))
 
@@ -371,6 +370,38 @@ class TestResolve:
 
 
 class TestState:
+    def test_matrix_rows_are_the_cluster_embeddings(self, model, growing_doc, monkeypatch):
+        import dataclasses
+
+        params, enc, eng = model
+        eng = dataclasses.replace(eng, gold_mentions=True, emit_singletons=True, max_segment_tokens=16)
+        gold = {m: i for i, c in enumerate(growing_doc.clusters) for m in c}
+        pair_fn, _ = oracle_scorers(gold)
+        shadow = []  # each cluster's embedding as an array of its own
+        create, merge = EngineState.create, EngineState.merge
+
+        def recording_create(state, embedding, span):
+            shadow.append(embedding.copy())
+            return create(state, embedding, span)
+
+        def recording_merge(state, cluster, span, x, alpha):
+            shadow[cluster.cluster_id] = alpha * x + (1.0 - alpha) * shadow[cluster.cluster_id]
+            merge(state, cluster, span, x, alpha)
+
+        monkeypatch.setattr(EngineState, "create", recording_create)
+        monkeypatch.setattr(EngineState, "merge", recording_merge)
+        live = []
+
+        def check(i, state):
+            np.testing.assert_array_equal(state.embeddings(), np.stack(shadow))
+            assert state.float_state_size() == len(state.clusters) * span_dim(enc, eng)
+            live.append(len(state.clusters))
+
+        # the learned merge gate, so that merges move rows by varied weights
+        predicted = resolve_document(growing_doc, params, enc, eng, pair_score_fn=pair_fn, on_segment=check)
+        assert len(live) == 6 and max(live) == 24 > EngineState.FIRST_CAPACITY
+        assert sorted(predicted) == sorted(growing_doc.clusters)
+
     def test_state_holds_only_embeddings_and_mentions(self):
         state = EngineState()
         c = state.create(np.ones(5), (0, 1))
@@ -383,9 +414,12 @@ class TestState:
 
     def test_merge_moves_embedding_and_adds_mention(self):
         state = EngineState()
-        c = state.create(np.zeros(2), (0, 0))
-        before = c.embedding
+        initial = np.zeros(2)
+        c = state.create(initial, (0, 0))
+        view = state.embeddings()
         state.merge(c, (1, 1), np.array([1.0, 2.0]), 0.25)
-        np.testing.assert_array_equal(c.embedding, [0.25, 0.5])
-        np.testing.assert_array_equal(before, [0.0, 0.0])  # replaced, not written in place
+        np.testing.assert_array_equal(state.embeddings()[c.cluster_id], [0.25, 0.5])
+        np.testing.assert_array_equal(view[c.cluster_id], [0.25, 0.5])  # written in place
+        np.testing.assert_array_equal(initial, [0.0, 0.0])  # create copied its input
         assert c.mentions == [(0, 0), (1, 1)]
+

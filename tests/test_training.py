@@ -21,7 +21,7 @@ from corefkit import (
     train,
 )
 from corefkit.encoder import FreezeMask
-from corefkit.engine import merge_alpha, segment_forward
+from corefkit.engine import EngineState, ffn_backward, segment_forward
 from corefkit.numeric import ENCODER_GROUP, AdamOptimizer, grad_check
 from corefkit.training import ShapeMismatchError, check_compatible
 from oracles import reference_document_loss
@@ -135,8 +135,9 @@ class TestMatchesPerPairReference:
                                          entities_per_doc=(2, 3), mentions_per_entity=(2, 4)))
         params = init_params(ENC, eng, seed=3)
         merges = []
-        monkeypatch.setattr("corefkit.training.merge_alpha",
-                            lambda *a: merges.append(a) or merge_alpha(*a))
+        merge = EngineState.merge
+        monkeypatch.setattr(EngineState, "merge",
+                            lambda state, *a: merges.append(a) or merge(state, *a))
         for doc in docs:
             assert len(segment_document(doc, 16)) > 1
             params.zero_grads()
@@ -150,6 +151,50 @@ class TestMatchesPerPairReference:
                 np.testing.assert_allclose(grads[name], params[name].grad, rtol=0,
                                            atol=1e-12 * scale, err_msg=name)
         assert merges
+
+    @pytest.mark.parametrize("objective", ["antecedent_only", "joint_singleton"])
+    def test_clusters_past_the_first_capacity(self, objective, growing_doc):
+        eng = dataclasses.replace(ENG, gold_mentions=True, max_segment_tokens=16)
+        params = init_params(ENC, eng, seed=3)
+        loss = document_loss(growing_doc, params, ENC, eng, objective)
+        grads = {n: params[n].grad.copy() for n in params.names()}
+        params.zero_grads()
+        expected = reference_document_loss(growing_doc, params, ENC, eng, objective)
+        assert len(growing_doc.clusters) > EngineState.FIRST_CAPACITY
+        assert loss == pytest.approx(expected, rel=1e-12)
+        scale = max(float(np.abs(params[n].grad).max()) for n in params.names())
+        for name in params.names():
+            np.testing.assert_allclose(grads[name], params[name].grad, rtol=0,
+                                       atol=1e-12 * scale, err_msg=name)
+
+
+class TestBatchedBackward:
+    @pytest.mark.parametrize("gold_mentions", [False, True])
+    def test_one_backward_call_per_scorer_per_segment(self, monkeypatch, growing_doc, gold_mentions):
+        eng = dataclasses.replace(ENG, gold_mentions=gold_mentions, pruning_mode="original",
+                                  prune_ratio=1.0, max_segment_tokens=16)
+        params = init_params(ENC, eng, seed=3)
+        events = []  # "segment", then the scorer of each backward call inside it
+
+        def recording_forward(*args):
+            events.append("segment")
+            return segment_forward(*args)
+
+        def recording_backward(params, dscores, cache):
+            events.append(cache[0])
+            return ffn_backward(params, dscores, cache)
+
+        monkeypatch.setattr("corefkit.training.segment_forward", recording_forward)
+        monkeypatch.setattr("corefkit.training.ffn_backward", recording_backward)
+        document_loss(growing_doc, params, ENC, eng, "joint_singleton")
+
+        per_segment = " ".join(events).split("segment")[1:]
+        assert len(per_segment) == len(segment_document(growing_doc, 16)) == 6
+        for calls in map(str.split, per_segment):
+            assert calls.count("pair") == 1
+            # the second half of the document merges into clusters made in the first
+            assert calls.count("merge") <= 1
+        assert sum(calls.split().count("merge") for calls in per_segment) == 3
 
 
 class TestSelectCheckpoint:
