@@ -3,13 +3,10 @@
 from .documents import (
     Document,
     DocumentError,
-    FoldSpec,
     Segment,
     SegmentationError,
     Span,
-    make_folds,
     segment_document,
-    strip_singletons,
 )
 from .conll import ConllParseError, parse_conll, write_conll
 from .jsonl import JsonlParseError, parse_jsonl, write_jsonl
@@ -18,12 +15,7 @@ from .metrics import (
     PRF,
     MetricReport,
     avg_f1,
-    b_cubed,
-    ceaf_phi4,
     hungarian_max,
-    mention_f1,
-    muc,
-    score_clustering,
     score_corpus,
 )
 from .numeric import (

@@ -314,7 +314,7 @@ def _predictions_jsonl(result: TrainResult) -> str:
 def _save_model(path: Path, params, encoder_cfg, engine_cfg, meta=None) -> None:
     full_meta = {
         "encoder": asdict(encoder_cfg),
-        "engine": _jsonable(asdict(engine_cfg)),
+        "engine": asdict(engine_cfg),
     }
     full_meta.update(meta or {})
     save_checkpoint(path, params, meta=full_meta)
@@ -325,9 +325,7 @@ def _load_model(path: str):
     params, _, meta = load_checkpoint(path)
     try:
         encoder_cfg = EncoderConfig(**meta["encoder"])
-        engine_cfg = EngineConfig(
-            **{k: tuple(v) if isinstance(v, list) else v for k, v in meta["engine"].items()}
-        )
+        engine_cfg = EngineConfig(**meta["engine"])
     except (KeyError, TypeError) as exc:
         raise CliError("shape", f"checkpoint {path} lacks model configuration: {exc}") from exc
     _check_segment_fits(encoder_cfg, engine_cfg)
@@ -481,7 +479,6 @@ def cmd_train(args) -> int:
         meta={
             "epoch": result.checkpoint.epoch,
             "dev_avg_f1": result.checkpoint.dev_avg_f1,
-            "config_hash": result.checkpoint.config_hash,
         },
     )
     run.write_csv("history.csv", _history_csv(result))

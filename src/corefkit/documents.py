@@ -79,14 +79,6 @@ class Document:
                 seen.add((s, e))
         return self
 
-    def structurally_equal(self, other: "Document") -> bool:
-        """Identity of doc_id, token content and clusters; metadata is ignored."""
-        return (
-            self.doc_id == other.doc_id
-            and self.sentences == other.sentences
-            and canonical_clusters(self.clusters) == canonical_clusters(other.clusters)
-        )
-
     def replace_clusters(self, clusters: Iterable[Iterable[Span]]) -> "Document":
         return dataclasses.replace(self, clusters=canonical_clusters(clusters))
 
@@ -104,8 +96,6 @@ def _sentence_index(starts: Sequence[int], token: int) -> int:
 
 @dataclass(frozen=True)
 class Segment:
-    doc_id: str
-    sentence_range: tuple[int, int]  # (first, last) sentence indices, inclusive
     token_offset: int  # flat index of the segment's first token
     tokens: list[str]
     sentence_lengths: tuple[int, ...] = ()
@@ -129,7 +119,6 @@ def segment_document(doc: Document, max_len: int) -> list[Segment]:
     segments: list[Segment] = []
     cur_tokens: list[str] = []
     cur_lengths: list[int] = []
-    cur_first = 0
     offset = 0
     for i, sent in enumerate(doc.sentences):
         if len(sent) > max_len:
@@ -139,75 +128,21 @@ def segment_document(doc: Document, max_len: int) -> list[Segment]:
         if cur_tokens and len(cur_tokens) + len(sent) > max_len:
             segments.append(
                 Segment(
-                    doc_id=doc.doc_id,
-                    sentence_range=(cur_first, cur_first + len(cur_lengths) - 1),
                     token_offset=offset,
                     tokens=cur_tokens,
                     sentence_lengths=tuple(cur_lengths),
                 )
             )
             offset += len(cur_tokens)
-            cur_tokens, cur_lengths, cur_first = [], [], i
+            cur_tokens, cur_lengths = [], []
         cur_tokens = cur_tokens + list(sent)
         cur_lengths.append(len(sent))
     if cur_tokens:
         segments.append(
             Segment(
-                doc_id=doc.doc_id,
-                sentence_range=(cur_first, cur_first + len(cur_lengths) - 1),
                 token_offset=offset,
                 tokens=cur_tokens,
                 sentence_lengths=tuple(cur_lengths),
             )
         )
     return segments
-
-
-def strip_singletons(doc: Document) -> Document:
-    """Drop size-1 clusters, keeping multi-mention clusters untouched."""
-    return doc.replace_clusters([c for c in doc.clusters if len(c) > 1])
-
-
-@dataclass(frozen=True)
-class FoldSpec:
-    fold_index: int
-    train_ids: list[str]
-    dev_ids: list[str]
-    test_ids: list[str]
-
-
-def make_folds(docs: Sequence[Document], k: int, seed: int) -> list[FoldSpec]:
-    """Cross-validation folds from one seeded shuffle.
-
-    Fold i's test block is the i-th contiguous slice of the shuffled ids, dev is
-    the next slice (wrapping), train is the remainder. Test blocks across folds
-    partition the corpus.
-    """
-    import numpy as np
-
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    ids = [d.doc_id for d in docs]
-    if k > len(ids):
-        raise ValueError(f"k={k} exceeds corpus size {len(ids)}")
-    rng = np.random.default_rng(seed)
-    order = list(rng.permutation(len(ids)))
-    shuffled = [ids[i] for i in order]
-
-    n = len(shuffled)
-    base, extra = divmod(n, k)
-    blocks: list[list[str]] = []
-    pos = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        blocks.append(shuffled[pos : pos + size])
-        pos += size
-
-    folds = []
-    for i in range(k):
-        test = blocks[i]
-        dev = blocks[(i + 1) % k]
-        used = set(test) | set(dev)
-        train = [d for d in shuffled if d not in used]
-        folds.append(FoldSpec(fold_index=i, train_ids=train, dev_ids=dev, test_ids=test))
-    return folds

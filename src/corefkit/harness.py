@@ -60,6 +60,9 @@ class DevAllocSpec:
 
 def nested_subsets(docs: Sequence[Document], sizes: Sequence[int], seed: int) -> dict[int, list[Document]]:
     """Size -> document prefix after one seeded shuffle (supersets by construction)."""
+    for size in sizes:
+        if not 0 <= size <= len(docs):
+            raise ValueError(f"train size {size} is below 0 or exceeds the pool of {len(docs)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(docs))
     shuffled = [docs[i] for i in order]
@@ -92,8 +95,6 @@ def learning_curve(
     """
     if list(sizes) != sorted(sizes):
         raise ValueError("train sizes must be ascending")
-    if sizes and sizes[-1] > len(split.train):
-        raise ValueError(f"train size {sizes[-1]} exceeds pool of {len(split.train)}")
     subsets = nested_subsets(split.train, sizes, config.seed)
 
     def run(size: int) -> dict:
@@ -215,7 +216,7 @@ def forgetting_eval(
     Size 0 is the untouched source model. Target training subsets are nested
     under ``config.seed``, matching learning_curve with the same seed.
     """
-    subsets = nested_subsets(target_split.train, [s for s in sizes if s > 0], config.seed)
+    subsets = nested_subsets(target_split.train, sizes, config.seed)
 
     def run(size: int) -> dict:
         if size == 0:

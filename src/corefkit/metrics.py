@@ -81,10 +81,6 @@ def _muc_side(clusters: list[frozenset], other_map: dict) -> tuple[float, float]
     return float(num), float(den)
 
 
-def muc(key: Clustering, response: Clustering) -> PRF:
-    return PRF.from_stats(*muc_stats(key, response))
-
-
 def b_cubed_stats(key: Clustering, response: Clustering) -> tuple[float, float, float, float]:
     key_c, resp_c = _as_clusters(key), _as_clusters(response)
     r_num, r_den = _b_cubed_side(key_c, resp_c)
@@ -105,10 +101,6 @@ def _b_cubed_side(clusters: list[frozenset], other: list[frozenset]) -> tuple[fl
         num += sum(c * c for c in overlap.values()) / len(cluster)
         den += len(cluster)
     return num, float(den)
-
-
-def b_cubed(key: Clustering, response: Clustering) -> PRF:
-    return PRF.from_stats(*b_cubed_stats(key, response))
 
 
 def phi4(a: frozenset, b: frozenset) -> float:
@@ -138,18 +130,10 @@ def ceaf_phi4_stats(key: Clustering, response: Clustering) -> tuple[float, float
     return float(total), float(len(resp_c)), float(total), float(len(key_c))
 
 
-def ceaf_phi4(key: Clustering, response: Clustering) -> PRF:
-    return PRF.from_stats(*ceaf_phi4_stats(key, response))
-
-
 def mention_stats(key_mentions: Iterable, response_mentions: Iterable) -> tuple[float, float, float, float]:
     key_set, resp_set = set(key_mentions), set(response_mentions)
     hits = float(len(key_set & resp_set))
     return hits, float(len(resp_set)), hits, float(len(key_set))
-
-
-def mention_f1(key_mentions: Iterable, response_mentions: Iterable) -> PRF:
-    return PRF.from_stats(*mention_stats(key_mentions, response_mentions))
 
 
 def exact_cluster_stats(key: Clustering, response: Clustering) -> tuple[float, float, float, float]:
@@ -158,10 +142,6 @@ def exact_cluster_stats(key: Clustering, response: Clustering) -> tuple[float, f
     resp_set = {frozenset(c) for c in _as_clusters(response)}
     hits = float(len(key_set & resp_set))
     return hits, float(len(resp_set)), hits, float(len(key_set))
-
-
-def exact_cluster_f1(key: Clustering, response: Clustering) -> PRF:
-    return PRF.from_stats(*exact_cluster_stats(key, response))
 
 
 _STATS_FNS = {
@@ -237,13 +217,6 @@ class CorpusStats:
             avg_f1=avg_f1(prfs["muc"], prfs["b_cubed"], prfs["ceaf_phi4"]),
             flags=flags,
         )
-
-
-def score_clustering(key: Clustering, response: Clustering) -> MetricReport:
-    """Full report for a single document's key/response clusterings."""
-    stats = CorpusStats()
-    stats.add(key, response)
-    return stats.report()
 
 
 def score_corpus(pairs: Iterable[tuple[Clustering, Clustering]]) -> MetricReport:

@@ -24,7 +24,7 @@ import math
 import struct
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -128,12 +128,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -153,14 +147,6 @@ class ParamStore:
         """Values and freeze flags in a new, tightly packed store; zero gradients."""
         layout = [(name, p.value.shape, p.group, p.frozen) for name, p in self._params.items()]
         return ParamStore._packed(self.flat_values().copy(), layout)
-
-    def num_scalars(self, trainable_only: bool = False) -> int:
-        return sum(
-            p.value.size
-            for p in self._params.values()
-            if not (trainable_only and p.frozen)
-        )
-
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))

@@ -22,9 +22,7 @@ gradients.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -93,18 +91,6 @@ class TrainConfig:
             clip_norm=self.clip_norm,
             weight_decay_encoder=self.weight_decay_encoder,
         )
-
-
-def config_hash(*configs) -> str:
-    blob = json.dumps([_config_dict(c) for c in configs], sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-def _config_dict(cfg):
-    try:
-        return asdict(cfg)
-    except TypeError:
-        return dict(cfg) if isinstance(cfg, dict) else str(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +300,6 @@ class Checkpoint:
     params: ParamStore
     epoch: int
     dev_avg_f1: float
-    config_hash: str
 
 
 @dataclass
@@ -396,7 +381,6 @@ def train(
     apply_freeze(params, encoder_cfg, config.freeze)
     optimizer = AdamOptimizer(params, config.optimizer_config())
     rng = np.random.default_rng(config.seed)
-    chash = config_hash(encoder_cfg, engine_cfg, config)
 
     history: list[EpochRecord] = []
     best: Optional[Checkpoint] = None
@@ -430,7 +414,7 @@ def train(
         history.append(record)
 
         if best is None or dev_report.avg_f1 > best.dev_avg_f1:
-            best = Checkpoint(params.copy(), epoch, dev_report.avg_f1, chash)
+            best = Checkpoint(params.copy(), epoch, dev_report.avg_f1)
         if early_stop and epoch - best.epoch >= config.patience:
             break
     assert best is not None
@@ -477,9 +461,7 @@ def continued_train(
     check_compatible(source_params, _init_params(encoder_cfg, engine_cfg, seed=0))
     if not target_train:
         report, _ = evaluate_docs(target_dev, source_params, encoder_cfg, engine_cfg)
-        checkpoint = Checkpoint(
-            source_params.copy(), 0, report.avg_f1, config_hash(encoder_cfg, engine_cfg, config)
-        )
+        checkpoint = Checkpoint(source_params.copy(), 0, report.avg_f1)
         return TrainResult(checkpoint=checkpoint, history=[])
     return train(
         target_train, target_dev, source_params, encoder_cfg, engine_cfg, config, **train_kwargs

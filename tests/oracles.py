@@ -7,7 +7,8 @@ allocation reference re-scores every sampled subset from cluster lists. The
 teacher-forced loss reference scores each (span, cluster) pair on its own,
 with soft antecedent weights, keeps a copy of each cluster embedding it
 scored, and runs one backward call per pair and per merge. The Adam reference
-updates one tensor at a time, each with its own moment arrays.
+updates one tensor at a time, each with its own moment arrays. Round trips
+through the readers and writers are checked with ``structurally_equal``.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import statistics
 
 import numpy as np
 
-from corefkit.documents import segment_document
+from corefkit.documents import canonical_clusters, segment_document
 from corefkit.engine import (
     DUMMY_SCORE,
     ffn_backward,
@@ -129,6 +130,15 @@ def random_clustering(rng, mentions, max_clusters):
         clusters.append(set(chosen[prev:cut]))
         prev = cut
     return [c for c in clusters if c]
+
+
+def structurally_equal(a, b):
+    """Identity of doc_id, token content and clusters; metadata is ignored."""
+    return (
+        a.doc_id == b.doc_id
+        and a.sentences == b.sentences
+        and canonical_clusters(a.clusters) == canonical_clusters(b.clusters)
+    )
 
 
 def oracle_dev_allocation(history, dev_docs, test_docs, spec, patience):

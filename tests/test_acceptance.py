@@ -24,7 +24,7 @@ from corefkit import (
     parse_conll,
     parse_jsonl,
     resolve_document,
-    score_clustering,
+    score_corpus,
     select_checkpoint,
     synth_corpus,
     train,
@@ -35,7 +35,7 @@ from corefkit.bundled import load_bundled_doc
 from corefkit.engine import prune_cap, prune_spans, span_dim
 from corefkit.harness import DevAllocSpec, dev_allocation_experiment
 from corefkit.numeric import ENCODER_GROUP, grad_check
-from oracles import oracle_b_cubed, oracle_ceaf, oracle_muc, random_clustering
+from oracles import oracle_b_cubed, oracle_ceaf, oracle_muc, random_clustering, structurally_equal
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -59,7 +59,7 @@ def test_01_metric_oracle_equivalence():
     for _ in range(500):
         key = random_clustering(rng, mentions, 7)
         response = random_clustering(rng, mentions, 7)
-        ours = score_clustering(key, response)
+        ours = score_corpus([(key, response)])
         for name, oracle in (
             ("muc", oracle_muc),
             ("b_cubed", oracle_b_cubed),
@@ -85,7 +85,7 @@ def test_01_metric_oracle_equivalence():
 def test_02_worked_metric_case():
     key = [{"a", "b", "c"}]
     response = [{"a", "b"}, {"c"}]
-    got = score_clustering(key, response)
+    got = score_corpus([(key, response)])
     checks = [
         abs(got.muc.f1 - 2.0 / 3.0),
         abs(got.b_cubed.precision - 1.0),
@@ -372,7 +372,7 @@ def test_10_format_round_trips():
     via_jsonl = parse_jsonl(write_jsonl(every))
     ok = len(via_conll) == len(via_jsonl) == len(every)
     for orig, c, j in zip(every, via_conll, via_jsonl):
-        ok = ok and c.structurally_equal(orig) and j.structurally_equal(orig)
+        ok = ok and structurally_equal(c, orig) and structurally_equal(j, orig)
     conll_text = write_conll(every)
     ok = ok and write_conll(parse_conll(conll_text)) == conll_text
     report(10, "CoNLL and JSONL round trips on 100 synthetic plus crafted documents", ok)

@@ -277,6 +277,31 @@ class TestFailEarly:
         assert err.startswith("error:config:") and "hidden_dim" in err
         assert not (tmp_path / "tr").exists()
 
+    @pytest.mark.parametrize("command,sizes", [
+        ("curve", "-1,2"),  # a negative size sliced the shuffled pool from its end
+        ("forget", "0,9"),  # a size above the 4-document pool trained on all 4
+        ("forget", "-2,1"),  # a negative size was a KeyError, error:internal
+    ])
+    def test_train_size_outside_pool_rejected(self, capsys, corpus_files, tmp_path, monkeypatch,
+                                              request, command, sizes):
+        source = []
+        if command == "forget":
+            model = str(request.getfixturevalue("model_file"))
+            source = ["--source", model, "--source-test", corpus_files["test"]]
+        trained = []
+        monkeypatch.setattr("corefkit.harness.train", lambda *a, **k: trained.append(a))
+        monkeypatch.setattr("corefkit.harness.continued_train", lambda *a, **k: trained.append(a))
+        code, _, err = run_cli(
+            capsys, command, *source,
+            "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--test", corpus_files["test"], f"--sizes={sizes}", "--out", str(tmp_path / "exp"),
+            "--seed", "0", *SMALL_MODEL,
+        )
+        assert code == 1
+        assert err.startswith("error:config:") and "exceeds the pool of 4" in err
+        assert trained == []
+        assert not (tmp_path / "exp").exists()
+
 
 class TestGradcheck:
     def test_bundled_doc_passes(self, capsys):

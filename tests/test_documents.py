@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corefkit import Document, DocumentError, SegmentationError, make_folds, segment_document, strip_singletons
+from corefkit import Document, DocumentError, SegmentationError, segment_document
 
 
 def make_doc(sent_lengths, clusters=(), doc_id="d"):
@@ -40,8 +40,9 @@ class TestSegmentation:
         doc = make_doc([100] * 6)
         segments = segment_document(doc, 512)
         assert [len(s) for s in segments] == [500, 100]
-        assert segments[0].sentence_range == (0, 4)
-        assert segments[1].sentence_range == (5, 5)
+        assert segments[0].sentence_lengths == (100,) * 5
+        assert segments[1].sentence_lengths == (100,)
+        assert segments[0].token_offset == 0
         assert segments[1].token_offset == 500
 
     def test_single_short_sentence(self):
@@ -67,60 +68,3 @@ class TestSegmentation:
         assert all(len(seg) <= max_len for seg in segments)
         offsets = [seg.token_offset for seg in segments]
         assert offsets == sorted(offsets)
-
-
-class TestStripSingletons:
-    def test_drops_singletons(self):
-        doc = make_doc([4], [((0, 0),), ((1, 1), (2, 2))])
-        assert strip_singletons(doc).clusters == [((1, 1), (2, 2))]
-
-    def test_identity_without_singletons(self):
-        doc = make_doc([4], [((0, 0), (1, 1))])
-        assert strip_singletons(doc).clusters == doc.clusters
-
-    def test_all_singletons(self):
-        doc = make_doc([3], [((0, 0),), ((1, 1),)])
-        assert strip_singletons(doc).clusters == []
-
-    def test_idempotent(self):
-        doc = make_doc([4], [((0, 0),), ((1, 1), (2, 2))])
-        once = strip_singletons(doc)
-        assert strip_singletons(once).clusters == once.clusters
-
-
-class TestMakeFolds:
-    def corpus(self, n):
-        return [make_doc([3], doc_id=f"doc{i}") for i in range(n)]
-
-    def test_counts_10_docs_5_folds(self):
-        folds = make_folds(self.corpus(10), k=5, seed=7)
-        for f in folds:
-            assert len(f.test_ids) == 2
-            assert len(f.dev_ids) == 2
-            assert len(f.train_ids) == 6
-
-    def test_disjoint_and_covering(self):
-        docs = self.corpus(11)
-        for f in make_folds(docs, k=3, seed=1):
-            ids = f.train_ids + f.dev_ids + f.test_ids
-            assert len(ids) == len(set(ids)) == 11
-
-    def test_wrapping_with_k2(self):
-        folds = make_folds(self.corpus(4), k=2, seed=0)
-        for f in folds:
-            assert len(f.test_ids) == 2 and len(f.dev_ids) == 2
-            assert f.train_ids == []
-
-    def test_test_blocks_partition_corpus(self):
-        docs = self.corpus(13)
-        folds = make_folds(docs, k=4, seed=3)
-        all_test = [i for f in folds for i in f.test_ids]
-        assert sorted(all_test) == sorted(d.doc_id for d in docs)
-
-    def test_deterministic(self):
-        docs = self.corpus(9)
-        assert make_folds(docs, 3, seed=5) == make_folds(docs, 3, seed=5)
-
-    def test_k_exceeds_corpus(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            make_folds(self.corpus(3), k=4, seed=0)

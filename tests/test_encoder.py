@@ -145,7 +145,7 @@ class TestFreezing:
         counts = []
         for k in range(cfg.num_layers + 1):
             apply_freeze(params, cfg, FreezeMask(k))
-            counts.append(params.num_scalars(trainable_only=True))
+            counts.append(sum(p.value.size for _, p in params.items() if not p.frozen))
         assert counts == sorted(counts) and len(set(counts)) == len(counts)
 
     def test_only_top_layers_change_after_step(self, cfg):

@@ -3,17 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corefkit import avg_f1, b_cubed, ceaf_phi4, hungarian_max, mention_f1, muc, score_clustering
+from corefkit import PRF, avg_f1, hungarian_max, score_corpus
 from corefkit.metrics import (
     CorpusStats,
     b_cubed_stats,
     ceaf_phi4_stats,
     document_stats,
-    exact_cluster_f1,
     exact_cluster_stats,
     mention_stats,
     muc_stats,
-    score_corpus,
 )
 from oracles import (
     oracle_assignment_total,
@@ -27,6 +25,10 @@ KEY = [{"a", "b", "c"}]
 RESP = [{"a", "b"}, {"c"}]
 
 
+def prf_of(stats_fn, key, response):
+    return PRF.from_stats(*stats_fn(key, response))
+
+
 # ---------------------------------------------------------------------------
 # worked examples
 # ---------------------------------------------------------------------------
@@ -34,24 +36,24 @@ RESP = [{"a", "b"}, {"c"}]
 
 class TestWorkedCase:
     def test_muc(self):
-        prf = muc(KEY, RESP)
+        prf = prf_of(muc_stats, KEY, RESP)
         assert prf.precision == pytest.approx(1.0, abs=1e-12)
         assert prf.recall == pytest.approx(0.5, abs=1e-12)
         assert prf.f1 == pytest.approx(2 / 3, abs=1e-12)
 
     def test_b_cubed(self):
-        prf = b_cubed(KEY, RESP)
+        prf = prf_of(b_cubed_stats, KEY, RESP)
         assert prf.precision == pytest.approx(1.0, abs=1e-12)
         assert prf.recall == pytest.approx(5 / 9, abs=1e-12)
 
     def test_ceaf(self):
-        prf = ceaf_phi4(KEY, RESP)
+        prf = prf_of(ceaf_phi4_stats, KEY, RESP)
         assert prf.recall == pytest.approx(0.8, abs=1e-12)
         assert prf.precision == pytest.approx(0.4, abs=1e-12)
         assert prf.f1 == pytest.approx(2 * 0.8 * 0.4 / 1.2, abs=1e-12)
 
     def test_avg(self):
-        report = score_clustering(KEY, RESP)
+        report = score_corpus([(KEY, RESP)])
         b3_f1 = 2 * 1.0 * (5 / 9) / (1.0 + 5 / 9)
         expected = (2 / 3 + b3_f1 + 2 * 0.8 * 0.4 / 1.2) / 3
         assert report.avg_f1 == pytest.approx(expected, abs=1e-12)
@@ -59,31 +61,33 @@ class TestWorkedCase:
 
 
 class TestIdentityAndDegenerate:
-    @pytest.mark.parametrize("fn", [muc, b_cubed, ceaf_phi4])
+    @pytest.mark.parametrize(
+        "fn", [muc_stats, b_cubed_stats, ceaf_phi4_stats], ids=["muc", "b_cubed", "ceaf_phi4"]
+    )
     def test_perfect(self, fn):
-        prf = fn(KEY, KEY)
+        prf = prf_of(fn, KEY, KEY)
         assert (prf.precision, prf.recall, prf.f1) == (1.0, 1.0, 1.0)
 
     def test_muc_no_shared_links(self):
-        prf = muc([{"a", "b"}, {"c", "d"}], [{"a", "c"}, {"b", "d"}])
+        prf = prf_of(muc_stats, [{"a", "b"}, {"c", "d"}], [{"a", "c"}, {"b", "d"}])
         assert prf.f1 == 0.0
 
     def test_muc_all_singletons_flagged(self):
-        prf = muc([{"a"}, {"b"}], [{"a"}, {"b"}])
+        prf = prf_of(muc_stats, [{"a"}, {"b"}], [{"a"}, {"b"}])
         assert (prf.precision, prf.recall, prf.f1) == (0.0, 0.0, 0.0)
         assert prf.degenerate
 
     def test_b_cubed_empty_key_flagged(self):
-        prf = b_cubed([], [{"a"}])
+        prf = prf_of(b_cubed_stats, [], [{"a"}])
         assert prf.recall == 0.0 and prf.degenerate
 
     def test_ceaf_empty_side_flagged(self):
-        assert ceaf_phi4([], [{"a"}]).degenerate
-        assert ceaf_phi4([{"a"}], []).degenerate
+        assert prf_of(ceaf_phi4_stats, [], [{"a"}]).degenerate
+        assert prf_of(ceaf_phi4_stats, [{"a"}], []).degenerate
 
     def test_spurious_singleton_precision(self):
         # response adds singleton {d} not in the key: d contributes 0 to precision
-        prf = b_cubed([{"a", "b"}], [{"a", "b"}, {"d"}])
+        prf = prf_of(b_cubed_stats, [{"a", "b"}], [{"a", "b"}, {"d"}])
         assert prf.recall == pytest.approx(1.0, abs=1e-12)
         assert prf.precision == pytest.approx(2 / 3, abs=1e-12)
         p, r, f = oracle_b_cubed([{"a", "b"}], [{"a", "b"}, {"d"}])
@@ -92,25 +96,25 @@ class TestIdentityAndDegenerate:
 
 class TestMentionF1:
     def test_identical(self):
-        assert mention_f1({(0, 1)}, {(0, 1)}).f1 == 1.0
+        assert prf_of(mention_stats, {(0, 1)}, {(0, 1)}).f1 == 1.0
 
     def test_superset(self):
-        prf = mention_f1({(0, 0), (1, 1), (2, 2)}, {(0, 0), (1, 1), (2, 2), (3, 3)})
+        prf = prf_of(mention_stats, {(0, 0), (1, 1), (2, 2)}, {(0, 0), (1, 1), (2, 2), (3, 3)})
         assert prf.precision == 0.75 and prf.recall == 1.0
 
     def test_disjoint(self):
-        assert mention_f1({(0, 0)}, {(1, 1)}).f1 == 0.0
+        assert prf_of(mention_stats, {(0, 0)}, {(1, 1)}).f1 == 0.0
 
     def test_both_empty_flagged(self):
-        prf = mention_f1(set(), set())
+        prf = prf_of(mention_stats, set(), set())
         assert prf.f1 == 0.0 and prf.degenerate
 
 
 class TestExactCluster:
     def test_exact_match_required(self):
-        prf = exact_cluster_f1(KEY, RESP)
+        prf = prf_of(exact_cluster_stats, KEY, RESP)
         assert prf.f1 == 0.0
-        assert exact_cluster_f1(KEY, KEY).f1 == 1.0
+        assert prf_of(exact_cluster_stats, KEY, KEY).f1 == 1.0
 
 
 class TestHungarian:
@@ -142,7 +146,7 @@ class TestOracleEquivalence:
         for _ in range(200):
             key = random_clustering(rng, mentions, 7)
             response = random_clustering(rng, mentions, 7)
-            ours = score_clustering(key, response)
+            ours = score_corpus([(key, response)])
             for name, oracle in (
                 ("muc", oracle_muc),
                 ("b_cubed", oracle_b_cubed),
@@ -207,8 +211,8 @@ class TestProperties:
     @settings(max_examples=150, deadline=None)
     def test_bounds_and_symmetry(self, key, response):
         key, response = dedupe(key), dedupe(response)
-        fwd = score_clustering(key, response)
-        rev = score_clustering(response, key)
+        fwd = score_corpus([(key, response)])
+        rev = score_corpus([(response, key)])
         for name in ("muc", "b_cubed", "ceaf_phi4", "mention"):
             a, b = getattr(fwd, name), getattr(rev, name)
             assert 0.0 <= a.precision <= 1.0 and 0.0 <= a.recall <= 1.0 and 0.0 <= a.f1 <= 1.0
@@ -219,31 +223,27 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_perfect_response(self, key):
         key = dedupe(key)
-        report = score_clustering(key, key)
+        report = score_corpus([(key, key)])
         if any(len(c) > 1 for c in key):
             assert report.avg_f1 == pytest.approx(1.0, abs=1e-12)
 
     def test_muc_singleton_blind(self):
         key = [{"a", "b", "c"}]
         resp = [{"a", "b"}, {"c"}]
-        assert muc(key + [{"z"}], resp + [{"z"}]) == muc(key, resp)
+        assert prf_of(muc_stats, key + [{"z"}], resp + [{"z"}]) == prf_of(muc_stats, key, resp)
         # the same singleton does enter the B3 and CEAF denominators
-        from corefkit.metrics import b_cubed_stats, ceaf_phi4_stats
-
         assert b_cubed_stats(key + [{"z"}], resp + [{"z"}]) != b_cubed_stats(key, resp)
         assert ceaf_phi4_stats(key + [{"z"}], resp + [{"z"}]) != ceaf_phi4_stats(key, resp)
 
     def test_avg_invariant_under_reordering(self):
         key = [{"a", "b", "c"}, {"d"}]
         resp = [{"a", "b"}, {"c", "d"}]
-        base = score_clustering(key, resp).avg_f1
-        shuffled = score_clustering(list(reversed(key)), list(reversed(resp))).avg_f1
+        base = score_corpus([(key, resp)]).avg_f1
+        shuffled = score_corpus([(list(reversed(key)), list(reversed(resp)))]).avg_f1
         assert base == pytest.approx(shuffled, abs=1e-15)
 
 
 def test_avg_f1_values():
-    from corefkit.metrics import PRF
-
     one = PRF(1, 1, 1)
     assert avg_f1(one, one, one) == 1.0
     assert avg_f1(PRF(0, 0, 0.6), PRF(0, 0, 0.5), PRF(0, 0, 0.4)) == pytest.approx(0.5)

@@ -261,7 +261,7 @@ class TestFlatStore:
             assert np.shares_memory(p.value, params.flat_values()[offset : offset + size])
             assert np.shares_memory(p.grad, params.flat_grads()[offset : offset + size])
             offset += size
-        assert offset == params.flat_values().size == params.num_scalars()
+        assert offset == params.flat_values().size == sum(p.value.size for _, p in params.items())
 
     def test_growth_keeps_values_and_grads(self):
         params = ParamStore()

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from corefkit import SchemeConfig, synth_corpus
+from oracles import structurally_equal
 
 
 def test_deterministic_under_seed():
@@ -11,7 +12,7 @@ def test_deterministic_under_seed():
     b = synth_corpus(cfg)
     assert len(a) == len(b) == 8
     for x, y in zip(a, b):
-        assert x.structurally_equal(y)
+        assert structurally_equal(x, y)
 
 
 def test_different_seeds_differ():
