@@ -619,113 +619,132 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _convert_args(p):
+    p.add_argument("input")
+    p.add_argument("--from-format", choices=["conll", "jsonl"], dest="from_format")
+    p.add_argument("--to", action="append", required=True, choices=["conll", "jsonl"],
+                   help="target format; may be repeated to chain conversions")
+    p.add_argument("--out-file")
+
+
+def _synth_args(p):
+    p.add_argument("--out-file", required=True)
+    p.add_argument("--format", choices=["conll", "jsonl"])
+
+
+def _score_args(p):
+    p.add_argument("key")
+    p.add_argument("response")
+    p.add_argument("--format", choices=["conll", "jsonl"])
+
+
+def _resolve_args(p):
+    p.add_argument("model")
+    p.add_argument("input")
+    p.add_argument("--format", choices=["conll", "jsonl"], help="input format")
+    p.add_argument("--to", choices=["conll", "jsonl"], help="output format")
+    p.add_argument("--out-file")
+
+
+def _train_args(p):
+    p.add_argument("--train", required=True)
+    p.add_argument("--dev", required=True)
+    p.add_argument("--cache-predictions", action="store_true")
+
+
+def _transfer_args(p):
+    p.add_argument("--source", required=True, help="source checkpoint")
+    p.add_argument("--train", help="target training documents (omit for zero-shot)")
+    p.add_argument("--dev", required=True)
+
+
+def _split_args(p):
+    p.add_argument("--train", required=True)
+    p.add_argument("--dev", required=True)
+    p.add_argument("--test", required=True)
+
+
+def _curve_args(p):
+    _split_args(p)
+    p.add_argument("--sizes", required=True, help="comma-separated training sizes")
+    p.add_argument("--source", help="source checkpoint for transfer init")
+
+
+def _devalloc_args(p):
+    _split_args(p)
+    p.add_argument("--subset-sizes", required=True, dest="subset_sizes")
+    p.add_argument("--num-subsets", type=int, default=20, dest="num_subsets")
+
+
+def _forget_args(p):
+    _split_args(p)
+    p.add_argument("--source", required=True)
+    p.add_argument("--source-test", required=True, dest="source_test")
+    p.add_argument("--sizes", required=True)
+
+
+def _freeze_sweep_args(p):
+    _split_args(p)
+    p.add_argument("--top-k", required=True, dest="top_k")
+    p.add_argument("--source", help="source checkpoint (default: train from scratch)")
+
+
+def _gradcheck_args(p):
+    p.add_argument("--objective", default="joint", help="joint or antecedent")
+    p.add_argument("--doc", help="JSONL/CoNLL document (default: bundled)")
+    p.add_argument("--scalars", type=int, default=300)
+    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=float, default=1e-4)
+
+
+def _commands() -> dict:
+    """Name -> (help, its own arguments, handler, whether --out is required).
+
+    Built on each call, so that a parser gets the handlers bound in this
+    module when it is built: ``bench/tracing.py`` rebinds ``cmd_train`` and
+    ``cmd_resolve`` to time them.
+    """
+    return {
+        "convert": ("convert between CoNLL and JSONL", _convert_args, cmd_convert, False),
+        "synth": ("generate a synthetic corpus", _synth_args, cmd_synth, False),
+        "score": ("score a response file against a key file", _score_args, cmd_score, False),
+        "resolve": ("predict clusters with a trained model", _resolve_args, cmd_resolve, False),
+        "train": ("train a model", _train_args, cmd_train, True),
+        "transfer": ("continued training from a source model", _transfer_args, cmd_transfer, True),
+        "curve": ("learning curve over training-set sizes", _curve_args, cmd_curve, True),
+        "devalloc": ("dev-set allocation study", _devalloc_args, cmd_devalloc, True),
+        "forget": ("catastrophic forgetting curves", _forget_args, cmd_forget, True),
+        "freeze-sweep": ("trainable-top-layers sweep", _freeze_sweep_args, cmd_freeze_sweep, True),
+        "gradcheck": ("finite-difference gradient verification", _gradcheck_args, cmd_gradcheck, False),
+    }
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser; with ``only``, just that subcommand's parser is built."""
     parser = argparse.ArgumentParser(
         prog="corefkit", description="coreference resolution toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, out_required=False):
+    for name, (help_text, add_args, fn, out_required) in _commands().items():
+        if only is not None and name != only:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override a config value")
         p.add_argument("--seed", type=int, default=None,
                        help="global seed (default: COREF_SEED env var)")
         p.add_argument("--out", required=out_required, help="run directory for artifacts")
-
-    p = sub.add_parser("convert", help="convert between CoNLL and JSONL")
-    p.add_argument("input")
-    p.add_argument("--from-format", choices=["conll", "jsonl"], dest="from_format")
-    p.add_argument("--to", action="append", required=True, choices=["conll", "jsonl"],
-                   help="target format; may be repeated to chain conversions")
-    p.add_argument("--out-file")
-    common(p)
-    p.set_defaults(fn=cmd_convert)
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--out-file", required=True)
-    p.add_argument("--format", choices=["conll", "jsonl"])
-    common(p)
-    p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("score", help="score a response file against a key file")
-    p.add_argument("key")
-    p.add_argument("response")
-    p.add_argument("--format", choices=["conll", "jsonl"])
-    common(p)
-    p.set_defaults(fn=cmd_score)
-
-    p = sub.add_parser("resolve", help="predict clusters with a trained model")
-    p.add_argument("model")
-    p.add_argument("input")
-    p.add_argument("--format", choices=["conll", "jsonl"], help="input format")
-    p.add_argument("--to", choices=["conll", "jsonl"], help="output format")
-    p.add_argument("--out-file")
-    common(p)
-    p.set_defaults(fn=cmd_resolve)
-
-    p = sub.add_parser("train", help="train a model")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", required=True)
-    p.add_argument("--cache-predictions", action="store_true")
-    common(p, out_required=True)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("transfer", help="continued training from a source model")
-    p.add_argument("--source", required=True, help="source checkpoint")
-    p.add_argument("--train", help="target training documents (omit for zero-shot)")
-    p.add_argument("--dev", required=True)
-    common(p, out_required=True)
-    p.set_defaults(fn=cmd_transfer)
-
-    def split_args(p):
-        p.add_argument("--train", required=True)
-        p.add_argument("--dev", required=True)
-        p.add_argument("--test", required=True)
-
-    p = sub.add_parser("curve", help="learning curve over training-set sizes")
-    split_args(p)
-    p.add_argument("--sizes", required=True, help="comma-separated training sizes")
-    p.add_argument("--source", help="source checkpoint for transfer init")
-    common(p, out_required=True)
-    p.set_defaults(fn=cmd_curve)
-
-    p = sub.add_parser("devalloc", help="dev-set allocation study")
-    split_args(p)
-    p.add_argument("--subset-sizes", required=True, dest="subset_sizes")
-    p.add_argument("--num-subsets", type=int, default=20, dest="num_subsets")
-    common(p, out_required=True)
-    p.set_defaults(fn=cmd_devalloc)
-
-    p = sub.add_parser("forget", help="catastrophic forgetting curves")
-    split_args(p)
-    p.add_argument("--source", required=True)
-    p.add_argument("--source-test", required=True, dest="source_test")
-    p.add_argument("--sizes", required=True)
-    common(p, out_required=True)
-    p.set_defaults(fn=cmd_forget)
-
-    p = sub.add_parser("freeze-sweep", help="trainable-top-layers sweep")
-    split_args(p)
-    p.add_argument("--top-k", required=True, dest="top_k")
-    p.add_argument("--source", help="source checkpoint (default: train from scratch)")
-    common(p, out_required=True)
-    p.set_defaults(fn=cmd_freeze_sweep)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--objective", default="joint", help="joint or antecedent")
-    p.add_argument("--doc", help="JSONL/CoNLL document (default: bundled)")
-    p.add_argument("--scalars", type=int, default=300)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    common(p)
-    p.set_defaults(fn=cmd_gradcheck)
-
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command needs only its own parser; anything else (--help, a
+    # typo, nothing) gets the full one, so its message lists every command
+    parser = build_parser(argv[0] if argv and argv[0] in _commands() else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -211,6 +211,12 @@ def ffn_backward(params: ParamStore, dscores: np.ndarray, cache) -> np.ndarray:
     return dz @ w1
 
 
+def _scorer_tensors(params: ParamStore, scorer: str):
+    """(W1, b1, w2, b2) of a scorer, with the output bias as a float."""
+    values = [params.value(f"score.{scorer}.{name}") for name in ("W1", "b1", "w2", "b2")]
+    return (*values[:3], float(values[3][0]))
+
+
 def pair_features(x: np.ndarray, cmat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """[span; cluster; span*cluster] rows for one span against a (C, span_dim)
     cluster matrix; shared by s_a and alpha. Written into ``out`` when given."""
@@ -365,23 +371,46 @@ def resolve_document(
     ``pair_score_fn`` / ``alpha_fn`` replace the learned pair and merge scorers
     when given (used by oracles and probes). ``on_segment`` is called after
     each segment with the retained engine state.
+
+    The learned scorers compute what ``ffn_forward`` does, with their tensors
+    fetched once per document and the pair scorer's feature and hidden rows
+    written into buffers held across spans.
     """
     engine_cfg.validate()
     state = EngineState()
+    learned = {}  # scorer -> (W1, b1, w2, b2) of each learned scorer in use
+    if pair_score_fn is None:
+        learned["pair"] = pair_w1, pair_b1, pair_w2, pair_b2 = _scorer_tensors(params, "pair")
+        # contiguous, so the per-span product needs no transposed BLAS call
+        pair_w1t = np.ascontiguousarray(pair_w1.T)
+    if alpha_fn is None:
+        learned["merge"] = gate_w1, gate_b1, gate_w2, gate_b2 = _scorer_tensors(params, "merge")
+    feats = hidden = np.empty((0, 0))
     for seg_index, segment in enumerate(segment_document(doc, engine_cfg.max_segment_tokens)):
         fwd = segment_forward(doc, segment, params, encoder_cfg, engine_cfg)
         for row in fwd.kept if fwd is not None else ():
             span, x = fwd.spans[row], fwd.xs[row]
-            if state.clusters:
+            live = len(state.clusters)
+            if live:
+                if live > len(feats):
+                    feats = np.empty((2 * live, 3 * x.shape[0]))
+                    for scorer, (w1, *_) in learned.items():
+                        if w1.shape[1] != feats.shape[1]:
+                            raise NumericError(f"{scorer} scorer: input dim {feats.shape[1]} != {w1.shape[1]}")
+                    hidden = np.empty((2 * live, len(pair_b1))) if "pair" in learned else hidden
                 # one feature row per live cluster, shared by s_a and the merge gate
-                feats = pair_features(x, state.embeddings())
+                f = pair_features(x, state.embeddings(), out=feats[:live])
                 if pair_score_fn is None:
-                    sa, _ = ffn_forward(params, "pair", feats)
+                    z = np.matmul(f, pair_w1t, out=hidden[:live])
+                    z += pair_b1
+                    np.tanh(z, out=z)
+                    sa = z @ pair_w2
+                    sa += pair_b2
                 else:
                     sa = np.array([pair_score_fn(span, x, c) for c in state.clusters])
                 sc = fwd.mention_scores[row] + sa
                 # the first maximum, so ties go to the lower cluster id
-                best_pos = int(np.argmax(sc))
+                best_pos = int(sc.argmax())
                 best = float(sc[best_pos])
                 # argmax returns the first NaN, so this also covers NaN anywhere in sc
                 if not math.isfinite(best):
@@ -394,8 +423,10 @@ def resolve_document(
             else:
                 cluster = state.clusters[best_pos]
                 if alpha_fn is None:
-                    logit, _ = ffn_forward(params, "merge", feats[best_pos : best_pos + 1])
-                    alpha = float(sigmoid(logit[0]))
+                    z = gate_w1 @ f[best_pos]
+                    z += gate_b1
+                    np.tanh(z, out=z)
+                    alpha = float(sigmoid(z @ gate_w2 + gate_b2))
                 else:
                     alpha = alpha_fn(span, x, cluster)
                 if not math.isfinite(alpha):

@@ -152,12 +152,6 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------

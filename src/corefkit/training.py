@@ -1,9 +1,9 @@
 """Training objectives, the epoch loop with early stopping, continued training.
 
-Both objectives walk the engine's cluster state (``EngineState``, one pair
-scorer call per kept span) in teacher-forced mode: candidate spans are walked in
-document order and each gold mention joins its entity's cluster, so teacher
-forcing keeps exactly one cluster per gold entity. A span's target is that
+Both objectives walk the engine's cluster state (``EngineState``) in
+teacher-forced mode: candidate spans are walked in document order and each
+gold mention joins its entity's cluster, so teacher forcing keeps exactly one
+cluster per gold entity. A span's target is that
 cluster, or the dummy when the entity has no cluster yet or the span is no
 gold mention. The antecedent objective softmaxes the combined score s_c over
 live clusters plus the dummy; the joint objective factors each span into a
@@ -11,6 +11,11 @@ mention-detection term (sigmoid of the mention score) and, for gold mentions,
 a cluster-choice term that softmaxes the pair score s_a instead. Gradients are
 backpropagated through cluster merges within a segment; cluster embeddings
 carried across segments are treated as constants.
+
+Teacher forcing fixes each step's target and every merge before anything is
+scored, so the walk computes only the merge gates and the cluster rows; one
+pair-scorer call on the segment's stacked rows follows it, and every step's
+softmax, loss and checks are computed from its scores as whole-segment arrays.
 
 The backward pass makes one call per scorer per segment. Every pair score's
 gradient is known when the forward walk ends, so one call on the segment's
@@ -56,7 +61,6 @@ from .numeric import (
     OptimizerConfig,
     ParamStore,
     sigmoid,
-    softmax,
 )
 
 OBJECTIVE_ANTECEDENT = "antecedent_only"
@@ -139,6 +143,7 @@ def _segment_loss(
     if fwd is None:
         return 0.0
     spans, xs, sm = fwd.spans, fwd.xs, fwd.mention_scores
+    kept = np.array(fwd.kept, dtype=np.intp)
 
     # teacher forcing fixes which spans create clusters before anything is
     # scored, so the pair rows of every step are counted here and the
@@ -153,56 +158,27 @@ def _segment_loss(
             live += 1
     offsets = list(accumulate(sizes, initial=0))
     feats = np.empty((offsets[-1], 3 * xs.shape[1]))
-    hidden = np.empty((offsets[-1], params.value("score.pair.b1").shape[0]))
-    dscores = np.empty(offsets[-1])  # d loss / d s_a of every pair row
 
+    # it also fixes every step's target and merge, so the walk computes only
+    # the merge gates and the cluster rows; the pair scores come after it
+    targets = []  # the target cluster id of each step; -1 is the dummy
     steps = []
-    mention_terms = []  # (row, target_is_mention, sigmoid_value)
-    total = 0.0
-
-    joint = objective == OBJECTIVE_JOINT
-    use_mention_terms = joint and not engine_cfg.gold_mentions
-
     for i, row in enumerate(fwd.kept):
         span = spans[row]
         entity = gold.get(span)
         x = xs[row]
         a, b = offsets[i], offsets[i + 1]
-
-        sa = np.zeros(0)
         if b > a:
             pair_features(x, state.embeddings(), out=feats[a:b])
-            sa, cache = ffn_forward(params, "pair", feats[a:b])
-            hidden[a:b] = cache[2]
-        # dummy option last; under the antecedent objective s_c = s_m + s_a
-        p = softmax(np.append(sa if joint else sm[row] + sa, DUMMY_SCORE))
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise NumericError(f"softmax not normalized at span {span}")
 
         # teacher forcing keeps one cluster per gold entity: it is the target,
         # and the dummy is when there is none yet (or the span is no mention)
         cluster = by_entity.get(entity)
-        target = len(p) - 1 if cluster is None else cluster.cluster_id
-        step_loss = -np.log(p[target])
-        if not np.isfinite(step_loss):
-            raise NumericError(f"non-finite loss at span {span}")
-        total += step_loss
-        # softmax cross-entropy over clusters + dummy: d s_k = p_k - [k == target]
-        dscores[a:b] = p[:-1]
-
-        if use_mention_terms:
-            s = sigmoid(sm[row])
-            is_mention = entity is not None
-            term = -np.log(s) if is_mention else -np.log(1.0 - s)
-            if not np.isfinite(term):
-                raise NumericError(f"non-finite mention loss at span {span}")
-            total += term
-            mention_terms.append((row, is_mention, s))
-
+        target = -1
         merge = None
         created = None
         if cluster is not None:
-            dscores[a + target] -= 1.0
+            target = cluster.cluster_id
             # the gate scores the target's pair row, which keeps its pre-merge embedding
             logit, cache = ffn_forward(params, "merge", feats[a + target : a + target + 1])
             alpha = float(sigmoid(logit[0]))
@@ -211,27 +187,74 @@ def _segment_loss(
         elif entity is not None:
             by_entity[entity] = state.create(x, span)
             created = by_entity[entity].cluster_id
+        targets.append(target)
         steps.append((row, a, b, merge, created))
 
-    if use_mention_terms:
-        # gold mentions that pruning dropped still get a detection term
-        kept = set(fwd.kept)
-        for row in (i for i, span in enumerate(spans) if span in gold and i not in kept):
-            s = sigmoid(sm[row])
-            term = -np.log(s)
-            if not np.isfinite(term):
-                raise NumericError(f"non-finite mention loss at span {spans[row]}")
-            total += term
-            mention_terms.append((row, True, s))
+    # one pair-scorer call on the segment's stacked rows; then each step's
+    # softmax over its clusters plus the dummy, as one row of a padded matrix
+    # whose pad cells are -inf, so that they get probability zero
+    joint = objective == OBJECTIVE_JOINT
+    sa, hidden = np.zeros(0), None
+    if offsets[-1]:
+        sa, (_, _, hidden) = ffn_forward(params, "pair", feats)
+    sizes, targets = np.array(sizes, dtype=np.intp), np.array(targets, dtype=np.intp)
+    steps_ix = np.arange(len(kept))
+    pair_cell = np.arange(max(sizes, default=0) + 1) < sizes[:, None]
+    logits = np.full(pair_cell.shape, -np.inf)
+    # under the antecedent objective s_c = s_m + s_a
+    logits[pair_cell] = sa if joint else np.repeat(sm[kept], sizes) + sa
+    logits[steps_ix, sizes] = DUMMY_SCORE
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    bad_norm = np.abs(p.sum(axis=1) - 1.0) > 1e-12
+    step_loss = -np.log(p[steps_ix, np.where(targets < 0, sizes, targets)])
+    bad = bad_norm | ~np.isfinite(step_loss)
+    # softmax cross-entropy over clusters + dummy: d s_k = p_k - [k == target]
+    dscores = p[pair_cell]
+    merging = targets >= 0
+    dscores[np.array(offsets[:-1], dtype=np.intp)[merging] + targets[merging]] -= 1.0
+    terms = step_loss
+
+    mention_grad = None
+    if joint and not engine_cfg.gold_mentions:
+        # a detection term for every kept span, then for each gold mention
+        # that pruning dropped
+        kept_set = set(fwd.kept)
+        dropped = [i for i, span in enumerate(spans) if span in gold and i not in kept_set]
+        rows = np.concatenate([kept, np.array(dropped, dtype=np.intp)])
+        is_mention = np.array([spans[row] in gold for row in rows], dtype=bool)
+        s = sigmoid(sm[rows])
+        mention_loss = -np.log(np.where(is_mention, s, 1.0 - s))
+        bad |= ~np.isfinite(mention_loss[: len(kept)])
+        # each step's pair term, then its mention term, as the walk meets them
+        terms = np.concatenate(
+            [np.column_stack([step_loss, mention_loss[: len(kept)]]).ravel(), mention_loss[len(kept) :]]
+        )
+        mention_grad = (rows, np.where(is_mention, s - 1.0, s))
+
+    # errors name the first bad span in walk order
+    if bad.any():
+        i = int(np.argmax(bad))
+        span = spans[fwd.kept[i]]
+        if bad_norm[i]:
+            raise NumericError(f"softmax not normalized at span {span}")
+        if not np.isfinite(step_loss[i]):
+            raise NumericError(f"non-finite loss at span {span}")
+        raise NumericError(f"non-finite mention loss at span {span}")
+    if mention_grad is not None and not np.isfinite(mention_loss).all():
+        # only a dropped gold mention's term is left to be non-finite
+        bad_row = mention_grad[0][np.argmax(~np.isfinite(mention_loss))]
+        raise NumericError(f"non-finite mention loss at span {spans[bad_row]}")
 
     if backward:
         _segment_backward(
-            params, fwd, len(state.clusters), steps, (feats, hidden, dscores), mention_terms, joint
+            params, fwd, len(state.clusters), steps, (feats, hidden, dscores), mention_grad, joint
         )
-    return float(total)
+    # one running total in walk order, as the terms were met
+    return float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
 
 
-def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, pair_rows, mention_terms, joint):
+def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, pair_rows, mention_grad, joint):
     xs = fwd.xs
     n = xs.shape[1]
     dxs = np.zeros_like(xs)
@@ -280,8 +303,9 @@ def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, pair_rows,
         r, gate_hidden, dlogits = zip(*merged)
         ffn_backward(params, np.array(dlogits), ("merge", feats[list(r)], np.stack(gate_hidden)))
 
-    for (row, is_mention, s) in mention_terms:
-        dsm[row] += (s - 1.0) if is_mention else s
+    if mention_grad is not None:
+        rows, dsm_rows = mention_grad
+        dsm[rows] += dsm_rows
 
     if fwd.mention_cache is not None:
         dxs += ffn_backward(params, dsm, fwd.mention_cache)

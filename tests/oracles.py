@@ -6,7 +6,9 @@ assignment solver via explicit permutation enumeration. The dev-set
 allocation reference re-scores every sampled subset from cluster lists. The
 teacher-forced loss reference scores each (span, cluster) pair on its own,
 with soft antecedent weights, keeps a copy of each cluster embedding it
-scored, and runs one backward call per pair and per merge. The Adam reference
+scored, and runs one backward call per pair and per merge. The inference
+walk reference scores each span against a copied cluster matrix with one
+pair-scorer call and one merge-gate call of its own. The Adam reference
 updates one tensor at a time, each with its own moment arrays. Round trips
 through the readers and writers are checked with ``structurally_equal``.
 """
@@ -24,11 +26,12 @@ from corefkit.engine import (
     ffn_forward,
     pair_features,
     segment_forward,
+    span_dim,
     span_embeddings_backward,
 )
 from corefkit.encoder import embed_tokens_backward, encode_backward
 from corefkit.metrics import phi4, score_corpus
-from corefkit.numeric import ENCODER_GROUP, NumericError, sigmoid, softmax
+from corefkit.numeric import ENCODER_GROUP, NumericError, sigmoid
 from corefkit.training import OBJECTIVE_JOINT, select_checkpoint
 
 
@@ -176,6 +179,12 @@ def oracle_dev_allocation(history, dev_docs, test_docs, spec, patience):
             }
         )
     return rows
+
+
+def softmax(scores):
+    shifted = scores - scores.max()
+    e = np.exp(shifted)
+    return e / e.sum()
 
 
 def pair_features_backward(dfeat, x, cmat):
@@ -352,6 +361,37 @@ def _reference_segment_backward(params, fwd, steps, mention_terms, joint):
     dh = span_embeddings_backward(params, dxs, fwd.span_cache)
     dx0 = encode_backward(params, dh, fwd.enc_caches)
     embed_tokens_backward(params, dx0, fwd.ids)
+
+
+def reference_resolve(doc, params, encoder_cfg, engine_cfg):
+    """engine.resolve_document with the learned scorers, one span at a time.
+
+    Each span is scored with ``pair_scores`` on a copy of the cluster matrix,
+    and a merge's weight comes from ``merge_alpha`` on the chosen row.
+    """
+    clusters = []
+    cmat = np.empty((0, span_dim(encoder_cfg, engine_cfg)))
+    for segment in segment_document(doc, engine_cfg.max_segment_tokens):
+        fwd = segment_forward(doc, segment, params, encoder_cfg, engine_cfg)
+        for row in fwd.kept if fwd is not None else ():
+            span, x = fwd.spans[row], fwd.xs[row]
+            best, best_pos = -math.inf, -1
+            if clusters:
+                sa, _ = pair_scores(params, x, cmat.copy())
+                sc = fwd.mention_scores[row] + sa
+                best_pos = int(np.argmax(sc))  # ties go to the lower cluster id
+                best = float(sc[best_pos])
+                if not math.isfinite(best):
+                    raise NumericError(f"non-finite cluster score {best} at span {span}")
+            if best <= DUMMY_SCORE:
+                clusters.append([span])
+                cmat = np.vstack([cmat, x])
+            else:
+                alpha, _ = merge_alpha(params, x, cmat[best_pos].copy())
+                cmat[best_pos] = (1.0 - alpha) * cmat[best_pos] + alpha * x
+                clusters[best_pos].append(span)
+    out = [tuple(c) for c in clusters]
+    return out if engine_cfg.keeps_singletons else [c for c in out if len(c) > 1]
 
 
 def reference_adam_step(opt, params):

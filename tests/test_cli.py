@@ -422,3 +422,59 @@ class TestExperimentCommands:
             capsys, "score", str(tmp_path / "nope.jsonl"), str(tmp_path / "nope.jsonl")
         )
         assert code == 1 and err.startswith("error:io:")
+
+
+# each command and some of its own flags; every command also takes the common ones
+COMMAND_FLAGS = {
+    "convert": ["--from-format", "--to", "--out-file"],
+    "synth": ["--out-file", "--format"],
+    "score": ["--format"],
+    "resolve": ["--format", "--to", "--out-file"],
+    "train": ["--train", "--dev", "--cache-predictions"],
+    "transfer": ["--source", "--train", "--dev"],
+    "curve": ["--train", "--dev", "--test", "--sizes", "--source"],
+    "devalloc": ["--test", "--subset-sizes", "--num-subsets"],
+    "forget": ["--source", "--source-test", "--sizes"],
+    "freeze-sweep": ["--test", "--top-k", "--source"],
+    "gradcheck": ["--objective", "--doc", "--scalars", "--eps", "--tolerance"],
+}
+
+
+class TestParser:
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert exit_info.value.code == 0
+        for command in COMMAND_FLAGS:
+            assert command in out
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_command_help_shows_its_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert exit_info.value.code == 0
+        assert out.startswith(f"usage: corefkit {command} ")
+        for flag in COMMAND_FLAGS[command] + ["--config", "--set", "--seed", "--out"]:
+            assert flag in out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_unknown_or_missing_command_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert err.startswith("usage: corefkit [-h]") and message in err
+
+    def test_command_flags_are_parsed(self, capsys, corpus_files):
+        code, out, _ = run_cli(capsys, "convert", corpus_files["all"], "--from-format", "jsonl",
+                               "--to", "jsonl")
+        assert code == 0 and out == open(corpus_files["all"]).read()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["resolve", "model.ckpt", "in.jsonl", "--to", "xml"])
+        assert exit_info.value.code == 2
+        assert "argument --to: invalid choice: 'xml'" in capsys.readouterr().err

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from corefkit import Document, EncoderConfig, EngineConfig, enumerate_spans, init_params, prune_spans, resolve_document, width_bucket
+from corefkit import (
+    Document,
+    EncoderConfig,
+    EngineConfig,
+    SchemeConfig,
+    enumerate_spans,
+    init_params,
+    prune_spans,
+    resolve_document,
+    segment_document,
+    synth_corpus,
+    width_bucket,
+)
 from corefkit.encoder import embed_tokens_forward, encode_forward
 from corefkit.engine import (
     EngineState,
@@ -14,7 +26,7 @@ from corefkit.engine import (
     span_embeddings_forward,
 )
 from corefkit.numeric import NumericError, grad_check, sigmoid
-from oracles import merge_alpha, pair_scores
+from oracles import merge_alpha, pair_scores, reference_resolve
 
 
 @pytest.fixture
@@ -367,6 +379,26 @@ class TestResolve:
         tail = sizes[-40:]
         assert len(set(tail)) == 1  # constant across the final 40 segments
         assert tail[0] == 3 * span_dim(enc, eng)
+
+
+class TestMatchesPerSpanReference:
+    @pytest.mark.parametrize("gold_mentions", [True, False])
+    def test_clusters_equal_on_multi_segment_documents(self, cfg_pair, gold_mentions):
+        import dataclasses
+
+        enc, eng = cfg_pair
+        eng = dataclasses.replace(eng, gold_mentions=gold_mentions, max_segment_tokens=20)
+        docs = synth_corpus(SchemeConfig(num_docs=4, seed=7, sentences_per_doc=(4, 6),
+                                         entities_per_doc=(2, 4), mentions_per_entity=(2, 4)))
+        merged = 0
+        for seed in range(3):
+            params = init_params(enc, eng, seed=seed)
+            for doc in docs:
+                assert len(segment_document(doc, 20)) > 1
+                predicted = resolve_document(doc, params, enc, eng)
+                assert predicted == reference_resolve(doc, params, enc, eng)
+                merged += sum(len(c) > 1 for c in predicted)
+        assert merged  # the merge gate was reached
 
 
 class TestState:

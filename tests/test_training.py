@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from corefkit import (
     train,
 )
 from corefkit.encoder import FreezeMask
-from corefkit.engine import EngineState, ffn_backward, segment_forward
-from corefkit.numeric import ENCODER_GROUP, AdamOptimizer, grad_check
+from corefkit.engine import EngineState, ffn_backward, ffn_forward, segment_forward
+from corefkit.numeric import ENCODER_GROUP, AdamOptimizer, NumericError, grad_check, sigmoid
 from corefkit.training import ShapeMismatchError, check_compatible
 from oracles import reference_document_loss
 
@@ -195,6 +196,59 @@ class TestBatchedBackward:
             # the second half of the document merges into clusters made in the first
             assert calls.count("merge") <= 1
         assert sum(calls.split().count("merge") for calls in per_segment) == 3
+
+    def test_one_pair_forward_call_per_segment(self, monkeypatch, growing_doc):
+        eng = dataclasses.replace(ENG, gold_mentions=True, max_segment_tokens=16)
+        params = init_params(ENC, eng, seed=3)
+        pair_rows = []  # rows of each pair-scorer forward call
+
+        def recording_forward(params, scorer, x):
+            if scorer == "pair":
+                pair_rows.append(len(x))
+            return ffn_forward(params, scorer, x)
+
+        monkeypatch.setattr("corefkit.training.ffn_forward", recording_forward)
+        document_loss(growing_doc, params, ENC, eng, "antecedent_only")
+        # one call per segment, on one row per (span, cluster live before it)
+        assert len(pair_rows) == len(segment_document(growing_doc, 16)) == 6
+        firsts = [cluster[0] for cluster in growing_doc.clusters]
+        assert sum(pair_rows) == sum(sum(f < m for f in firsts) for m in growing_doc.mentions())
+
+
+class TestWalkGuards:
+    """The teacher-forced walk's finiteness guards, reached through bad parameters."""
+
+    @pytest.mark.parametrize("objective", ["antecedent_only", "joint_singleton"])
+    def test_nan_pair_weight_names_the_first_scored_span(self, objective, growing_doc):
+        # NaN, since tanh maps an infinite input to a finite 1.0
+        eng = dataclasses.replace(ENG, gold_mentions=True, max_segment_tokens=16)
+        params = init_params(ENC, eng, seed=3)
+        params["score.pair.W1"].value[0, 0] = np.nan
+        # the first gold mention starts a cluster; the second is scored against it
+        first_scored = sorted(growing_doc.mentions())[1]
+        with pytest.raises(NumericError, match=re.escape(f"non-finite loss at span {first_scored}")):
+            document_loss(growing_doc, params, ENC, eng, objective)
+
+    def test_saturated_mention_sigmoid_names_the_span(self):
+        eng = dataclasses.replace(ENG, pruning_mode="original", max_segment_tokens=16)
+        params = init_params(ENC, eng, seed=3)
+        params["score.mention.w2"].value[...] *= 1e3
+        doc = Document("d", [[f"t{i}" for i in range(8)], [f"u{i}" for i in range(8)]],
+                       [((0, 0), (9, 9))])
+        first = segment_forward(doc, segment_document(doc, 16)[0], params, ENC, eng)
+        scores = first.mention_scores[first.kept]
+        # finite, so the segment passes its own check, but the sigmoid saturates
+        assert np.isfinite(scores).all() and 1e2 < np.abs(scores).max() < 1e4
+        # the first kept span whose detection term is infinite
+        expected = next(
+            first.spans[row] for row, s in zip(first.kept, sigmoid(scores))
+            if (s == 0.0 if first.spans[row] in doc.mentions() else s == 1.0)
+        )
+        # exp overflows and log meets zero on the way, as the saturation intends
+        with np.errstate(over="ignore", divide="ignore"), pytest.raises(
+            NumericError, match=re.escape(f"non-finite mention loss at span {expected}")
+        ):
+            document_loss(doc, params, ENC, eng, "joint_singleton")
 
 
 class TestSelectCheckpoint:
