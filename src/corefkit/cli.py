@@ -29,7 +29,7 @@ from .bundled import load_bundled_doc
 from .conll import ConllParseError, parse_conll, write_conll
 from .documents import Document, DocumentError, SegmentationError
 from .encoder import EncoderConfig, FreezeMask
-from .engine import EngineConfig, init_params, resolve_document
+from .engine import EngineConfig, init_params, param_layout, resolve_document
 from .harness import (
     CorpusSplit,
     DevAllocSpec,
@@ -47,6 +47,7 @@ from .training import (
     ShapeMismatchError,
     TrainConfig,
     TrainResult,
+    check_compatible,
     continued_train,
     document_loss,
     train,
@@ -328,6 +329,8 @@ def _load_model(path: str):
         engine_cfg = EngineConfig(**meta["engine"])
     except (KeyError, TypeError) as exc:
         raise CliError("shape", f"checkpoint {path} lacks model configuration: {exc}") from exc
+    layout = param_layout(encoder_cfg, engine_cfg)
+    check_compatible(params, layout, f"checkpoint {path} disagrees with its own configs")
     _check_segment_fits(encoder_cfg, engine_cfg)
     return params, encoder_cfg, engine_cfg
 

@@ -64,15 +64,22 @@ def token_ids(tokens, hash_vocab_size: int) -> np.ndarray:
     return np.array([token_id(t, hash_vocab_size) for t in tokens], dtype=np.intp)
 
 
-def init_encoder_params(params: ParamStore, cfg: EncoderConfig, rng: np.random.Generator) -> None:
+def encoder_layout(cfg: EncoderConfig) -> list:
+    """(name, shape, group, init) of each encoder tensor, in store order; init
+    is ("normal", standard deviation) or ("constant", value)."""
     d = cfg.hidden_dim
-    params.add("embed.token", rng.normal(0.0, 0.5, size=(cfg.hash_vocab_size, d)), ENCODER_GROUP)
-    params.add("embed.pos", rng.normal(0.0, 0.1, size=(cfg.max_position, d)), ENCODER_GROUP)
+    rows = [
+        ("embed.token", (cfg.hash_vocab_size, d), ENCODER_GROUP, ("normal", 0.5)),
+        ("embed.pos", (cfg.max_position, d), ENCODER_GROUP, ("normal", 0.1)),
+    ]
     for i in range(cfg.num_layers):
-        params.add(f"enc.{i}.W", rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)), ENCODER_GROUP)
-        params.add(f"enc.{i}.b", np.zeros(d), ENCODER_GROUP)
-        params.add(f"enc.{i}.mix", np.zeros(len(_WINDOW_OFFSETS)), ENCODER_GROUP)
-        params.add(f"enc.{i}.gate", np.full(1, 0.1), ENCODER_GROUP)
+        rows += [
+            (f"enc.{i}.W", (d, d), ENCODER_GROUP, ("normal", 1.0 / np.sqrt(d))),
+            (f"enc.{i}.b", (d,), ENCODER_GROUP, ("constant", 0.0)),
+            (f"enc.{i}.mix", (len(_WINDOW_OFFSETS),), ENCODER_GROUP, ("constant", 0.0)),
+            (f"enc.{i}.gate", (1,), ENCODER_GROUP, ("constant", 0.1)),
+        ]
+    return rows
 
 
 def apply_freeze(params: ParamStore, cfg: EncoderConfig, mask: FreezeMask) -> None:

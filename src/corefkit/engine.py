@@ -19,12 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .documents import Document, Segment, Span, segment_document
-from .encoder import (
-    EncoderConfig,
-    embed_tokens_forward,
-    encode_forward,
-    init_encoder_params,
-)
+from .encoder import EncoderConfig, embed_tokens_forward, encode_forward, encoder_layout
 from .numeric import TASK_GROUP, NumericError, ParamStore, sigmoid
 
 PRUNE_ORIGINAL = "original"
@@ -53,6 +48,10 @@ class EngineConfig:
             raise ValueError("prune_ratio must be in (0, 1]")
         if self.max_span_width < 1:
             raise ValueError("max_span_width must be >= 1")
+        if self.max_segment_tokens < 1:
+            raise ValueError("max_segment_tokens must be >= 1")
+        if self.scorer_hidden_dim < 1:
+            raise ValueError("scorer_hidden_dim must be >= 1")
         if self.pruning_mode not in (PRUNE_ORIGINAL, PRUNE_REFORMULATED):
             raise ValueError(f"unknown pruning_mode {self.pruning_mode!r}")
         return self
@@ -80,29 +79,39 @@ def span_dim(encoder_cfg: EncoderConfig, engine_cfg: EngineConfig) -> int:
     return 3 * encoder_cfg.hidden_dim + engine_cfg.width_embedding_dim
 
 
-def init_params(
-    encoder_cfg: EncoderConfig, engine_cfg: EngineConfig, seed: int = 0
-) -> ParamStore:
-    """Fresh model parameters: encoder tensors plus the task scorers."""
+def param_layout(encoder_cfg: EncoderConfig, engine_cfg: EngineConfig) -> list:
+    """(name, shape, group, init) of every model tensor, in store order: the
+    encoder's, then the task scorers'. init is ("normal", standard deviation)
+    or ("constant", value)."""
     encoder_cfg.validate()
     engine_cfg.validate()
-    rng = np.random.default_rng(seed)
-    params = ParamStore()
-    init_encoder_params(params, encoder_cfg, rng)
     d = encoder_cfg.hidden_dim
     sd = span_dim(encoder_cfg, engine_cfg)
     h = engine_cfg.scorer_hidden_dim
-    params.add("span.attn_v", rng.normal(0.0, 1.0 / np.sqrt(d), size=d), TASK_GROUP)
-    params.add(
-        "span.width_emb",
-        rng.normal(0.0, 0.5, size=(WIDTH_BUCKETS, engine_cfg.width_embedding_dim)),
-        TASK_GROUP,
-    )
+    w = engine_cfg.width_embedding_dim
+    rows = encoder_layout(encoder_cfg) + [
+        ("span.attn_v", (d,), TASK_GROUP, ("normal", 1.0 / np.sqrt(d))),
+        ("span.width_emb", (WIDTH_BUCKETS, w), TASK_GROUP, ("normal", 0.5)),
+    ]
     for scorer, din in (("mention", sd), ("pair", 3 * sd), ("merge", 3 * sd)):
-        params.add(f"score.{scorer}.W1", rng.normal(0.0, 1.0 / np.sqrt(din), size=(h, din)), TASK_GROUP)
-        params.add(f"score.{scorer}.b1", np.zeros(h), TASK_GROUP)
-        params.add(f"score.{scorer}.w2", rng.normal(0.0, 1.0 / np.sqrt(h), size=h), TASK_GROUP)
-        params.add(f"score.{scorer}.b2", np.zeros(1), TASK_GROUP)
+        rows += [
+            (f"score.{scorer}.W1", (h, din), TASK_GROUP, ("normal", 1.0 / np.sqrt(din))),
+            (f"score.{scorer}.b1", (h,), TASK_GROUP, ("constant", 0.0)),
+            (f"score.{scorer}.w2", (h,), TASK_GROUP, ("normal", 1.0 / np.sqrt(h))),
+            (f"score.{scorer}.b2", (1,), TASK_GROUP, ("constant", 0.0)),
+        ]
+    return rows
+
+
+def init_params(
+    encoder_cfg: EncoderConfig, engine_cfg: EngineConfig, seed: int = 0
+) -> ParamStore:
+    """Fresh model parameters: one normal draw per normal tensor, in layout order."""
+    layout = param_layout(encoder_cfg, engine_cfg)
+    params = ParamStore(row[:3] for row in layout)
+    rng = np.random.default_rng(seed)
+    for name, shape, _, (kind, x) in layout:
+        params.value(name)[...] = rng.normal(0.0, x, size=shape) if kind == "normal" else x
     return params
 
 

@@ -6,14 +6,13 @@ general autodiff tape: callers keep the forward cache and apply the backwards
 in reverse order. Everything is double precision, which keeps
 finite-difference verification tight.
 
-A ``ParamStore`` keeps all values in one contiguous float64 vector and all
-gradients in another, tensors packed in insertion order; each ``Param.value``
-and ``Param.grad`` is a reshaped view into them. The optimizer, zeroing,
-copying and checkpoints therefore work on whole vectors. Write through the
-views (``p.value[...] = x``, ``p.grad += g``); rebinding ``Param.value`` or
-``Param.grad`` raises, since a rebound array would silently detach from the
-buffers. A view taken before a later ``add`` may be stale: the buffers grow
-by reallocation.
+A ``ParamStore`` is built once, at its final size, from one row per tensor.
+It keeps all values in one contiguous float64 vector and all gradients in
+another, tensors packed in row order; each ``Param.value`` and ``Param.grad``
+is a reshaped view into them. The optimizer, zeroing, copying and checkpoints
+therefore work on whole vectors. Write through the views (``p.value[...] = x``,
+``p.grad += g``); rebinding ``Param.value`` or ``Param.grad`` raises, since a
+rebound array would silently detach from the buffers.
 """
 
 from __future__ import annotations
@@ -30,13 +29,6 @@ import numpy as np
 
 ENCODER_GROUP = "encoder"
 TASK_GROUP = "task"
-
-
-# Scalars a store's buffers hold at first (1 MiB each). Zero-filled pages are
-# mapped only when written, so spare capacity costs little memory, and models
-# up to this size (the acceptance model has 86,399 scalars) are built without
-# reallocating.
-_MIN_CAPACITY = 1 << 17
 
 
 class NumericError(RuntimeError):
@@ -67,63 +59,35 @@ class Param:
 class ParamStore:
     """Named parameter tensors with gradient slots, freeze flags and lr groups."""
 
-    def __init__(self):
+    def __init__(self, rows, values: Optional[np.ndarray] = None):
+        """Tensors from (name, shape, group[, frozen]) rows, packed in order over
+        one buffer of their total size: ``values`` (owned, not copied) or zeros."""
+        rows = list(rows)
+        size = sum(math.prod(row[1]) for row in rows)
+        self._values = np.zeros(size) if values is None else values
+        if self._values.shape != (size,):
+            raise ValueError(f"{self._values.size} values for tensors of {size} scalars")
+        self._grads = np.zeros(size)
         self._params: dict[str, Param] = {}
-        self._values = np.zeros(0)
-        self._grads = np.zeros(0)
-        self._size = 0  # scalars in use; the buffers may hold spare capacity
-
-    def add(self, name: str, value: np.ndarray, group: str) -> Param:
-        self._check_new(name, group)
-        value = np.asarray(value, dtype=np.float64)
-        if self._size + value.size > self._values.size:
-            # grow geometrically, so that packing n tensors copies O(n) scalars
-            self._reallocate(max(self._size + value.size, 2 * self._values.size, _MIN_CAPACITY))
-        param = self._params[name] = Param(group, self._size)
-        self._bind(param, value.shape)
-        self._size += value.size
-        param.value[...] = value
-        return param
-
-    def _check_new(self, name: str, group: str) -> None:
-        if name in self._params:
-            raise KeyError(f"parameter {name!r} already exists")
-        if group not in (ENCODER_GROUP, TASK_GROUP):
-            raise ValueError(f"unknown group {group!r}")
-
-    def _reallocate(self, capacity: int) -> None:
-        values, grads = np.zeros(capacity), np.zeros(capacity)
-        values[: self._size] = self.flat_values()
-        grads[: self._size] = self.flat_grads()
-        self._values, self._grads = values, grads
-        for p in self._params.values():
-            self._bind(p, p.value.shape)
-
-    def _bind(self, param: Param, shape) -> None:
-        stop = param.offset + math.prod(shape)
-        object.__setattr__(param, "value", self._values[param.offset : stop].reshape(shape))
-        object.__setattr__(param, "grad", self._grads[param.offset : stop].reshape(shape))
-
-    @classmethod
-    def _packed(cls, values: np.ndarray, layout) -> "ParamStore":
-        """A store owning ``values``, with (name, shape, group, frozen) tensors
-        packed in order over all of it."""
-        store = cls()
-        store._values, store._grads = values, np.zeros(values.size)
-        for name, shape, group, frozen in layout:
-            store._check_new(name, group)
-            param = store._params[name] = Param(group, store._size, bool(frozen))
-            store._bind(param, shape)
-            store._size += param.value.size
-        return store
+        offset = 0
+        for name, shape, group, *frozen in rows:
+            if name in self._params:
+                raise KeyError(f"parameter {name!r} already exists")
+            if group not in (ENCODER_GROUP, TASK_GROUP):
+                raise ValueError(f"unknown group {group!r}")
+            param = self._params[name] = Param(group, offset, *frozen)
+            stop = offset + math.prod(shape)
+            object.__setattr__(param, "value", self._values[offset:stop].reshape(shape))
+            object.__setattr__(param, "grad", self._grads[offset:stop].reshape(shape))
+            offset = stop
 
     def flat_values(self) -> np.ndarray:
-        """All values as one vector (a view), tensors in insertion order."""
-        return self._values[: self._size]
+        """All values as one vector, tensors in row order."""
+        return self._values
 
     def flat_grads(self) -> np.ndarray:
-        """All gradients as one vector (a view), tensors in insertion order."""
-        return self._grads[: self._size]
+        """All gradients as one vector, tensors in row order."""
+        return self._grads
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -144,9 +108,9 @@ class ParamStore:
         self._params[name].frozen = frozen
 
     def copy(self) -> "ParamStore":
-        """Values and freeze flags in a new, tightly packed store; zero gradients."""
-        layout = [(name, p.value.shape, p.group, p.frozen) for name, p in self._params.items()]
-        return ParamStore._packed(self.flat_values().copy(), layout)
+        """Values and freeze flags in a new store; zero gradients."""
+        rows = [(name, p.value.shape, p.group, p.frozen) for name, p in self._params.items()]
+        return ParamStore(rows, self._values.copy())
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
@@ -404,7 +368,7 @@ def load_checkpoint(path) -> tuple[ParamStore, Optional[AdamOptimizer], dict]:
                 for t in header["tensors"]
             ]
             size = sum(math.prod(shape) for _, shape, _, _ in layout)
-            params = ParamStore._packed(_read_flat(fh, size, "parameter payload"), layout)
+            params = ParamStore(layout, _read_flat(fh, size, "parameter payload"))
             optimizer = None
             if header.get("optimizer") is not None:
                 optimizer = AdamOptimizer(params, OptimizerConfig(**header["optimizer"]["config"]))

@@ -50,6 +50,7 @@ from .engine import (
     ffn_backward,
     ffn_forward,
     pair_features,
+    param_layout,
     resolve_document,
     segment_forward,
     span_embeddings_backward,
@@ -84,6 +85,8 @@ class TrainConfig:
             raise ValueError("patience must be <= max_epochs")
         if self.lr_task <= 0 or self.lr_encoder <= 0:
             raise ValueError("learning rates must be positive")
+        if self.clip_norm <= 0:
+            raise ValueError("clip_norm must be positive")
         if self.objective not in (OBJECTIVE_ANTECEDENT, OBJECTIVE_JOINT):
             raise ValueError(f"unknown objective {self.objective!r}")
         return self
@@ -449,21 +452,20 @@ class ShapeMismatchError(ValueError):
     pass
 
 
-def check_compatible(source: ParamStore, target: ParamStore) -> None:
-    problems = []
-    source_names = set(source.names())
-    target_names = set(target.names())
-    for name in sorted(source_names - target_names):
-        problems.append(f"{name}: missing from target")
-    for name in sorted(target_names - source_names):
-        problems.append(f"{name}: missing from source")
-    for name in sorted(source_names & target_names):
-        if source.value(name).shape != target.value(name).shape:
-            problems.append(
-                f"{name}: {source.value(name).shape} vs {target.value(name).shape}"
-            )
+def check_compatible(params: ParamStore, layout, context: str) -> None:
+    """Raise ShapeMismatchError, headed by ``context``, unless ``params`` holds
+    exactly the tensor names and shapes of ``layout`` (``engine.param_layout``)."""
+    held = {name: p.value.shape for name, p in params.items()}
+    shapes = {name: tuple(shape) for name, shape, *_ in layout}
+    problems = [f"{name}: missing from the configs" for name in held if name not in shapes]
+    problems += [f"{name}: missing from the tensors" for name in shapes if name not in held]
+    problems += [
+        f"{name}: tensor {held[name]} vs configs {shape}"
+        for name, shape in shapes.items()
+        if held.get(name, shape) != shape
+    ]
     if problems:
-        raise ShapeMismatchError("incompatible tensors: " + "; ".join(problems))
+        raise ShapeMismatchError(f"{context}: " + "; ".join(problems))
 
 
 def continued_train(
@@ -480,9 +482,8 @@ def continued_train(
     With an empty target training set, the source model is evaluated on the
     target dev set as-is (the zero-document transfer point).
     """
-    from .engine import init_params as _init_params
-
-    check_compatible(source_params, _init_params(encoder_cfg, engine_cfg, seed=0))
+    layout = param_layout(encoder_cfg, engine_cfg)
+    check_compatible(source_params, layout, "the source model does not fit the configs")
     if not target_train:
         report, _ = evaluate_docs(target_dev, source_params, encoder_cfg, engine_cfg)
         checkpoint = Checkpoint(source_params.copy(), 0, report.avg_f1)

@@ -11,6 +11,7 @@ from corefkit import (
     load_checkpoint,
     parse_conll,
     parse_jsonl,
+    save_checkpoint,
     synth_corpus,
     write_conll,
     write_jsonl,
@@ -253,6 +254,35 @@ class TestFailEarly:
         code, _, err = run_cli(capsys, "resolve", str(model_file), corpus_files["test"])
         assert code == 1
         assert err.startswith("error:numeric: corrupt checkpoint header")
+
+    @pytest.mark.parametrize("key,value,tensor", [
+        ("hash_vocab_size", 32, "embed.token"),  # tokens hashed into the wrong rows, exit 0
+        ("hidden_dim", 16, "enc.0.W"),  # exit 0
+        ("num_layers", 3, "enc.2.W"),  # error:internal
+    ])
+    @pytest.mark.parametrize("command", ["resolve", "transfer"])
+    def test_meta_disagreeing_with_tensors(self, capsys, corpus_files, tmp_path, model_file,
+                                           command, key, value, tensor):
+        params, _, meta = load_checkpoint(model_file)
+        meta["encoder"][key] = value
+        save_checkpoint(model_file, params, meta=meta)
+        argv = {
+            "resolve": ["resolve", str(model_file), corpus_files["test"]],
+            "transfer": ["transfer", "--source", str(model_file), "--dev", corpus_files["dev"],
+                         "--out", str(tmp_path / "tr")],
+        }[command]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error:shape: checkpoint {model_file} disagrees with its own configs")
+        assert tensor in err
+
+    def test_non_positive_clip_norm_rejected(self, capsys, corpus_files, tmp_path):
+        code, _, err = run_cli(
+            capsys, "train", "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--out", str(tmp_path / "run"), *SMALL_MODEL, "--set", "train.clip_norm=-1",
+        )
+        assert code == 1
+        assert err.startswith("error:config: [train] clip_norm must be positive")
 
     def test_segment_longer_than_positions(self, capsys, corpus_files, tmp_path, monkeypatch):
         trained = []

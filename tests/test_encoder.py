@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
-from corefkit import EncoderConfig, FreezeMask, apply_freeze
+from corefkit import EncoderConfig, EngineConfig, FreezeMask, apply_freeze, init_params
 from corefkit.encoder import (
     embed_tokens_backward,
     embed_tokens_forward,
     encode_backward,
     encode_forward,
-    init_encoder_params,
+    encoder_layout,
     token_id,
 )
 from corefkit.numeric import ENCODER_GROUP, AdamOptimizer, NumericError, ParamStore, grad_check
 
 
 def fresh_params(cfg, seed=0):
-    params = ParamStore()
-    init_encoder_params(params, cfg, np.random.default_rng(seed))
-    return params
+    """The encoder tensors of a fresh model; they lead the store, so they are a prefix."""
+    rows = [row[:3] for row in encoder_layout(cfg)]
+    size = sum(np.prod(shape) for _, shape, _ in rows)
+    return ParamStore(rows, init_params(cfg, EngineConfig(), seed).flat_values()[:size].copy())
 
 
 def encoder_flags(params):

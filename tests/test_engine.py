@@ -20,6 +20,7 @@ from corefkit.engine import (
     ffn_backward,
     ffn_forward,
     pair_features,
+    param_layout,
     prune_cap,
     span_dim,
     span_embeddings_backward,
@@ -43,6 +44,29 @@ def cfg_pair():
 def model(cfg_pair):
     enc, eng = cfg_pair
     return init_params(enc, eng, seed=2), enc, eng
+
+
+class TestParamLayout:
+    @pytest.mark.parametrize("enc, eng", [
+        (EncoderConfig(num_layers=1, hidden_dim=4, hash_vocab_size=16, max_position=8), EngineConfig()),
+        (EncoderConfig(num_layers=2, hidden_dim=8, hash_vocab_size=64, max_position=32),
+         EngineConfig(scorer_hidden_dim=5, width_embedding_dim=3)),
+        (EncoderConfig(num_layers=3, hidden_dim=6, hash_vocab_size=32, max_position=16),
+         EngineConfig(gold_mentions=True, scorer_hidden_dim=7)),
+    ], ids=["one_layer", "other_dims", "gold_mentions"])
+    def test_matches_init_params(self, enc, eng):
+        params = init_params(enc, eng, seed=3)
+        described = [(name, shape, group) for name, shape, group, _ in param_layout(enc, eng)]
+        assert described == [(name, p.value.shape, p.group) for name, p in params.items()]
+
+    @pytest.mark.parametrize("key", ["max_segment_tokens", "scorer_hidden_dim"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_sizes_rejected(self, key, value):
+        eng = EngineConfig(**{key: value})
+        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+            eng.validate()
+        with pytest.raises(ValueError, match=key):
+            param_layout(EncoderConfig(), eng)
 
 
 class TestEnumerate:

@@ -7,7 +7,6 @@ import pytest
 from corefkit import Document, EncoderConfig, EngineConfig, document_loss
 from corefkit.engine import init_params
 from corefkit.numeric import (
-    _MIN_CAPACITY,
     AdamOptimizer,
     NumericError,
     OptimizerConfig,
@@ -18,6 +17,7 @@ from corefkit.numeric import (
     sigmoid,
 )
 from oracles import reference_adam_step, softmax
+from stores import store_of
 
 
 class TestPrimitives:
@@ -31,11 +31,8 @@ class TestPrimitives:
 
 
 def quad_store():
-    params = ParamStore()
     rng = np.random.default_rng(3)
-    params.add("p", rng.normal(size=(4, 3)), "task")
-    params.add("q", rng.normal(size=5), "encoder")
-    return params
+    return store_of(("p", rng.normal(size=(4, 3)), "task"), ("q", rng.normal(size=5), "encoder"))
 
 
 def quad_loss(params):
@@ -82,8 +79,7 @@ class TestGradCheck:
 
 class TestOptimizer:
     def test_clipping_scales_by_half(self):
-        params = ParamStore()
-        params.add("w", np.zeros(4), "task")
+        params = store_of(("w", np.zeros(4), "task"))
         params["w"].grad[:] = 10.0  # norm 20
         opt = AdamOptimizer(params, OptimizerConfig(clip_norm=10.0))
         norm = opt.step(params)
@@ -94,8 +90,7 @@ class TestOptimizer:
 
     def test_clip_preserves_direction(self):
         rng = np.random.default_rng(4)
-        params = ParamStore()
-        params.add("w", np.zeros(8), "task")
+        params = store_of(("w", np.zeros(8), "task"))
         g = rng.normal(size=8) * 100
         params["w"].grad[:] = g
         opt = AdamOptimizer(params, OptimizerConfig(clip_norm=10.0))
@@ -106,9 +101,10 @@ class TestOptimizer:
         assert norm > 10.0
 
     def test_frozen_untouched_bit_exact(self):
-        params = ParamStore()
-        params.add("a", np.ones(3), "task")
-        params.add("b", np.ones(3), "encoder")
+        params = store_of(
+            ("a", np.ones(3), "task"),
+            ("b", np.ones(3), "encoder"),
+        )
         params.set_frozen("a", True)
         params.set_frozen("b", True)
         before = {n: params.value(n).copy() for n in params.names()}
@@ -119,22 +115,19 @@ class TestOptimizer:
             assert np.array_equal(params.value(n), before[n])
 
     def test_gradients_zeroed_after_step(self):
-        params = ParamStore()
-        params.add("a", np.ones(3), "task")
+        params = store_of(("a", np.ones(3), "task"))
         params["a"].grad[:] = 1.0
         AdamOptimizer(params).step(params)
         assert np.all(params["a"].grad == 0.0)
 
     def test_nonfinite_gradient_rejected(self):
-        params = ParamStore()
-        params.add("a", np.ones(2), "task")
+        params = store_of(("a", np.ones(2), "task"))
         params["a"].grad[:] = [np.inf, 0.0]
         with pytest.raises(NumericError, match="non-finite"):
             AdamOptimizer(params).step(params)
 
     def test_convex_bowl_convergence(self):
-        params = ParamStore()
-        params.add("x", np.array([3.0]), "task")
+        params = store_of(("x", np.array([3.0]), "task"))
         opt = AdamOptimizer(params, OptimizerConfig(lr_task=5e-2, clip_norm=10.0))
         target = 1.25
         for _ in range(200):
@@ -143,9 +136,10 @@ class TestOptimizer:
         assert abs(float(params.value("x")[0]) - target) < 1e-3
 
     def test_per_group_learning_rates(self):
-        params = ParamStore()
-        params.add("t", np.zeros(1), "task")
-        params.add("e", np.zeros(1), "encoder")
+        params = store_of(
+            ("t", np.zeros(1), "task"),
+            ("e", np.zeros(1), "encoder"),
+        )
         params["t"].grad[:] = 1.0
         params["e"].grad[:] = 1.0
         AdamOptimizer(
@@ -155,9 +149,10 @@ class TestOptimizer:
         assert float(params.value("e")[0]) == pytest.approx(-1e-5, rel=1e-6)
 
     def test_weight_decay_encoder_only(self):
-        params = ParamStore()
-        params.add("t", np.full(1, 2.0), "task")
-        params.add("e", np.full(1, 2.0), "encoder")
+        params = store_of(
+            ("t", np.full(1, 2.0), "task"),
+            ("e", np.full(1, 2.0), "encoder"),
+        )
         # zero gradients: only decay moves anything
         AdamOptimizer(params, OptimizerConfig(weight_decay_encoder=0.01)).step(params)
         assert float(params.value("t")[0]) == 2.0
@@ -165,8 +160,7 @@ class TestOptimizer:
 
     def test_determinism(self):
         def run():
-            params = ParamStore()
-            params.add("w", np.linspace(-1, 1, 6), "task")
+            params = store_of(("w", np.linspace(-1, 1, 6), "task"))
             opt = AdamOptimizer(params)
             for step in range(50):
                 params["w"].grad[:] = np.sin(params.value("w") + step)
@@ -201,10 +195,7 @@ FROZEN = {
 
 def mixed_store(seed=0):
     rng = np.random.default_rng(seed)
-    params = ParamStore()
-    for name, shape, group in MIXED_LAYOUT:
-        params.add(name, rng.normal(size=shape), group)
-    return params
+    return store_of(*((name, rng.normal(size=shape), group) for name, shape, group in MIXED_LAYOUT))
 
 
 class TestMatchesPerTensorReference:
@@ -262,18 +253,16 @@ class TestFlatStore:
             offset += size
         assert offset == params.flat_values().size == sum(p.value.size for _, p in params.items())
 
-    def test_growth_keeps_values_and_grads(self):
-        params = ParamStore()
-        params.add("a", np.arange(3.0), "task")
-        params["a"].grad[...] = 1.0
-        a = params["a"]
-        for i in range(3):  # each outgrows the buffers
-            params.add(f"b{i}", np.full((_MIN_CAPACITY, 2), float(i)), "encoder")
-        assert a is params["a"]
-        np.testing.assert_array_equal(params.value("a"), [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(params["a"].grad, [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(params.value("b1"), np.full((_MIN_CAPACITY, 2), 1.0))
-        assert np.shares_memory(params.value("a"), params.flat_values())
+    def test_rows_are_checked(self):
+        params = ParamStore([("a", (2, 3), "task"), ("b", (4,), "encoder", True)])
+        assert params.flat_values().size == 10 and not params.flat_values().any()
+        assert params["b"].frozen and not params["a"].frozen
+        with pytest.raises(KeyError, match="already exists"):
+            ParamStore([("a", (2,), "task"), ("a", (1,), "task")])
+        with pytest.raises(ValueError, match="unknown group"):
+            ParamStore([("a", (2,), "other")])
+        with pytest.raises(ValueError, match="3 values for tensors of 2 scalars"):
+            ParamStore([("a", (2,), "task")], np.zeros(3))
 
     @pytest.mark.parametrize("attr", ["value", "grad"])
     def test_rebinding_raises(self, attr):
@@ -355,10 +344,8 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded_opt.v["score.pair.W1"], opt.v["score.pair.W1"])
 
     def test_round_trip_with_optimizer(self, tmp_path):
-        params = ParamStore()
         rng = np.random.default_rng(7)
-        params.add("w", rng.normal(size=(3, 2)), "task")
-        params.add("e", rng.normal(size=4), "encoder")
+        params = store_of(("w", rng.normal(size=(3, 2)), "task"), ("e", rng.normal(size=4), "encoder"))
         params.set_frozen("e", True)
         opt = AdamOptimizer(params)
         params["w"].grad[:] = 1.0
@@ -384,8 +371,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("keep", [6, 20, -100, -8, -1])
     def test_truncated_rejected(self, tmp_path, keep):
-        params = ParamStore()
-        params.add("w", np.arange(6.0).reshape(2, 3), "task")
+        params = store_of(("w", np.arange(6.0).reshape(2, 3), "task"))
         opt = AdamOptimizer(params)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params, opt)
@@ -399,8 +385,7 @@ class TestCheckpoint:
         import json
         import struct
 
-        params = ParamStore()
-        params.add("w", np.zeros(3), "task")
+        params = store_of(("w", np.zeros(3), "task"))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params)
         data = path.read_bytes()
@@ -413,8 +398,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        params = ParamStore()
-        params.add("w", np.zeros(3), "task")
+        params = store_of(("w", np.zeros(3), "task"))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params)
         path.write_bytes(path.read_bytes() + b"\0" * 8)

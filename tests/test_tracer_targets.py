@@ -1,7 +1,10 @@
-"""The benchmark's tracer wraps public functions by name; each must still exist.
+"""The benchmark under ``bench/`` calls corefkit by name, and its tracer wraps
+public functions by name; each must still exist.
 
-``install`` patches corefkit's modules, so it runs in a child process and the
-test process keeps the unwrapped functions.
+The benchmark runs with its own import path, and ``install`` patches
+corefkit's modules, so both run in a child process and the test process keeps
+the unwrapped functions. A renamed or removed function the benchmark uses
+then fails here rather than in the benchmark run.
 """
 
 import json
@@ -16,6 +19,14 @@ import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import tracing
 print(json.dumps(tracing.install().missing))
+"""
+
+SELFTEST = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import workloads
+import selftest
+sys.exit(selftest.main())
 """
 
 # a traced run of both walks: each objective with gold and with predicted
@@ -56,10 +67,12 @@ print(json.dumps(tracer.metrics(), allow_nan=False))
 
 
 def _child(script):
-    return subprocess.run(
+    result = subprocess.run(
         [sys.executable, "-c", script, str(ROOT / "bench"), str(ROOT / "src")],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True,
     )
+    assert result.returncode == 0, result.stdout + result.stderr
+    return result
 
 
 def _reject_constant(name):
@@ -79,3 +92,7 @@ def test_traced_walks_give_finite_metrics():
     assert counts["engine.pair_forward_calls"] == counts["engine.pair_backward_calls"] > 0
     # the command's handler is the traced one
     assert metrics["cli.resolve_s"][0] > 0.0
+
+
+def test_workloads_import_and_selftest_passes():
+    assert _child(SELFTEST).stdout.splitlines()[-1] == "selftest: ok"

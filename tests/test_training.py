@@ -22,7 +22,7 @@ from corefkit import (
     train,
 )
 from corefkit.encoder import FreezeMask
-from corefkit.engine import EngineState, ffn_backward, ffn_forward, segment_forward
+from corefkit.engine import EngineState, ffn_backward, ffn_forward, param_layout, segment_forward
 from corefkit.numeric import ENCODER_GROUP, AdamOptimizer, NumericError, grad_check, sigmoid
 from corefkit.training import ShapeMismatchError, check_compatible
 from oracles import reference_document_loss
@@ -279,6 +279,11 @@ def small_corpus():
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("clip_norm", [0.0, -1.0])
+    def test_non_positive_clip_norm_rejected(self, clip_norm):
+        with pytest.raises(ValueError, match="clip_norm must be positive"):
+            TrainConfig(clip_norm=clip_norm).validate()
+
     def test_empty_train_set_rejected(self):
         params = init_params(ENC, ENG, seed=0)
         with pytest.raises(ValueError, match="empty"):
@@ -382,10 +387,23 @@ class TestContinuedTrain:
             continued_train(params, [], [], other_enc, ENG, TrainConfig())
 
     def test_check_compatible_reports_missing(self):
-        a = init_params(ENC, ENG, seed=0)
-        b = init_params(dataclasses.replace(ENC, num_layers=3), ENG, seed=0)
-        with pytest.raises(ShapeMismatchError, match="missing"):
-            check_compatible(a, b)
+        enc3 = dataclasses.replace(ENC, num_layers=3)
+        with pytest.raises(ShapeMismatchError, match="^two layers: enc.2.W: missing from the tensors"):
+            check_compatible(init_params(ENC, ENG), param_layout(enc3, ENG), "two layers")
+        with pytest.raises(ShapeMismatchError, match="^three layers: enc.2.W: missing from the configs"):
+            check_compatible(init_params(enc3, ENG), param_layout(ENC, ENG), "three layers")
+        check_compatible(init_params(ENC, ENG), param_layout(ENC, ENG), "same")
+
+    def test_builds_no_model(self, monkeypatch):
+        docs = small_corpus()
+        params = init_params(ENC, ENG, seed=4)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("continued_train drew a model")
+
+        monkeypatch.setattr("corefkit.engine.init_params", fail)
+        result = continued_train(params, [], docs[:2], ENC, ENG, TrainConfig())
+        assert result.checkpoint.epoch == 0
 
     def test_frozen_tensors_bit_equal_after_continued_training(self):
         docs = small_corpus()
