@@ -21,7 +21,6 @@ from .metrics import (
 from .numeric import (
     AdamOptimizer,
     NumericError,
-    OptimizerConfig,
     ParamStore,
     grad_check,
     load_checkpoint,

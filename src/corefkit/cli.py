@@ -227,7 +227,13 @@ def _format_of(path: str, explicit: Optional[str] = None) -> str:
 
 def load_docs(path: str, fmt: Optional[str] = None) -> list[Document]:
     text = Path(path).read_text()
-    return parse_conll(text) if _format_of(path, fmt) == "conll" else parse_jsonl(text)
+    docs = parse_conll(text) if _format_of(path, fmt) == "conll" else parse_jsonl(text)
+    seen = set()
+    for doc in docs:
+        if doc.doc_id in seen:
+            raise DocumentError(f"{path}: repeated doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+    return docs
 
 
 def render_docs(docs: Sequence[Document], fmt: str) -> str:

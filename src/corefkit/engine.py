@@ -52,6 +52,8 @@ class EngineConfig:
             raise ValueError("max_segment_tokens must be >= 1")
         if self.scorer_hidden_dim < 1:
             raise ValueError("scorer_hidden_dim must be >= 1")
+        if self.width_embedding_dim < 0:
+            raise ValueError("width_embedding_dim must be >= 0")
         if self.pruning_mode not in (PRUNE_ORIGINAL, PRUNE_REFORMULATED):
             raise ValueError(f"unknown pruning_mode {self.pruning_mode!r}")
         return self

@@ -17,15 +17,18 @@ rebound array would silently detach from the buffers.
 
 from __future__ import annotations
 
-import dataclasses
+import hashlib
 import json
 import math
+import os
 import struct
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 ENCODER_GROUP = "encoder"
 TASK_GROUP = "task"
@@ -121,19 +124,11 @@ def sigmoid(x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OptimizerConfig:
-    lr_task: float = 2e-4
-    lr_encoder: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 10.0
-    # decoupled weight decay, applied to the encoder group only
-    weight_decay_encoder: float = 0.01
-
-    def lr_for(self, group: str) -> float:
-        return self.lr_encoder if group == ENCODER_GROUP else self.lr_task
+# Adam's moment decay rates and denominator guard; the learning rates, clip
+# norm and encoder weight decay come from the ``TrainConfig``
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamOptimizer:
@@ -148,8 +143,8 @@ class AdamOptimizer:
     belongs to the store it was built for, or to a copy of it.
     """
 
-    def __init__(self, params: ParamStore, config: Optional[OptimizerConfig] = None):
-        self.config = config or OptimizerConfig()
+    def __init__(self, params: ParamStore, config: TrainConfig):
+        self.config = config
         self.step_count = 0
         size = params.flat_values().size
         self._m, self._v, self._scratch = np.zeros(size), np.zeros(size), np.zeros(size)
@@ -190,21 +185,21 @@ class AdamOptimizer:
 
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - cfg.beta1**t
-        bc2 = 1.0 - cfg.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for lo, hi, group in runs:
             g, s, value = grads[lo:hi], sq_g[lo:hi], values[lo:hi]
             m, v = self._m[lo:hi], self._v[lo:hi]
             if scale != 1.0:
                 g *= scale
                 np.multiply(g, g, out=s)
-            v *= cfg.beta2
-            s *= 1.0 - cfg.beta2
+            v *= BETA2
+            s *= 1.0 - BETA2
             v += s
-            np.multiply(g, 1.0 - cfg.beta1, out=s)
-            m *= cfg.beta1
+            np.multiply(g, 1.0 - BETA1, out=s)
+            m *= BETA1
             m += s
-            lr = cfg.lr_for(group)
+            lr = cfg.lr_encoder if group == ENCODER_GROUP else cfg.lr_task
             if group == ENCODER_GROUP and cfg.weight_decay_encoder > 0.0:
                 np.multiply(value, lr * cfg.weight_decay_encoder, out=s)
                 value -= s
@@ -213,7 +208,7 @@ class AdamOptimizer:
             s *= lr
             np.divide(v, bc2, out=g)
             np.sqrt(g, out=g)
-            g += cfg.eps
+            g += ADAM_EPS
             s /= g
             value -= s
         params.zero_grads()
@@ -257,6 +252,10 @@ def grad_check(
     Returns the maximum relative error, with the denominator floored at 1e-3
     so near-zero gradient pairs are compared absolutely.
     """
+    if not eps > 0.0:  # NaN too
+        raise ValueError(f"eps must be positive, got {eps}")
+    if max_scalars is not None and max_scalars < 1:
+        raise ValueError(f"max_scalars must be >= 1, got {max_scalars}")
     params.zero_grads()
     loss = float(loss_fn(backward=True))
     if not np.isfinite(loss):
@@ -291,94 +290,80 @@ def grad_check(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: versioned binary header + raw float64 tensors
+# checkpoint format: versioned binary header, raw float64 tensors, digest
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CKPT"
-_VERSION = 1
+_VERSION = 2
+_DIGEST_BYTES = 32  # a version 2 file ends in the sha256 of every byte before it
 
 
-def save_checkpoint(
-    path,
-    params: ParamStore,
-    optimizer: Optional[AdamOptimizer] = None,
-    meta: Optional[dict] = None,
-) -> None:
+def save_checkpoint(path, params: ParamStore, meta: Optional[dict] = None) -> None:
     tensors = [
-        {
-            "name": name,
-            "shape": list(p.value.shape),
-            "group": p.group,
-            "frozen": p.frozen,
-        }
+        {"name": name, "shape": list(p.value.shape), "group": p.group, "frozen": p.frozen}
         for name, p in params.items()
     ]
-    header = {
-        "tensors": tensors,
-        "meta": meta or {},
-        "optimizer": None,
-    }
-    if optimizer is not None:
-        header["optimizer"] = {
-            "step_count": optimizer.step_count,
-            "config": dataclasses.asdict(optimizer.config),
-        }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    header = json.dumps({"tensors": tensors, "meta": meta or {}}, sort_keys=True).encode("utf-8")
+    # spaces after the JSON align the payload to 8 bytes, so a load can view
+    # the float64s where they were read
+    header += b" " * (-(16 + len(header)) % 8)
+    # the value buffer holds the tensors in header order, so it is the payload
+    chunks = (_MAGIC, struct.pack("<IQ", _VERSION, len(header)), header,
+              params.flat_values().astype("<f8", copy=False))
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        # the buffers hold the tensors in header order, so each is one payload
-        payloads = [params.flat_values()]
-        if optimizer is not None:
-            payloads += [optimizer._m, optimizer._v]
-        for flat in payloads:
-            fh.write(flat.astype("<f8", copy=False).tobytes())
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+        fh.write(digest.digest())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise NumericError(f"truncated checkpoint: {what} needs {n} bytes, found {len(data)}")
-    return data
+def _take(data: memoryview, offset: int, n: int, what: str) -> memoryview:
+    chunk = data[offset : offset + n]
+    if len(chunk) != n:
+        raise NumericError(f"truncated checkpoint: {what} needs {n} bytes, found {len(chunk)}")
+    return chunk
 
 
-def _read_flat(fh, size: int, what: str) -> np.ndarray:
-    data = _read_exact(fh, 8 * size, what)
-    return np.frombuffer(data, dtype="<f8").astype(np.float64)
+def load_checkpoint(path) -> tuple[ParamStore, None, dict]:
+    """Read a checkpoint as (params, None, meta); the middle slot is always None.
 
-
-def load_checkpoint(path) -> tuple[ParamStore, Optional[AdamOptimizer], dict]:
-    """Read a checkpoint; a short read, a corrupt header or bytes after the last
-    tensor raise NumericError."""
+    A version 2 file's digest is checked before anything after the version is
+    read, so a cut, padded or altered file raises NumericError. Version 1 files
+    carry no digest; a short read, a corrupt header, bytes after the last
+    tensor or optimizer state raise NumericError.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise NumericError(f"not a checkpoint file: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != _VERSION:
-            raise NumericError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
-        header_bytes = _read_exact(fh, header_len, "header")
-        try:
-            header = json.loads(header_bytes.decode("utf-8"))
-            layout = [
-                (t["name"], tuple(int(d) for d in t["shape"]), t["group"], bool(t["frozen"]))
-                for t in header["tensors"]
-            ]
-            size = sum(math.prod(shape) for _, shape, _, _ in layout)
-            params = ParamStore(layout, _read_flat(fh, size, "parameter payload"))
-            optimizer = None
-            if header.get("optimizer") is not None:
-                optimizer = AdamOptimizer(params, OptimizerConfig(**header["optimizer"]["config"]))
-                optimizer.step_count = int(header["optimizer"]["step_count"])
-                optimizer._m[:] = _read_flat(fh, size, "first-moment payload")
-                optimizer._v[:] = _read_flat(fh, size, "second-moment payload")
-            meta = header.get("meta", {})
-        # undecodable or non-JSON bytes (both ValueError), missing or mistyped fields
-        except (ValueError, KeyError, TypeError) as exc:
-            raise NumericError(f"corrupt checkpoint header: {type(exc).__name__} {exc}") from exc
-        if fh.read(1):
-            raise NumericError("corrupt checkpoint: trailing bytes after the last tensor")
-    return params, optimizer, meta
+        buf = np.empty(-(-os.fstat(fh.fileno()).st_size // 8))
+        data = memoryview(buf).cast("B")[: fh.readinto(buf)]
+    if data[:4] != _MAGIC:
+        raise NumericError(f"not a checkpoint file: bad magic {bytes(data[:4])!r}")
+    (version,) = struct.unpack("<I", _take(data, 4, 4, "version"))
+    if version == _VERSION:
+        data, digest = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
+        if hashlib.sha256(data).digest() != digest:
+            raise NumericError("corrupt checkpoint: sha256 digest mismatch, the file is cut or altered")
+    elif version != 1:
+        raise NumericError(f"unsupported checkpoint version {version}")
+    (header_len,) = struct.unpack("<Q", _take(data, 8, 8, "header length"))
+    header_bytes = _take(data, 16, header_len, "header")
+    try:
+        header = json.loads(bytes(header_bytes).decode("utf-8"))
+        layout = [
+            (t["name"], tuple(int(d) for d in t["shape"]), t["group"], bool(t["frozen"]))
+            for t in header["tensors"]
+        ]
+        size = sum(math.prod(shape) for _, shape, _, _ in layout)
+        payload = _take(data, 16 + header_len, 8 * size, "parameter payload")
+        # a view into the read buffer when the payload is aligned, else a copy
+        params = ParamStore(layout, np.require(np.frombuffer(payload, dtype="<f8"), np.float64, "AW"))
+        optimizer_state = header.get("optimizer")
+        meta = header.get("meta", {})
+    # undecodable or non-JSON bytes (both ValueError), missing or mistyped fields
+    except (ValueError, KeyError, TypeError) as exc:
+        raise NumericError(f"corrupt checkpoint header: {type(exc).__name__} {exc}") from exc
+    if optimizer_state is not None:
+        raise NumericError("checkpoint holds optimizer state, which corefkit no longer reads")
+    if len(data) > 16 + header_len + 8 * size:
+        raise NumericError("corrupt checkpoint: trailing bytes after the last tensor")
+    return params, None, meta

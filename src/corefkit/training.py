@@ -56,13 +56,7 @@ from .engine import (
     span_embeddings_backward,
 )
 from .metrics import MetricReport, score_corpus
-from .numeric import (
-    AdamOptimizer,
-    NumericError,
-    OptimizerConfig,
-    ParamStore,
-    sigmoid,
-)
+from .numeric import AdamOptimizer, NumericError, ParamStore, sigmoid
 
 OBJECTIVE_ANTECEDENT = "antecedent_only"
 OBJECTIVE_JOINT = "joint_singleton"
@@ -81,6 +75,10 @@ class TrainConfig:
     weight_decay_encoder: float = 0.01
 
     def validate(self) -> "TrainConfig":
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
         if self.patience > self.max_epochs:
             raise ValueError("patience must be <= max_epochs")
         if self.lr_task <= 0 or self.lr_encoder <= 0:
@@ -90,14 +88,6 @@ class TrainConfig:
         if self.objective not in (OBJECTIVE_ANTECEDENT, OBJECTIVE_JOINT):
             raise ValueError(f"unknown objective {self.objective!r}")
         return self
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            lr_task=self.lr_task,
-            lr_encoder=self.lr_encoder,
-            clip_norm=self.clip_norm,
-            weight_decay_encoder=self.weight_decay_encoder,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +365,11 @@ def evaluate_docs(
     encoder_cfg: EncoderConfig,
     engine_cfg: EngineConfig,
 ) -> tuple[MetricReport, dict]:
-    """Corpus-level metric report plus per-document predicted clusters."""
+    """Corpus-level metric report plus per-document predicted clusters, keyed by id."""
     predictions = {}
     for doc in docs:
+        if doc.doc_id in predictions:
+            raise ValueError(f"repeated doc_id {doc.doc_id!r}")
         predictions[doc.doc_id] = resolve_document(doc, params, encoder_cfg, engine_cfg)
     report = score_corpus((doc.clusters, predictions[doc.doc_id]) for doc in docs)
     return report, predictions
@@ -406,7 +398,7 @@ def train(
         raise ValueError("empty training set")
     params = init_params.copy()
     apply_freeze(params, encoder_cfg, config.freeze)
-    optimizer = AdamOptimizer(params, config.optimizer_config())
+    optimizer = AdamOptimizer(params, config)
     rng = np.random.default_rng(config.seed)
 
     history: list[EpochRecord] = []

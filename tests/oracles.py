@@ -397,10 +397,12 @@ def reference_resolve(doc, params, encoder_cfg, engine_cfg):
 def reference_adam_step(opt, params):
     """One per-tensor Adam/AdamW step with global norm clipping.
 
-    ``opt`` carries ``config``, ``step_count`` and per-name ``m``/``v`` arrays
-    of its own; ``params`` is only read and written per tensor. Returns the
-    pre-clip global gradient norm.
+    ``opt`` carries ``config`` (a ``TrainConfig``), ``step_count`` and
+    per-name ``m``/``v`` arrays of its own; ``params`` is only read and written
+    per tensor. Returns the pre-clip global gradient norm. The moment decay
+    rates and the denominator guard are written out here, not imported.
     """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     cfg = opt.config
     sq = 0.0
     for name, p in params.items():
@@ -414,21 +416,21 @@ def reference_adam_step(opt, params):
 
     opt.step_count += 1
     t = opt.step_count
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
     for name, p in params.items():
         if p.frozen:
             continue
         g = p.grad * scale
         m = opt.m[name]
         v = opt.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        lr = cfg.lr_for(p.group)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        lr = cfg.lr_encoder if p.group == ENCODER_GROUP else cfg.lr_task
         if p.group == ENCODER_GROUP and cfg.weight_decay_encoder > 0.0:
             p.value -= lr * cfg.weight_decay_encoder * p.value
-        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     params.zero_grads()
     return norm

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from corefkit import (
+    Document,
     EncoderConfig,
     EngineConfig,
     SchemeConfig,
@@ -239,13 +240,13 @@ class TestFailEarly:
         model_file.write_bytes(data[: len(data) // 2])
         code, _, err = run_cli(capsys, "resolve", str(model_file), corpus_files["test"])
         assert code == 1
-        assert err.startswith("error:numeric: truncated checkpoint")
+        assert err.startswith("error:numeric: corrupt checkpoint: sha256 digest mismatch")
 
     def test_padded_checkpoint(self, capsys, corpus_files, model_file):
         model_file.write_bytes(model_file.read_bytes() + b"junkjunk")
         code, _, err = run_cli(capsys, "resolve", str(model_file), corpus_files["test"])
         assert code == 1
-        assert err.startswith("error:numeric:") and "trailing bytes" in err
+        assert err.startswith("error:numeric: corrupt checkpoint: sha256 digest mismatch")
 
     def test_corrupt_header_checkpoint(self, capsys, corpus_files, model_file):
         data = bytearray(model_file.read_bytes())
@@ -253,7 +254,7 @@ class TestFailEarly:
         model_file.write_bytes(bytes(data))
         code, _, err = run_cli(capsys, "resolve", str(model_file), corpus_files["test"])
         assert code == 1
-        assert err.startswith("error:numeric: corrupt checkpoint header")
+        assert err.startswith("error:numeric: corrupt checkpoint: sha256 digest mismatch")
 
     @pytest.mark.parametrize("key,value,tensor", [
         ("hash_vocab_size", 32, "embed.token"),  # tokens hashed into the wrong rows, exit 0
@@ -275,6 +276,43 @@ class TestFailEarly:
         assert code == 1
         assert err.startswith(f"error:shape: checkpoint {model_file} disagrees with its own configs")
         assert tensor in err
+
+    @pytest.mark.parametrize("sets,message", [
+        (["train.max_epochs=0", "train.patience=0"], "[train] max_epochs must be >= 1"),
+        (["train.patience=-3"], "[train] patience must be >= 0"),
+        (["engine.width_embedding_dim=-1"], "[engine] width_embedding_dim must be >= 0"),
+    ])
+    def test_config_bounds_rejected(self, capsys, corpus_files, tmp_path, monkeypatch, sets, message):
+        loaded = []
+        monkeypatch.setattr("corefkit.cli.load_docs", lambda *a: loaded.append(a))
+        overrides = [arg for key in sets for arg in ("--set", key)]
+        code, _, err = run_cli(
+            capsys, "train", "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--out", str(tmp_path / "run"), *SMALL_MODEL, *overrides,
+        )
+        assert code == 1
+        assert err.startswith(f"error:config: {message}")
+        assert loaded == []
+
+    @pytest.mark.parametrize("command", ["score", "resolve", "score_swapped"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll"])
+    def test_repeated_doc_id_rejected(self, capsys, tmp_path, monkeypatch, request, command, fmt):
+        docs = synth_corpus(SchemeConfig(num_docs=2, seed=51, sentences_per_doc=(2, 3)))
+        twins = [docs[0], Document(docs[0].doc_id, docs[1].sentences, docs[1].clusters)]
+        if command == "score_swapped":
+            twins.reverse()
+        path = tmp_path / f"twins.{fmt}"
+        path.write_text(write_jsonl(twins) if fmt == "jsonl" else write_conll(twins))
+        if command == "resolve":
+            argv = ["resolve", str(request.getfixturevalue("model_file")), str(path)]
+        else:
+            argv = ["score", str(path), str(path)]
+        resolved = []
+        monkeypatch.setattr("corefkit.cli.resolve_document", lambda *a: resolved.append(a))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error:parse: {path}: repeated doc_id {docs[0].doc_id!r}")
+        assert resolved == []
 
     def test_non_positive_clip_norm_rejected(self, capsys, corpus_files, tmp_path):
         code, _, err = run_cli(
@@ -350,6 +388,15 @@ class TestGradcheck:
             "--seed", "1", *SMALL_MODEL,
         )
         assert code == 0
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--scalars", "0"], "max_scalars must be >= 1"),  # passed, checking nothing
+        (["--eps", "0"], "eps must be positive"),  # error:internal: float division by zero
+    ])
+    def test_bad_arguments_rejected(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "gradcheck", *flags, "--seed", "1", *SMALL_MODEL)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error:config: {message}")
 
 
 class TestExperimentCommands:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corefkit import EncoderConfig, EngineConfig, FreezeMask, apply_freeze, init_params
+from corefkit import EncoderConfig, EngineConfig, FreezeMask, TrainConfig, apply_freeze, init_params
 from corefkit.encoder import (
     embed_tokens_backward,
     embed_tokens_forward,
@@ -160,7 +160,7 @@ class TestFreezing:
         h, caches = encode_forward(params, cfg, x)
         dx = encode_backward(params, target, caches)
         embed_tokens_backward(params, dx, ids)
-        AdamOptimizer(params).step(params)
+        AdamOptimizer(params, TrainConfig()).step(params)
 
         changed = {n for n in params.names() if not np.array_equal(params.value(n), before[n])}
         top = {"enc.2.W", "enc.2.b", "enc.2.mix", "enc.2.gate"}

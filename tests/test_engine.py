@@ -68,6 +68,11 @@ class TestParamLayout:
         with pytest.raises(ValueError, match=key):
             param_layout(EncoderConfig(), eng)
 
+    def test_negative_width_embedding_dim_rejected(self):
+        eng = EngineConfig(width_embedding_dim=-1)
+        with pytest.raises(ValueError, match="width_embedding_dim must be >= 0"):
+            param_layout(EncoderConfig(), eng)
+
 
 class TestEnumerate:
     def test_one_sentence_width_three(self):

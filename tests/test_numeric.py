@@ -1,15 +1,16 @@
 import hashlib
+import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from corefkit import Document, EncoderConfig, EngineConfig, document_loss
+from corefkit import Document, EncoderConfig, EngineConfig, TrainConfig, document_loss
 from corefkit.engine import init_params
 from corefkit.numeric import (
     AdamOptimizer,
     NumericError,
-    OptimizerConfig,
     ParamStore,
     grad_check,
     load_checkpoint,
@@ -76,12 +77,22 @@ class TestGradCheck:
         with pytest.raises(NumericError, match="non-finite"):
             grad_check(lambda backward: float("nan"), params)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"eps": 0.0}, "eps must be positive"),
+        ({"eps": -1e-5}, "eps must be positive"),
+        ({"max_scalars": 0}, "max_scalars must be >= 1"),
+    ])
+    def test_bad_arguments_rejected(self, kwargs, message):
+        params = quad_store()
+        with pytest.raises(ValueError, match=message):
+            grad_check(quad_loss(params), params, **kwargs)
+
 
 class TestOptimizer:
     def test_clipping_scales_by_half(self):
         params = store_of(("w", np.zeros(4), "task"))
         params["w"].grad[:] = 10.0  # norm 20
-        opt = AdamOptimizer(params, OptimizerConfig(clip_norm=10.0))
+        opt = AdamOptimizer(params, TrainConfig(clip_norm=10.0))
         norm = opt.step(params)
         assert norm == pytest.approx(20.0)
         # after clipping all coordinates saw the same gradient, so the Adam
@@ -93,7 +104,7 @@ class TestOptimizer:
         params = store_of(("w", np.zeros(8), "task"))
         g = rng.normal(size=8) * 100
         params["w"].grad[:] = g
-        opt = AdamOptimizer(params, OptimizerConfig(clip_norm=10.0))
+        opt = AdamOptimizer(params, TrainConfig(clip_norm=10.0))
         norm = opt.step(params)
         # after one step the first moment is (1 - beta1) * clipped gradient,
         # which must be a positive scalar multiple of the raw gradient
@@ -110,25 +121,25 @@ class TestOptimizer:
         before = {n: params.value(n).copy() for n in params.names()}
         params["a"].grad[:] = 5.0
         params["b"].grad[:] = 5.0
-        AdamOptimizer(params).step(params)
+        AdamOptimizer(params, TrainConfig()).step(params)
         for n in params.names():
             assert np.array_equal(params.value(n), before[n])
 
     def test_gradients_zeroed_after_step(self):
         params = store_of(("a", np.ones(3), "task"))
         params["a"].grad[:] = 1.0
-        AdamOptimizer(params).step(params)
+        AdamOptimizer(params, TrainConfig()).step(params)
         assert np.all(params["a"].grad == 0.0)
 
     def test_nonfinite_gradient_rejected(self):
         params = store_of(("a", np.ones(2), "task"))
         params["a"].grad[:] = [np.inf, 0.0]
         with pytest.raises(NumericError, match="non-finite"):
-            AdamOptimizer(params).step(params)
+            AdamOptimizer(params, TrainConfig()).step(params)
 
     def test_convex_bowl_convergence(self):
         params = store_of(("x", np.array([3.0]), "task"))
-        opt = AdamOptimizer(params, OptimizerConfig(lr_task=5e-2, clip_norm=10.0))
+        opt = AdamOptimizer(params, TrainConfig(lr_task=5e-2, clip_norm=10.0))
         target = 1.25
         for _ in range(200):
             params["x"].grad[:] = 2.0 * (params.value("x") - target)
@@ -143,7 +154,7 @@ class TestOptimizer:
         params["t"].grad[:] = 1.0
         params["e"].grad[:] = 1.0
         AdamOptimizer(
-            params, OptimizerConfig(lr_task=2e-4, lr_encoder=1e-5, weight_decay_encoder=0.0)
+            params, TrainConfig(lr_task=2e-4, lr_encoder=1e-5, weight_decay_encoder=0.0)
         ).step(params)
         assert float(params.value("t")[0]) == pytest.approx(-2e-4, rel=1e-6)
         assert float(params.value("e")[0]) == pytest.approx(-1e-5, rel=1e-6)
@@ -154,14 +165,14 @@ class TestOptimizer:
             ("e", np.full(1, 2.0), "encoder"),
         )
         # zero gradients: only decay moves anything
-        AdamOptimizer(params, OptimizerConfig(weight_decay_encoder=0.01)).step(params)
+        AdamOptimizer(params, TrainConfig(weight_decay_encoder=0.01)).step(params)
         assert float(params.value("t")[0]) == 2.0
         assert float(params.value("e")[0]) == pytest.approx(2.0 * (1 - 1e-5 * 0.01))
 
     def test_determinism(self):
         def run():
             params = store_of(("w", np.linspace(-1, 1, 6), "task"))
-            opt = AdamOptimizer(params)
+            opt = AdamOptimizer(params, TrainConfig())
             for step in range(50):
                 params["w"].grad[:] = np.sin(params.value("w") + step)
                 opt.step(params)
@@ -206,7 +217,7 @@ class TestMatchesPerTensorReference:
     @pytest.mark.parametrize("frozen", sorted(FROZEN))
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_fifty_steps_bit_identical(self, grad_scale, frozen, weight_decay):
-        config = OptimizerConfig(lr_task=1e-2, lr_encoder=3e-3, weight_decay_encoder=weight_decay)
+        config = TrainConfig(lr_task=1e-2, lr_encoder=3e-3, weight_decay_encoder=weight_decay)
         flat, ref = mixed_store(), mixed_store()
         opt = AdamOptimizer(flat, config)
         ref_opt = SimpleNamespace(
@@ -297,7 +308,7 @@ class TestFlatStore:
             params.set_frozen("enc.0.W", True)
         held = {name: params.value(name) for name in params.names()}
         before = params.flat_values().copy()
-        opt = AdamOptimizer(params, OptimizerConfig(weight_decay_encoder=0.0))
+        opt = AdamOptimizer(params, TrainConfig(weight_decay_encoder=0.0))
         # the encoder and engine write their gradients through the views
         loss_before = document_loss(doc, params, enc, eng, "joint_singleton", backward=True)
         reached = {name: params[name].grad.any() for name in params.names()}
@@ -319,49 +330,99 @@ class TestFlatStore:
         assert loss(params) == loss(params.copy())
 
 
+# the optimizer section a version 1 writer put in the header: the defaults
+# of its optimizer settings, Adam's decay rates and guard among them
+V1_OPTIMIZER_CONFIG = {"lr_task": 2e-4, "lr_encoder": 1e-5, "beta1": 0.9, "beta2": 0.999,
+                       "eps": 1e-8, "clip_norm": 10.0, "weight_decay_encoder": 0.01}
+
+
+def v1_checkpoint(params, meta=None, optimizer=None):
+    """The bytes of a version 1 checkpoint: no digest, an ``optimizer`` header
+    key, and the Adam moments after the values when ``optimizer`` is given."""
+    header = {
+        "tensors": [{"name": name, "shape": list(p.value.shape), "group": p.group,
+                     "frozen": p.frozen} for name, p in params.items()],
+        "meta": meta or {},
+        "optimizer": optimizer and {"step_count": optimizer.step_count,
+                                    "config": V1_OPTIMIZER_CONFIG},
+    }
+    payloads = [params.flat_values()]
+    if optimizer is not None:
+        payloads += [np.concatenate([moments[n].ravel() for n in params.names()])
+                     for moments in (optimizer.m, optimizer.v)]
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    return (b"CKPT" + struct.pack("<IQ", 1, len(header_bytes)) + header_bytes
+            + b"".join(flat.astype("<f8").tobytes() for flat in payloads))
+
+
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestCheckpoint:
-    # sha256 of the v1 files written by the per-tensor writer the flat one replaced
-    PINNED_PLAIN = "71ea8bf5c871d10acd0f7894a4cc06035e13bd29ea57f8d6e14f0346c2be68a7"
-    PINNED_WITH_OPTIMIZER = "87fa48d52317d35e6082f40e021915c6b1fd5baf7ec06e847568ea9a5b8a0d0f"
+    # sha256 of the files for init_params(SRC_ENC, SRC_ENG, seed=0): version 2,
+    # and the version 1 files of the per-tensor writer the flat one replaced,
+    # without and with optimizer state
+    PINNED_V2 = "0adc7fff5b196b634f8f732b1205855b2fd11c57c15b9e27223e1b211b8ef6d5"
+    PINNED_V1 = "71ea8bf5c871d10acd0f7894a4cc06035e13bd29ea57f8d6e14f0346c2be68a7"
+    PINNED_V1_WITH_OPTIMIZER = "87fa48d52317d35e6082f40e021915c6b1fd5baf7ec06e847568ea9a5b8a0d0f"
 
     def test_bytes_pinned(self, tmp_path):
         path = tmp_path / "m.ckpt"
         params = init_params(SRC_ENC, SRC_ENG, seed=0)
         save_checkpoint(path, params)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_PLAIN
+        data = path.read_bytes()
+        assert sha256_hex(data) == self.PINNED_V2
+        v1 = v1_checkpoint(params)
+        assert sha256_hex(v1) == self.PINNED_V1
+        # the same payload bytes in both versions, in version 2 at an offset
+        # that is a multiple of 8 and followed by the sha256 of all before it
+        payload = params.flat_values().size * 8
+        assert data[-32 - payload : -32] == v1[-payload:]
+        assert (len(data) - 32 - payload) % 8 == 0
+        assert data[-32:] == hashlib.sha256(data[:-32]).digest()
 
-        opt = AdamOptimizer(params)
+    def test_version_1_loads(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        params = init_params(SRC_ENC, SRC_ENG, seed=0)
+        params.set_frozen("embed.pos", True)
+        path.write_bytes(v1_checkpoint(params, meta={"epoch": 2}))
+        loaded, middle, meta = load_checkpoint(path)
+        assert middle is None and meta == {"epoch": 2}
+        assert loaded.names() == params.names()
+        np.testing.assert_array_equal(loaded.flat_values(), params.flat_values())
+        assert [p.frozen for _, p in loaded.items()] == [p.frozen for _, p in params.items()]
+
+    def test_version_1_with_optimizer_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        params = init_params(SRC_ENC, SRC_ENG, seed=0)
+        opt = AdamOptimizer(params, TrainConfig())
         rng = np.random.default_rng(0)
         for name in params.names():
             params[name].grad[...] = rng.normal(size=params.value(name).shape)
         params.set_frozen("embed.pos", True)
         opt.step(params)
-        save_checkpoint(path, params, opt, meta={"epoch": 1})
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_WITH_OPTIMIZER
-        loaded, loaded_opt, _ = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.flat_values(), params.flat_values())
-        np.testing.assert_array_equal(loaded_opt.m["enc.1.W"], opt.m["enc.1.W"])
-        np.testing.assert_array_equal(loaded_opt.v["score.pair.W1"], opt.v["score.pair.W1"])
+        data = v1_checkpoint(params, meta={"epoch": 1}, optimizer=opt)
+        assert sha256_hex(data) == self.PINNED_V1_WITH_OPTIMIZER
+        path.write_bytes(data)
+        with pytest.raises(NumericError, match="optimizer state"):
+            load_checkpoint(path)
 
-    def test_round_trip_with_optimizer(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         params = store_of(("w", rng.normal(size=(3, 2)), "task"), ("e", rng.normal(size=4), "encoder"))
         params.set_frozen("e", True)
-        opt = AdamOptimizer(params)
-        params["w"].grad[:] = 1.0
-        opt.step(params)
 
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, opt, meta={"epoch": 3})
-        loaded, loaded_opt, meta = load_checkpoint(path)
+        save_checkpoint(path, params, meta={"epoch": 3})
+        loaded, middle, meta = load_checkpoint(path)
+        assert middle is None
         assert loaded.names() == params.names()
         for name in params.names():
             np.testing.assert_array_equal(loaded.value(name), params.value(name))
         assert loaded["e"].frozen and not loaded["w"].frozen
-        assert loaded_opt.step_count == 1
-        np.testing.assert_array_equal(loaded_opt.m["w"], opt.m["w"])
-        np.testing.assert_array_equal(loaded_opt.v["w"], opt.v["w"])
         assert meta == {"epoch": 3}
+        assert b"optimizer" not in path.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -372,19 +433,18 @@ class TestCheckpoint:
     @pytest.mark.parametrize("keep", [6, 20, -100, -8, -1])
     def test_truncated_rejected(self, tmp_path, keep):
         params = store_of(("w", np.arange(6.0).reshape(2, 3), "task"))
-        opt = AdamOptimizer(params)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, params, opt)
+        save_checkpoint(path, params)
         data = path.read_bytes()
         path.write_bytes(data[:keep])
-        with pytest.raises(NumericError, match="truncated"):
+        # a cut inside the version field is too short to check; any later cut
+        # fails the digest
+        match = "truncated checkpoint: version" if keep == 6 else "digest mismatch"
+        with pytest.raises(NumericError, match=match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field", ["tensors", "frozen"])
     def test_header_without_field_rejected(self, tmp_path, field):
-        import json
-        import struct
-
         params = store_of(("w", np.zeros(3), "task"))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params)
@@ -393,7 +453,9 @@ class TestCheckpoint:
         header = json.loads(data[16 : 16 + n])
         del (header if field == "tensors" else header["tensors"][0])[field]
         header_bytes = json.dumps(header).encode("utf-8")
-        path.write_bytes(data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + data[16 + n :])
+        # a consistent file around the bad header: its digest is recomputed
+        body = data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + data[16 + n : -32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(NumericError, match=f"corrupt checkpoint header: KeyError '{field}'"):
             load_checkpoint(path)
 
@@ -402,5 +464,24 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params)
         path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(NumericError, match="digest mismatch"):
+            load_checkpoint(path)
+
+    def test_version_1_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(v1_checkpoint(store_of(("w", np.zeros(3), "task"))) + b"\0" * 8)
         with pytest.raises(NumericError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("where", ["header", "payload", "digest"])
+    def test_flipped_byte_rejected(self, tmp_path, where):
+        params = store_of(("w", np.arange(6.0), "task"))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, meta={"max_span_width": 3})
+        data = bytearray(path.read_bytes())
+        # a meta digit that keeps the header valid JSON, a payload byte, the digest's first
+        at = {"header": data.index(b"3}"), "payload": len(data) - 40, "digest": len(data) - 32}[where]
+        data[at] ^= {"header": 0x04, "payload": 0x01, "digest": 0x80}[where]
+        path.write_bytes(bytes(data))
+        with pytest.raises(NumericError, match="digest mismatch"):
             load_checkpoint(path)

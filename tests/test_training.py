@@ -284,6 +284,20 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="clip_norm must be positive"):
             TrainConfig(clip_norm=clip_norm).validate()
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"max_epochs": 0, "patience": 0}, "max_epochs must be >= 1"),
+        ({"patience": -3}, "patience must be >= 0"),
+    ])
+    def test_epoch_bounds_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kwargs).validate()
+
+    def test_repeated_doc_id_rejected(self):
+        docs = small_corpus()
+        twin = Document(docs[0].doc_id, docs[1].sentences, docs[1].clusters)
+        with pytest.raises(ValueError, match=f"repeated doc_id {docs[0].doc_id!r}"):
+            evaluate_docs([docs[0], twin], init_params(ENC, ENG, seed=0), ENC, ENG)
+
     def test_empty_train_set_rejected(self):
         params = init_params(ENC, ENG, seed=0)
         with pytest.raises(ValueError, match="empty"):
@@ -345,7 +359,7 @@ class TestTrainLoop:
         result = train(docs[:4], docs[4:], init, ENC, ENG, cfg)
 
         params = init.copy()
-        optimizer = AdamOptimizer(params, cfg.optimizer_config())
+        optimizer = AdamOptimizer(params, cfg)
         rng = np.random.default_rng(cfg.seed)
         clipped_any = False
         for record in result.history:
