@@ -8,6 +8,10 @@ always supersets of smaller ones.
 Where training starts is given by ``source_params`` alone: a source model's
 parameters mean continued training from it, and ``None`` means training from
 ``init_params(encoder_cfg, engine_cfg, seed=config.seed)``.
+
+The dev-set allocation study scores each distinct cached (gold, predicted)
+pair once, then sums and scores all subsets of one size as one array block:
+a subset costs a few array operations and one select_checkpoint pass.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from .documents import Document
 from .encoder import EncoderConfig, FreezeMask
 from .engine import EngineConfig, init_params
-from .metrics import CorpusStats, document_stats
+from .metrics import avg_f1_totals, document_stats
 from .numeric import ParamStore
 from .training import (
     EpochRecord,
@@ -117,35 +121,46 @@ class MissingPredictionsError(ValueError):
     pass
 
 
-def _scores_from_cached(history: Sequence[EpochRecord], docs: Sequence[Document], which: str) -> list[list]:
-    by_id = {d.doc_id: d for d in docs}
-    per_epoch = []
-    for record in history:
+def _stats_from_cached(
+    history: Sequence[EpochRecord], docs: Sequence[Document], which: str, scored: dict
+) -> np.ndarray:
+    """(docs, epochs, 3, 4) counts of the cached predictions: the muc, b_cubed
+    and ceaf_phi4 rows of document_stats, the ones avg F1 reads.
+
+    ``scored`` maps (gold, predicted) clusters to their counts, so a pair that
+    repeats across epochs, or in both the dev and the test set, is scored once.
+    """
+    ids = {d.doc_id for d in docs}
+    gold = [tuple(map(tuple, doc.clusters)) for doc in docs]
+    stats = np.zeros((len(docs), len(history), 3, 4))
+    for e, record in enumerate(history):
         cached = record.dev_predictions if which == "dev" else record.extra_predictions
         if cached is None:
             raise MissingPredictionsError(
                 f"epoch {record.epoch} has no cached {which} predictions; "
                 "train with cache_predictions=True"
             )
-        missing = set(by_id) - set(cached)
+        missing = ids - set(cached)
         if missing:
             raise MissingPredictionsError(f"missing cached predictions for {sorted(missing)}")
-        per_epoch.append(cached)
-    return per_epoch
-
-
-def _stats_from_cached(history: Sequence[EpochRecord], docs: Sequence[Document], which: str) -> np.ndarray:
-    """(epochs, docs, metric, 4) per-document metric counts of the cached predictions."""
-    stats = np.zeros((len(history), len(docs)) + CorpusStats().totals.shape)
-    for e, cached in enumerate(_scores_from_cached(history, docs, which)):
         for d, doc in enumerate(docs):
-            stats[e, d] = document_stats(doc.clusters, cached[doc.doc_id])
+            pair = (gold[d], tuple(map(tuple, cached[doc.doc_id])))
+            if pair not in scored:
+                scored[pair] = document_stats(doc.clusters, cached[doc.doc_id])[:3]
+            stats[d, e] = scored[pair]
     return stats
 
 
-def _epoch_f1s(totals: np.ndarray) -> list[float]:
-    """avg F1 per epoch from (epochs, metric, 4) summed counts."""
-    return [CorpusStats(epoch_totals).report().avg_f1 for epoch_totals in totals]
+def _subset_f1(stats: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """(subsets, epochs) avg F1 of the document subsets in the rows of ``chosen``.
+
+    Each subset's counts are added one document at a time, in its drawn
+    order, which is the order score_corpus adds documents in.
+    """
+    totals = np.zeros((len(chosen),) + stats.shape[1:])
+    for column in chosen.T:
+        totals += stats[column]
+    return avg_f1_totals(totals)
 
 
 def dev_allocation_experiment(
@@ -162,28 +177,27 @@ def dev_allocation_experiment(
     stopping is replayed on the subset's per-epoch scores; the table reports
     the mean/std of the test score at the selected checkpoints and how many
     subsets agreed with the full-dev selection.
-
-    Each cached (epoch, document) prediction is scored once; a subset's
-    per-epoch score sums its documents' counts in the drawn order, so the
-    cost grows with epochs x documents, not with the number of subsets.
     """
     spec.validate(len(dev_docs))
-    dev_stats = _stats_from_cached(history, dev_docs, "dev")
-    test_stats = _stats_from_cached(history, test_docs, "extra")
+    scored: dict = {}
+    dev_stats = _stats_from_cached(history, dev_docs, "dev", scored)
+    test_stats = _stats_from_cached(history, test_docs, "extra", scored)
 
-    # summing over the document axis adds rows one at a time, in index order,
-    # which is the order score_corpus adds documents in
-    test_f1 = _epoch_f1s(test_stats.sum(axis=1))
-    full_best, _ = select_checkpoint(_epoch_f1s(dev_stats.sum(axis=1)), patience)
+    # the whole test and dev sets, each one subset in index order
+    test_f1 = _subset_f1(test_stats, np.arange(len(test_docs))[None])[0].tolist()
+    full_dev_f1 = _subset_f1(dev_stats, np.arange(len(dev_docs))[None])[0].tolist()
+    full_best, _ = select_checkpoint(full_dev_f1, patience)
 
     rng = np.random.default_rng(spec.seed)
     rows = []
     for size in spec.dev_subset_sizes:
+        chosen = np.array(
+            [rng.choice(len(dev_docs), size=int(size), replace=False) for _ in range(spec.num_subsets)]
+        )
         selected_test = []
         agreement = 0
-        for _ in range(spec.num_subsets):
-            chosen = rng.choice(len(dev_docs), size=int(size), replace=False)
-            best, _ = select_checkpoint(_epoch_f1s(dev_stats[:, chosen].sum(axis=1)), patience)
+        for scores in _subset_f1(dev_stats, chosen).tolist():
+            best, _ = select_checkpoint(scores, patience)
             selected_test.append(test_f1[best])
             agreement += int(best == full_best)
         rows.append(

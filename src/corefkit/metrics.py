@@ -16,17 +16,20 @@ recall averages |K(m) n R(m)| / |K(m)| over key mentions (empty R(m) if the
 mention is unpredicted); precision is the mirror image. CEAF aligns key and
 response clusters one-to-one to maximize total similarity
 phi4(K, R) = 2|K n R| / (|K| + |R|), then divides by the cluster counts.
+All three read one table of |K n R| counts per document, built in one pass
+over the mentions both sides share; each side's clusters must be disjoint.
+``avg_f1_totals`` scores many summed totals at once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-Cluster = frozenset
 Clustering = Sequence[Iterable]
 
 
@@ -46,67 +49,51 @@ class PRF:
         return PRF(precision=p, recall=r, f1=f, degenerate=degenerate)
 
 
-def _as_clusters(clustering: Clustering) -> list[frozenset]:
-    return [frozenset(c) for c in clustering if len(frozenset(c)) > 0]
+class _Sides:
+    """Both sides of one document, built once for every metric: each side's
+    non-empty clusters and mentions, and ``shared``, the count |K_i n R_j| of
+    every (key i, response j) cluster pair that shares a mention."""
+
+    def __init__(self, key: Clustering, response: Clustering):
+        self.key, key_map = _partition(key)
+        self.resp, resp_map = _partition(response)
+        self.key_mentions, self.resp_mentions = key_map.keys(), resp_map.keys()
+        self.shared = Counter((key_map[m], resp_map[m]) for m in key_map.keys() & resp_map.keys())
 
 
-def _mention_map(clusters: list[frozenset]) -> dict:
-    mapping = {}
-    for i, cluster in enumerate(clusters):
-        for m in cluster:
-            mapping[m] = i
-    return mapping
+def _partition(clustering: Clustering) -> tuple[list[frozenset], dict]:
+    """Non-empty clusters as frozensets, and mention -> cluster index."""
+    clusters = [c for c in map(frozenset, clustering) if c]
+    return clusters, {m: i for i, cluster in enumerate(clusters) for m in cluster}
 
 
 def muc_stats(key: Clustering, response: Clustering) -> tuple[float, float, float, float]:
     """(p_num, p_den, r_num, r_den) for the link-based metric."""
-    key_c, resp_c = _as_clusters(key), _as_clusters(response)
-    r_num, r_den = _muc_side(key_c, _mention_map(resp_c))
-    p_num, p_den = _muc_side(resp_c, _mention_map(key_c))
-    return p_num, p_den, r_num, r_den
+    return _muc(_Sides(key, response))
 
 
-def _muc_side(clusters: list[frozenset], other_map: dict) -> tuple[float, float]:
-    num = den = 0
-    for cluster in clusters:
-        parts = set()
-        unaligned = 0
-        for m in cluster:
-            if m in other_map:
-                parts.add(other_map[m])
-            else:
-                unaligned += 1
-        num += len(cluster) - (len(parts) + unaligned)
-        den += len(cluster) - 1
-    return float(num), float(den)
+def _muc(s: _Sides) -> tuple[float, float, float, float]:
+    # a cluster's links minus its parts (one per other-side cluster it meets,
+    # one per mention the other side lacks), summed, is the same on both sides
+    num = float(s.shared.total() - len(s.shared))
+    return num, float(sum(len(c) - 1 for c in s.resp)), num, float(sum(len(c) - 1 for c in s.key))
 
 
 def b_cubed_stats(key: Clustering, response: Clustering) -> tuple[float, float, float, float]:
-    key_c, resp_c = _as_clusters(key), _as_clusters(response)
-    r_num, r_den = _b_cubed_side(key_c, resp_c)
-    p_num, p_den = _b_cubed_side(resp_c, key_c)
-    return p_num, p_den, r_num, r_den
+    return _b_cubed(_Sides(key, response))
 
 
-def _b_cubed_side(clusters: list[frozenset], other: list[frozenset]) -> tuple[float, float]:
-    other_map = _mention_map(other)
-    num = 0.0
-    den = 0
-    for cluster in clusters:
-        overlap: dict[int, int] = {}
-        for m in cluster:
-            j = other_map.get(m)
-            if j is not None:
-                overlap[j] = overlap.get(j, 0) + 1
-        num += sum(c * c for c in overlap.values()) / len(cluster)
-        den += len(cluster)
-    return num, float(den)
+def _b_cubed(s: _Sides) -> tuple[float, float, float, float]:
+    key_sq, resp_sq = [0] * len(s.key), [0] * len(s.resp)
+    for (i, j), n in s.shared.items():
+        key_sq[i] += n * n
+        resp_sq[j] += n * n
+    return (*_b_cubed_side(s.resp, resp_sq), *_b_cubed_side(s.key, key_sq))
 
 
-def phi4(a: frozenset, b: frozenset) -> float:
-    if not a and not b:
-        return 0.0
-    return 2.0 * len(a & b) / (len(a) + len(b))
+def _b_cubed_side(clusters: list[frozenset], squares: list[int]) -> tuple[float, float]:
+    num = sum(sq / len(c) for sq, c in zip(squares, clusters))
+    return float(num), float(sum(map(len, clusters)))
 
 
 def hungarian_max(scores) -> list[tuple[int, int]]:
@@ -122,39 +109,48 @@ def hungarian_max(scores) -> list[tuple[int, int]]:
 
 
 def ceaf_phi4_stats(key: Clustering, response: Clustering) -> tuple[float, float, float, float]:
-    key_c, resp_c = _as_clusters(key), _as_clusters(response)
+    return _ceaf_phi4(_Sides(key, response))
+
+
+def _ceaf_phi4(sides: _Sides) -> tuple[float, float, float, float]:
+    key_c, resp_c = sides.key, sides.resp
     if not key_c or not resp_c:
         return 0.0, float(len(resp_c)), 0.0, float(len(key_c))
-    sim = np.array([[phi4(k, r) for r in resp_c] for k in key_c])
+    shared = np.zeros((len(key_c), len(resp_c)))
+    for cell, n in sides.shared.items():
+        shared[cell] = n
+    sizes = np.array([len(c) for c in key_c])[:, None] + np.array([len(c) for c in resp_c])
+    # phi4(K, R) = 2|K n R| / (|K| + |R|) of every (key, response) pair
+    sim = 2.0 * shared / sizes
     total = sum(sim[r, c] for r, c in hungarian_max(sim))
     return float(total), float(len(resp_c)), float(total), float(len(key_c))
 
 
 def mention_stats(key_mentions: Iterable, response_mentions: Iterable) -> tuple[float, float, float, float]:
-    key_set, resp_set = set(key_mentions), set(response_mentions)
+    return _mention_counts(set(key_mentions), set(response_mentions))
+
+
+def _mention_counts(key_set, resp_set) -> tuple[float, float, float, float]:
     hits = float(len(key_set & resp_set))
     return hits, float(len(resp_set)), hits, float(len(key_set))
 
 
 def exact_cluster_stats(key: Clustering, response: Clustering) -> tuple[float, float, float, float]:
     """Whole-cluster exact-set matching (the stricter exact-match reading)."""
-    key_set = {frozenset(c) for c in _as_clusters(key)}
-    resp_set = {frozenset(c) for c in _as_clusters(response)}
-    hits = float(len(key_set & resp_set))
-    return hits, float(len(resp_set)), hits, float(len(key_set))
+    return _exact_cluster(_Sides(key, response))
+
+
+def _exact_cluster(sides: _Sides) -> tuple[float, float, float, float]:
+    return _mention_counts(set(sides.key), set(sides.resp))
 
 
 _STATS_FNS = {
-    "muc": muc_stats,
-    "b_cubed": b_cubed_stats,
-    "ceaf_phi4": ceaf_phi4_stats,
-    "mention": lambda k, r: mention_stats(_flatten(k), _flatten(r)),
-    "exact_cluster": exact_cluster_stats,
+    "muc": _muc,
+    "b_cubed": _b_cubed,
+    "ceaf_phi4": _ceaf_phi4,
+    "mention": lambda sides: _mention_counts(sides.key_mentions, sides.resp_mentions),
+    "exact_cluster": _exact_cluster,
 }
-
-
-def _flatten(clustering: Clustering) -> set:
-    return {m for c in clustering for m in c}
 
 
 def document_stats(key: Clustering, response: Clustering) -> np.ndarray:
@@ -162,9 +158,11 @@ def document_stats(key: Clustering, response: Clustering) -> np.ndarray:
 
     A float64 array of shape (metric, 4), rows in _STATS_FNS order (muc,
     b_cubed, ceaf_phi4, mention, exact_cluster); a corpus is scored by
-    summing the rows of its documents.
+    summing the rows of its documents. Both sides are built once and every
+    metric reads them.
     """
-    return np.array([fn(key, response) for fn in _STATS_FNS.values()], dtype=np.float64)
+    sides = _Sides(key, response)
+    return np.array([fn(sides) for fn in _STATS_FNS.values()], dtype=np.float64)
 
 
 @dataclass
@@ -190,6 +188,20 @@ class MetricReport:
 def avg_f1(muc_prf: PRF, b_cubed_prf: PRF, ceaf_prf: PRF) -> float:
     """Arithmetic mean of the three coreference F1 scores (the headline number)."""
     return (muc_prf.f1 + b_cubed_prf.f1 + ceaf_prf.f1) / 3.0
+
+
+def avg_f1_totals(totals: np.ndarray) -> np.ndarray:
+    """avg F1 of every (metric, 4) block of summed counts in a (..., metric, 4) array.
+
+    The arithmetic of PRF.from_stats and avg_f1, as array operations, so each
+    value equals ``CorpusStats(block).report().avg_f1``; only the muc, b_cubed
+    and ceaf_phi4 rows are read.
+    """
+    num, den = totals[..., :3, 0::2], totals[..., :3, 1::2]  # (precision, recall) per metric
+    pr = np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+    p, r = pr[..., 0], pr[..., 1]
+    f = np.divide(2 * p * r, p + r, out=np.zeros(p.shape), where=p + r > 0)
+    return (f[..., 0] + f[..., 1] + f[..., 2]) / 3.0
 
 
 class CorpusStats:

@@ -250,7 +250,8 @@ def grad_check(
     true, accumulate analytic gradients into ``params``. Checks every scalar
     parameter, or a seeded random subsample of ``max_scalars`` of them.
     Returns the maximum relative error, with the denominator floored at 1e-3
-    so near-zero gradient pairs are compared absolutely.
+    so near-zero gradient pairs are compared absolutely. An analytic gradient
+    that is zero everywhere raises NumericError.
     """
     if not eps > 0.0:  # NaN too
         raise ValueError(f"eps must be positive, got {eps}")
@@ -262,6 +263,9 @@ def grad_check(
         raise NumericError(f"non-finite loss {loss} during gradient check")
     analytic = params.flat_grads().copy()
     params.zero_grads()
+    if not analytic.any():
+        # finite differences of a flat loss would agree with it and pass
+        raise NumericError(f"the analytic gradient is zero everywhere (loss {loss}); nothing to check")
 
     values = params.flat_values()
     coords = range(values.size)

@@ -359,6 +359,14 @@ def select_checkpoint(scores: Sequence[float], patience: int) -> tuple[int, int]
     return best_i, len(scores) - 1
 
 
+def _check_unique_ids(docs: Sequence[Document]) -> None:
+    seen = set()
+    for doc in docs:
+        if doc.doc_id in seen:
+            raise ValueError(f"repeated doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+
+
 def evaluate_docs(
     docs: Sequence[Document],
     params: ParamStore,
@@ -366,11 +374,8 @@ def evaluate_docs(
     engine_cfg: EngineConfig,
 ) -> tuple[MetricReport, dict]:
     """Corpus-level metric report plus per-document predicted clusters, keyed by id."""
-    predictions = {}
-    for doc in docs:
-        if doc.doc_id in predictions:
-            raise ValueError(f"repeated doc_id {doc.doc_id!r}")
-        predictions[doc.doc_id] = resolve_document(doc, params, encoder_cfg, engine_cfg)
+    _check_unique_ids(docs)
+    predictions = {doc.doc_id: resolve_document(doc, params, encoder_cfg, engine_cfg) for doc in docs}
     report = score_corpus((doc.clusters, predictions[doc.doc_id]) for doc in docs)
     return report, predictions
 
@@ -396,6 +401,9 @@ def train(
     config.validate()
     if not train_docs:
         raise ValueError("empty training set")
+    # evaluation keys predictions by doc_id: reject a repeat before the first epoch
+    _check_unique_ids(dev_docs)
+    _check_unique_ids(extra_eval_docs or ())
     params = init_params.copy()
     apply_freeze(params, encoder_cfg, config.freeze)
     optimizer = AdamOptimizer(params, config)

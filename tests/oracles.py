@@ -30,7 +30,7 @@ from corefkit.engine import (
     span_embeddings_backward,
 )
 from corefkit.encoder import embed_tokens_backward, encode_backward
-from corefkit.metrics import phi4, score_corpus
+from corefkit.metrics import score_corpus
 from corefkit.numeric import ENCODER_GROUP, NumericError, sigmoid
 from corefkit.training import OBJECTIVE_JOINT, select_checkpoint
 
@@ -85,6 +85,12 @@ def oracle_b_cubed(key, response):
     rn, rd = oracle_b_cubed_side(key, response)
     pn, pd = oracle_b_cubed_side(response, key)
     return _prf(pn, pd, rn, rd)
+
+
+def phi4(a, b):
+    if not a and not b:
+        return 0.0
+    return 2.0 * len(a & b) / (len(a) + len(b))
 
 
 def oracle_ceaf(key, response):

@@ -383,11 +383,23 @@ class TestGradcheck:
         assert err_value < 1e-4
 
     def test_antecedent_alias(self, capsys):
+        # keeping every span gives the antecedent objective a pair to score
         code, out, _ = run_cli(
             capsys, "gradcheck", "--objective", "antecedent", "--scalars", "100",
-            "--seed", "1", *SMALL_MODEL,
+            "--seed", "1", *SMALL_MODEL, "--set", "engine.prune_ratio=1.0",
         )
         assert code == 0
+        assert out.startswith("gradcheck objective=antecedent_only ")
+        assert float(out.strip().rsplit("=", 1)[1]) < 1e-4
+
+    def test_zero_loss_fails(self, capsys):
+        # pruning keeps no gold pair of the bundled document, so the loss and
+        # every gradient are zero: there is nothing to check, not a pass
+        code, out, err = run_cli(
+            capsys, "gradcheck", "--seed", "1", "--objective", "antecedent", *SMALL_MODEL
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:numeric: the analytic gradient is zero everywhere")
 
     @pytest.mark.parametrize("flags,message", [
         (["--scalars", "0"], "max_scalars must be >= 1"),  # passed, checking nothing

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corefkit import (
+    Document,
     EncoderConfig,
     EngineConfig,
     SchemeConfig,
@@ -286,6 +289,61 @@ class TestDevAllocationParity:
     def test_test_set_is_dev_set(self):
         history = random_history(self.dev, self.dev, 6, 4)
         self.assert_rows_equal(history, self.dev, (2, 12), 4, patience=6)
+
+
+def _partition(draw, mentions, labels):
+    """Clusters of the mentions grouped by drawn label; label -1 leaves a mention out."""
+    drawn = draw(st.lists(st.integers(-1, labels), min_size=len(mentions), max_size=len(mentions)))
+    groups: dict[int, list] = {}
+    for mention, label in zip(mentions, drawn):
+        if label >= 0:
+            groups.setdefault(label, []).append(mention)
+    return [tuple(c) for c in groups.values()]
+
+
+@st.composite
+def studies(draw):
+    """A cached history with its dev and test documents, a spec and a patience.
+
+    Gold and predicted clusters may be empty or all singletons, predictions
+    may miss every gold mention (p + r == 0) or repeat an earlier epoch's,
+    and the test set may be the dev set itself."""
+    n_dev = draw(st.integers(1, 5))
+    shared = draw(st.integers(0, 2)) == 0
+    docs = []
+    for i in range(n_dev + (0 if shared else draw(st.integers(0, 3)))):
+        mentions = [(t, t) for t in range(draw(st.integers(0, 6)))]
+        docs.append(Document(f"d{i}", [["w"] * 8], _partition(draw, mentions, 3)))
+    dev = docs[:n_dev]
+    test = dev if shared else docs[n_dev:]
+
+    def predict(docs):
+        # nothing, or clusters of the gold mentions and of two that no gold cluster has
+        return {
+            d.doc_id: [] if draw(st.integers(0, 4)) == 0
+            else _partition(draw, sorted(d.mentions()) + [(6, 6), (7, 7)], 4)
+            for d in docs
+        }
+
+    history = []
+    for epoch in range(1, draw(st.integers(1, 5)) + 1):
+        if history and draw(st.booleans()):
+            earlier = draw(st.sampled_from(history))
+            dev_preds, test_preds = earlier.dev_predictions, earlier.extra_predictions
+        else:
+            dev_preds = predict(dev)
+            test_preds = dev_preds if shared else predict(test)
+        history.append(EpochRecord(epoch=epoch, train_loss=0.0, dev_avg_f1=0.0,
+                                   dev_predictions=dev_preds, extra_predictions=test_preds))
+    sizes = draw(st.lists(st.integers(1, n_dev), min_size=1, max_size=3))
+    spec = DevAllocSpec(tuple(sizes), draw(st.integers(1, 6)), seed=draw(st.integers(0, 1000)))
+    return history, dev, test, spec, draw(st.integers(0, len(history)))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(studies())
+def test_dev_allocation_rows_equal_rescoring(study):
+    assert dev_allocation_experiment(*study) == oracle_dev_allocation(*study)
 
 
 class TestForgetting:

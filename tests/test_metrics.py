@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corefkit import PRF, avg_f1, hungarian_max, score_corpus
 from corefkit.metrics import (
     CorpusStats,
+    avg_f1_totals,
     b_cubed_stats,
     ceaf_phi4_stats,
     document_stats,
@@ -247,3 +248,39 @@ def test_avg_f1_values():
     one = PRF(1, 1, 1)
     assert avg_f1(one, one, one) == 1.0
     assert avg_f1(PRF(0, 0, 0.6), PRF(0, 0, 0.5), PRF(0, 0, 0.4)) == pytest.approx(0.5)
+
+
+# derandomized, no example database: Tier-1 stays reproducible
+FEW = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+# summed counts: zeros (so zero denominators and p + r == 0), whole counts
+# and fractional ones like B-cubed's
+counts = st.one_of(st.just(0.0), st.integers(1, 30).map(float), st.floats(0.25, 30.0))
+
+
+class TestArrayScoring:
+    @FEW
+    @given(st.lists(st.lists(counts, min_size=20, max_size=20), min_size=1, max_size=6))
+    def test_avg_f1_totals_equals_reports(self, blocks):
+        totals = np.array(blocks).reshape(-1, 5, 4)
+        expected = [CorpusStats(block).report().avg_f1 for block in totals]
+        assert avg_f1_totals(totals).tolist() == expected
+        assert avg_f1_totals(totals[None]).tolist() == [expected]
+        assert avg_f1_totals(totals[0]).tolist() == expected[0]
+
+    @FEW
+    @given(key=clusterings, response=clusterings)
+    @example(key=[], response=[])
+    @example(key=[[1, 2]], response=[])
+    @example(key=[], response=[[1, 2]])
+    def test_document_stats_rows_are_the_public_functions(self, key, response):
+        key, response = dedupe(key), dedupe(response)
+        rows = [
+            muc_stats(key, response), b_cubed_stats(key, response), ceaf_phi4_stats(key, response),
+            mention_stats({m for c in key for m in c}, {m for c in response for m in c}),
+            exact_cluster_stats(key, response),
+        ]
+        assert document_stats(key, response).tolist() == [list(row) for row in rows]
+        for stats, oracle in zip(rows, (oracle_muc, oracle_b_cubed, oracle_ceaf)):
+            prf = PRF.from_stats(*stats)
+            assert (prf.precision, prf.recall, prf.f1) == pytest.approx(oracle(key, response), abs=1e-12)

@@ -77,6 +77,12 @@ class TestGradCheck:
         with pytest.raises(NumericError, match="non-finite"):
             grad_check(lambda backward: float("nan"), params)
 
+    def test_zero_gradient_rejected(self):
+        # a constant loss has a zero gradient that finite differences agree with
+        params = quad_store()
+        with pytest.raises(NumericError, match="zero everywhere"):
+            grad_check(lambda backward: 1.0, params)
+
     @pytest.mark.parametrize("kwargs,message", [
         ({"eps": 0.0}, "eps must be positive"),
         ({"eps": -1e-5}, "eps must be positive"),

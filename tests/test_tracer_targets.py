@@ -31,7 +31,8 @@ sys.exit(selftest.main())
 
 # a traced run of both walks: each objective with gold and with predicted
 # mentions, and resolution, on a document of two segments; then `corefkit
-# resolve` on the same document
+# resolve` on the same document, and a dev-set allocation study of one epoch
+# that predicts its gold clusters
 TRACED_RUN = """
 import json, sys, tempfile
 from pathlib import Path
@@ -42,6 +43,8 @@ from corefkit import (
     Document, EncoderConfig, EngineConfig, document_loss, init_params, resolve_document, write_jsonl,
 )
 from corefkit.cli import _save_model, main
+from corefkit.harness import DevAllocSpec, dev_allocation_experiment
+from corefkit.training import EpochRecord
 
 doc = Document(
     "two-segments",
@@ -62,6 +65,9 @@ with tempfile.TemporaryDirectory() as tmp:
     Path(tmp, "doc.jsonl").write_text(write_jsonl([doc]))
     main(["resolve", str(Path(tmp, "model.ckpt")), str(Path(tmp, "doc.jsonl")),
           "--out-file", str(Path(tmp, "pred.jsonl"))])
+cached = {doc.doc_id: doc.clusters}
+history = [EpochRecord(1, 0.0, 0.0, dev_predictions=cached, extra_predictions=cached)]
+dev_allocation_experiment(history, [doc], [doc], DevAllocSpec((1,), 2), patience=1)
 print(json.dumps(tracer.metrics(), allow_nan=False))
 """
 
@@ -92,6 +98,9 @@ def test_traced_walks_give_finite_metrics():
     assert counts["engine.pair_forward_calls"] == counts["engine.pair_backward_calls"] > 0
     # the command's handler is the traced one
     assert metrics["cli.resolve_s"][0] > 0.0
+    # so are the study and the CEAF alignment it reaches through the metrics
+    assert metrics["harness.devalloc_s"][0] > 0.0
+    assert counts["metrics.assignment_calls"] > 0
 
 
 def test_workloads_import_and_selftest_passes():

@@ -298,6 +298,20 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"repeated doc_id {docs[0].doc_id!r}"):
             evaluate_docs([docs[0], twin], init_params(ENC, ENG, seed=0), ENC, ENG)
 
+    @pytest.mark.parametrize("where", ["dev", "extra"])
+    def test_repeated_eval_doc_id_rejected_before_training(self, monkeypatch, where):
+        docs = small_corpus()
+        twin = Document(docs[3].doc_id, docs[4].sentences, docs[4].clusters)
+        dev, extra = (docs[2:4] + [twin], None) if where == "dev" else (docs[2:4], [docs[3], twin])
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr("corefkit.training.document_loss", fail)
+        with pytest.raises(ValueError, match=f"repeated doc_id {docs[3].doc_id!r}"):
+            train(docs[:2], dev, init_params(ENC, ENG, seed=0), ENC, ENG,
+                  TrainConfig(max_epochs=1, patience=1), extra_eval_docs=extra, cache_predictions=True)
+
     def test_empty_train_set_rejected(self):
         params = init_params(ENC, ENG, seed=0)
         with pytest.raises(ValueError, match="empty"):
