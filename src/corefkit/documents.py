@@ -8,8 +8,10 @@ the resolution engine, and the metrics.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate
+from typing import Iterable, Optional
 
 Span = tuple[int, int]
 
@@ -45,12 +47,7 @@ class Document:
 
     def sentence_starts(self) -> list[int]:
         """Flat-token index of the first token of each sentence."""
-        starts = []
-        offset = 0
-        for sent in self.sentences:
-            starts.append(offset)
-            offset += len(sent)
-        return starts
+        return list(accumulate(map(len, self.sentences), initial=0))[:-1]
 
     def mentions(self) -> set[Span]:
         return {span for cluster in self.clusters for span in cluster}
@@ -68,7 +65,7 @@ class Document:
                     raise DocumentError(
                         f"{self.doc_id}: span ({s}, {e}) out of range for {n} tokens"
                     )
-                if _sentence_index(starts, s) != _sentence_index(starts, e):
+                if bisect_right(starts, s) != bisect_right(starts, e):
                     raise DocumentError(
                         f"{self.doc_id}: span ({s}, {e}) crosses a sentence boundary"
                     )
@@ -81,17 +78,6 @@ class Document:
 
     def replace_clusters(self, clusters: Iterable[Iterable[Span]]) -> "Document":
         return dataclasses.replace(self, clusters=canonical_clusters(clusters))
-
-
-def _sentence_index(starts: Sequence[int], token: int) -> int:
-    lo, hi = 0, len(starts) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if starts[mid] <= token:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 @dataclass(frozen=True)
@@ -117,32 +103,18 @@ def segment_document(doc: Document, max_len: int) -> list[Segment]:
     if max_len < 1:
         raise SegmentationError(f"max_len must be >= 1, got {max_len}")
     segments: list[Segment] = []
-    cur_tokens: list[str] = []
-    cur_lengths: list[int] = []
-    offset = 0
+    cur_tokens, cur_lengths, offset = [], [], 0
     for i, sent in enumerate(doc.sentences):
         if len(sent) > max_len:
             raise SegmentationError(
                 f"{doc.doc_id}: sentence {i} has {len(sent)} tokens, exceeds max_len {max_len}"
             )
         if cur_tokens and len(cur_tokens) + len(sent) > max_len:
-            segments.append(
-                Segment(
-                    token_offset=offset,
-                    tokens=cur_tokens,
-                    sentence_lengths=tuple(cur_lengths),
-                )
-            )
+            segments.append(Segment(offset, cur_tokens, tuple(cur_lengths)))
             offset += len(cur_tokens)
             cur_tokens, cur_lengths = [], []
         cur_tokens = cur_tokens + list(sent)
         cur_lengths.append(len(sent))
     if cur_tokens:
-        segments.append(
-            Segment(
-                token_offset=offset,
-                tokens=cur_tokens,
-                sentence_lengths=tuple(cur_lengths),
-            )
-        )
+        segments.append(Segment(offset, cur_tokens, tuple(cur_lengths)))
     return segments

@@ -20,6 +20,7 @@ import numpy as np
 from .numeric import ENCODER_GROUP, NumericError, ParamStore
 
 _WINDOW_OFFSETS = (-2, -1, 0, 1, 2)
+_PAD = max(map(abs, _WINDOW_OFFSETS))
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,9 @@ def token_id(token: str, hash_vocab_size: int) -> int:
 
 
 def token_ids(tokens, hash_vocab_size: int) -> np.ndarray:
-    return np.array([token_id(t, hash_vocab_size) for t in tokens], dtype=np.intp)
+    """Each distinct token is hashed once."""
+    ids = {t: token_id(t, hash_vocab_size) for t in set(tokens)}
+    return np.array([ids[t] for t in tokens], dtype=np.intp)
 
 
 def encoder_layout(cfg: EncoderConfig) -> list:
@@ -96,14 +99,17 @@ def apply_freeze(params: ParamStore, cfg: EncoderConfig, mask: FreezeMask) -> No
 
 
 def embed_tokens_forward(params: ParamStore, cfg: EncoderConfig, tokens):
-    """Hashed token embedding plus position embedding; (n, d) output."""
+    """Hashed token embedding plus position embedding; (n, d) output.
+
+    ``tokens`` are strings, or their ``token_ids`` as an array.
+    """
     if len(tokens) == 0:
         raise NumericError("cannot embed an empty segment")
     if len(tokens) > cfg.max_position:
         raise NumericError(
             f"segment length {len(tokens)} exceeds max_position {cfg.max_position}"
         )
-    ids = token_ids(tokens, cfg.hash_vocab_size)
+    ids = tokens if isinstance(tokens, np.ndarray) else token_ids(tokens, cfg.hash_vocab_size)
     x = params.value("embed.token")[ids] + params.value("embed.pos")[: len(ids)]
     return x, ids
 
@@ -113,17 +119,12 @@ def embed_tokens_backward(params: ParamStore, dx: np.ndarray, ids: np.ndarray) -
     params["embed.pos"].grad[: len(ids)] += dx
 
 
-def _shift(x: np.ndarray, offset: int) -> np.ndarray:
-    """result[t] = x[t + offset], zero beyond the ends."""
-    out = np.zeros_like(x)
-    n = x.shape[0]
-    if offset >= 0:
-        if offset < n:
-            out[: n - offset] = x[offset:]
-    else:
-        if -offset < n:
-            out[-offset:] = x[: n + offset]
-    return out
+def _padded(like: np.ndarray):
+    """A zero buffer with _PAD more rows than ``like`` on each side, and the
+    view of its inner rows; x[t + off], zero beyond the ends, is then the row
+    t + _PAD + off of the buffer."""
+    out = np.zeros((len(like) + 2 * _PAD, like.shape[1]))
+    return out, out[_PAD : _PAD + len(like)]
 
 
 def encode_forward(params: ParamStore, cfg: EncoderConfig, x: np.ndarray):
@@ -137,28 +138,31 @@ def encode_forward(params: ParamStore, cfg: EncoderConfig, x: np.ndarray):
         gate = float(params.value(f"enc.{i}.gate")[0])
         z = h @ w.T + b
         a = np.tanh(z)
-        u = a + h
+        padded, u = _padded(h)
+        np.add(a, h, out=u)
         e = np.exp(mix_logits - mix_logits.max())
         mix_w = e / e.sum()
         m = np.zeros_like(u)
         for j, off in enumerate(_WINDOW_OFFSETS):
-            m += mix_w[j] * _shift(u, off)
+            m += mix_w[j] * padded[_PAD + off : _PAD + off + len(u)]
         out = u + gate * m
-        caches.append((h, a, u, m, mix_w, gate, i))
+        caches.append((h, a, padded, m, mix_w, gate, i))
         h = out
     return h, caches
 
 
 def encode_backward(params: ParamStore, dh: np.ndarray, caches) -> np.ndarray:
-    for (h_in, a, u, m, mix_w, gate, i) in reversed(caches):
+    for (h_in, a, padded_u, m, mix_w, gate, i) in reversed(caches):
         w = params.value(f"enc.{i}.W")
+        n = len(dh)
         du = dh.copy()
-        dm = gate * dh
+        padded_dm, dm = _padded(dh)
+        np.multiply(gate, dh, out=dm)
         dgate = float(np.sum(dh * m))
         dmix_w = np.zeros_like(mix_w)
         for j, off in enumerate(_WINDOW_OFFSETS):
-            du += mix_w[j] * _shift(dm, -off)
-            dmix_w[j] = float(np.sum(dm * _shift(u, off)))
+            du += mix_w[j] * padded_dm[_PAD - off : _PAD - off + n]
+            dmix_w[j] = float(np.sum(dm * padded_u[_PAD + off : _PAD + off + n]))
         dmix_logits = mix_w * (dmix_w - float(mix_w @ dmix_w))
         dz = du * (1.0 - a * a)
         params[f"enc.{i}.W"].grad += dz.T @ h_in

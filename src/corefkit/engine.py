@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .documents import Document, Segment, Span, segment_document
-from .encoder import EncoderConfig, embed_tokens_forward, encode_forward, encoder_layout
+from .encoder import EncoderConfig, embed_tokens_forward, encode_forward, encoder_layout, token_ids
 from .numeric import TASK_GROUP, NumericError, ParamStore, sigmoid
 
 PRUNE_ORIGINAL = "original"
@@ -30,6 +30,7 @@ DUMMY_SCORE = 0.0
 
 # widths 1..4 get their own bucket, then 5-7, 8-15, 16-31, 32+
 WIDTH_BUCKETS = 8
+_BUCKET_STARTS = np.array([2, 3, 4, 5, 8, 16, 32])  # the first width of buckets 1..7
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,9 @@ class EngineConfig:
         return self.pruning_mode == PRUNE_REFORMULATED
 
 
-def width_bucket(width: int) -> int:
-    if width <= 4:
-        return width - 1
-    if width <= 7:
-        return 4
-    if width <= 15:
-        return 5
-    if width <= 31:
-        return 6
-    return 7
+def width_bucket(width):
+    """The bucket of a span width, or of each width in an array."""
+    return np.searchsorted(_BUCKET_STARTS, width, side="right")
 
 
 def span_dim(encoder_cfg: EncoderConfig, engine_cfg: EngineConfig) -> int:
@@ -119,15 +113,55 @@ def init_params(
 
 def enumerate_spans(sentence_lengths, max_width: int, offset: int = 0) -> list[Span]:
     """All spans up to max_width tokens, within one sentence, by (start, end)."""
-    spans = []
-    start = offset
-    for length in sentence_lengths:
-        for a in range(start, start + length):
-            last = min(start + length - 1, a + max_width - 1)
-            for b in range(a, last + 1):
-                spans.append((a, b))
-        start += length
-    return sorted(spans)
+    lengths = np.asarray(sentence_lengths, dtype=np.intp)
+    first = np.arange(offset, offset + lengths.sum())
+    # spans starting at each token: up to its sentence's end, at most max_width
+    count = np.minimum(np.repeat(np.cumsum(lengths) + offset, lengths) - first, max_width)
+    starts = np.repeat(first, count)
+    ends = starts + np.arange(len(starts)) - np.repeat(np.cumsum(count) - count, count)
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
+class SegmentPlan(NamedTuple):
+    """A segment's arrays that no parameter affects."""
+
+    segment: Segment
+    ids: np.ndarray  # token ids
+    spans: list[Span]  # candidates in document coordinates and order
+    bounds: np.ndarray  # (S, 2) segment-local (start, end) of each candidate
+    gather: Optional[tuple]  # span_gather(bounds); None without candidates
+
+
+class DocumentPlan(NamedTuple):
+    """A document and the plans of its segments, in order."""
+
+    doc: Document
+    segments: list[SegmentPlan]
+    configs: tuple  # the (encoder, engine) configs it was built for
+
+
+def plan_document(
+    doc: Document | DocumentPlan, encoder_cfg: EncoderConfig, engine_cfg: EngineConfig
+) -> DocumentPlan:
+    """Segment a document and plan each segment; given a plan, return it.
+    Candidates are the gold mentions inside the segment under gold mentions,
+    otherwise every span up to the maximum width."""
+    if isinstance(doc, DocumentPlan):
+        if doc.configs != (encoder_cfg, engine_cfg):
+            raise ValueError(f"{doc.doc.doc_id}: the plan was built for other configs")
+        return doc
+    ids = token_ids(doc.tokens, encoder_cfg.hash_vocab_size)
+    mentions = sorted(doc.mentions()) if engine_cfg.gold_mentions else ()
+    plans = []
+    for segment in segment_document(doc, engine_cfg.max_segment_tokens):
+        offset, end = segment.token_offset, segment.token_offset + len(segment)
+        if engine_cfg.gold_mentions:
+            spans = [m for m in mentions if offset <= m[0] and m[1] < end]
+        else:
+            spans = enumerate_spans(segment.sentence_lengths, engine_cfg.max_span_width, offset)
+        bounds = np.array(spans, dtype=np.intp).reshape(-1, 2) - offset
+        plans.append(SegmentPlan(segment, ids[offset:end], spans, bounds, span_gather(bounds) if spans else None))
+    return DocumentPlan(doc, plans, (encoder_cfg, engine_cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +169,21 @@ def enumerate_spans(sentence_lengths, max_width: int, offset: int = 0) -> list[S
 # ---------------------------------------------------------------------------
 
 
-def span_embeddings_forward(params: ParamStore, h: np.ndarray, spans_local):
-    """Embed spans given segment-local (start, end) pairs; returns (S, span_dim)."""
-    starts = np.array([s for s, _ in spans_local], dtype=np.intp)
-    ends = np.array([e for _, e in spans_local], dtype=np.intp)
+def span_gather(bounds):
+    """Starts, ends, token rows (padded with row 0 to the widest span), the
+    mask of real cells and width buckets of segment-local (start, end) bounds."""
+    bounds = np.asarray(bounds, dtype=np.intp).reshape(-1, 2)
+    starts, ends = bounds[:, 0], bounds[:, 1]
     widths = ends - starts + 1
-    buckets = np.array([width_bucket(int(w)) for w in widths], dtype=np.intp)
-    max_w = int(widths.max())
-    rel = np.arange(max_w, dtype=np.intp)
-    idx = starts[:, None] + rel[None, :]
+    rel = np.arange(widths.max(), dtype=np.intp)
     mask = rel[None, :] < widths[:, None]
-    idx = np.where(mask, idx, 0)
+    idx = np.where(mask, starts[:, None] + rel[None, :], 0)
+    return starts, ends, idx, mask, width_bucket(widths)
 
+
+def span_embeddings_forward(params: ParamStore, h: np.ndarray, gather):
+    """Embed the spans of a ``span_gather``; returns (S, span_dim)."""
+    starts, ends, idx, mask, buckets = gather
     v = params.value("span.attn_v")
     token_logits = h @ v
     logits = np.where(mask, token_logits[idx], -np.inf)
@@ -252,19 +289,19 @@ def prune_cap(prune_ratio: float, n_tokens: int) -> int:
 def prune_spans(spans, scores, prune_ratio: float, n_tokens: int, mode: str) -> list[int]:
     """Indices of surviving spans, restored to document order.
 
-    Ties on the score prefer the earlier start, then the shorter span.
+    ``spans`` are (start, end) pairs, or an (S, 2) array of them. Ties on the
+    score prefer the earlier start, then the shorter span.
     """
     cap = prune_cap(prune_ratio, n_tokens)
-    order = sorted(
-        range(len(spans)),
-        key=lambda i: (-scores[i], spans[i][0], spans[i][1] - spans[i][0]),
-    )
+    bounds, scores = np.asarray(spans, dtype=np.intp).reshape(-1, 2), np.asarray(scores)
+    starts, ends = bounds[:, 0], bounds[:, 1]
+    order = np.lexsort((ends - starts, starts, -scores))
     if mode == PRUNE_REFORMULATED:
-        order = [i for i in order if scores[i] > 0.0]
+        order = order[scores[order] > 0.0]
     elif mode != PRUNE_ORIGINAL:
         raise ValueError(f"unknown pruning mode {mode!r}")
     kept = order[:cap]
-    return sorted(kept, key=lambda i: spans[i])
+    return kept[np.lexsort((ends[kept], starts[kept]))].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -334,42 +371,35 @@ class SegmentForward(NamedTuple):
 
 
 def segment_forward(
-    doc: Document,
-    segment: Segment,
+    plan: SegmentPlan,
     params: ParamStore,
     encoder_cfg: EncoderConfig,
     engine_cfg: EngineConfig,
 ) -> Optional[SegmentForward]:
-    """Encode a segment, embed and score its candidate spans, and prune them.
+    """Encode a planned segment, embed and score its candidate spans, and prune them.
 
-    Candidates are the gold mentions inside the segment when
-    ``engine_cfg.gold_mentions`` is set (they skip the mention scorer and are
-    all kept), otherwise every span up to the maximum width. Returns None when
-    the segment has no candidates. Training and inference both call this.
+    Gold-mention candidates skip the mention scorer and are all kept. Returns
+    None when the segment has no candidates. Training and inference both
+    call this.
     """
-    x0, ids = embed_tokens_forward(params, encoder_cfg, segment.tokens)
+    x0, ids = embed_tokens_forward(params, encoder_cfg, plan.ids)
     h, enc_caches = encode_forward(params, encoder_cfg, x0)
-    offset = segment.token_offset
-    if engine_cfg.gold_mentions:
-        end_excl = offset + len(segment)
-        spans = sorted(m for m in doc.mentions() if offset <= m[0] and m[1] < end_excl)
-    else:
-        spans = enumerate_spans(segment.sentence_lengths, engine_cfg.max_span_width, offset)
+    spans = plan.spans
     if not spans:
         return None
-    xs, span_cache = span_embeddings_forward(params, h, [(s - offset, e - offset) for s, e in spans])
+    xs, span_cache = span_embeddings_forward(params, h, plan.gather)
     if engine_cfg.gold_mentions:
         sm, sm_cache, kept = np.zeros(len(spans)), None, list(range(len(spans)))
     else:
         sm, sm_cache = ffn_forward(params, "mention", xs)
         if not np.isfinite(sm).all():
-            raise NumericError(f"non-finite mention score in segment at token {offset}")
-        kept = prune_spans(spans, sm, engine_cfg.prune_ratio, len(segment), engine_cfg.pruning_mode)
+            raise NumericError(f"non-finite mention score in segment at token {plan.segment.token_offset}")
+        kept = prune_spans(plan.bounds, sm, engine_cfg.prune_ratio, len(plan.segment), engine_cfg.pruning_mode)
     return SegmentForward(spans, xs, sm, kept, ids, enc_caches, span_cache, sm_cache)
 
 
 def resolve_document(
-    doc: Document,
+    doc: Document | DocumentPlan,
     params: ParamStore,
     encoder_cfg: EncoderConfig,
     engine_cfg: EngineConfig,
@@ -377,7 +407,8 @@ def resolve_document(
     alpha_fn: Optional[Callable[[Span, np.ndarray, EntityCluster], float]] = None,
     on_segment: Optional[Callable[[int, EngineState], None]] = None,
 ) -> list[tuple[Span, ...]]:
-    """Predict clusters for one document with the incremental create/merge rule.
+    """Predict clusters for one document, or its plan, with the incremental
+    create/merge rule.
 
     ``pair_score_fn`` / ``alpha_fn`` replace the learned pair and merge scorers
     when given (used by oracles and probes). ``on_segment`` is called after
@@ -397,8 +428,8 @@ def resolve_document(
     if alpha_fn is None:
         learned["merge"] = gate_w1, gate_b1, gate_w2, gate_b2 = _scorer_tensors(params, "merge")
     feats = hidden = np.empty((0, 0))
-    for seg_index, segment in enumerate(segment_document(doc, engine_cfg.max_segment_tokens)):
-        fwd = segment_forward(doc, segment, params, encoder_cfg, engine_cfg)
+    for seg_index, segment in enumerate(plan_document(doc, encoder_cfg, engine_cfg).segments):
+        fwd = segment_forward(segment, params, encoder_cfg, engine_cfg)
         for row in fwd.kept if fwd is not None else ():
             span, x = fwd.spans[row], fwd.xs[row]
             live = len(state.clusters)

@@ -150,6 +150,7 @@ class AdamOptimizer:
         self._m, self._v, self._scratch = np.zeros(size), np.zeros(size), np.zeros(size)
         self.m = MappingProxyType(self._views(params, self._m))
         self.v = MappingProxyType(self._views(params, self._v))
+        self._layout_key, self._layout = None, None  # freeze flags, and their _trainable_layout
 
     @staticmethod
     def _views(params: ParamStore, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -170,7 +171,10 @@ class AdamOptimizer:
         values, grads, sq_g = params.flat_values(), params.flat_grads(), self._scratch
         if grads.size != sq_g.size:
             raise ValueError("optimizer was built for a store of another size")
-        tensors, runs = _trainable_layout(params)
+        frozen = tuple(p.frozen for _, p in params.items())
+        if frozen != self._layout_key:
+            self._layout_key, self._layout = frozen, _trainable_layout(params)
+        tensors, runs = self._layout
         for lo, hi, _ in runs:
             np.multiply(grads[lo:hi], grads[lo:hi], out=sq_g[lo:hi])
         sq = 0.0

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .documents import Document, Span, segment_document
+from .documents import Document, Span
 from .encoder import (
     EncoderConfig,
     FreezeMask,
@@ -43,6 +43,7 @@ from .encoder import (
 )
 from .engine import (
     DUMMY_SCORE,
+    DocumentPlan,
     EngineConfig,
     EngineState,
     EntityCluster,
@@ -51,6 +52,7 @@ from .engine import (
     ffn_forward,
     pair_features,
     param_layout,
+    plan_document,
     resolve_document,
     segment_forward,
     span_embeddings_backward,
@@ -104,35 +106,37 @@ def _gold_entity_map(doc: Document) -> dict[Span, int]:
 
 
 def document_loss(
-    doc: Document,
+    doc: Document | DocumentPlan,
     params: ParamStore,
     encoder_cfg: EncoderConfig,
     engine_cfg: EngineConfig,
     objective: str,
     backward: bool = True,
 ) -> float:
-    """Total negative log likelihood of the document under teacher forcing.
+    """Total negative log likelihood of the document, or of its plan, under
+    teacher forcing.
 
     When ``backward`` is true, analytic gradients are accumulated into the
     parameter store (for every tensor, frozen or not).
     """
     if objective not in (OBJECTIVE_ANTECEDENT, OBJECTIVE_JOINT):
         raise ValueError(f"unknown objective {objective!r}")
-    gold = _gold_entity_map(doc)
+    plan = plan_document(doc, encoder_cfg, engine_cfg)
+    gold = _gold_entity_map(plan.doc)
     state = EngineState()
     by_entity: dict[int, EntityCluster] = {}
     total = 0.0
-    for segment in segment_document(doc, engine_cfg.max_segment_tokens):
+    for segment in plan.segments:
         total += _segment_loss(
-            doc, segment, gold, state, by_entity, params, encoder_cfg, engine_cfg, objective, backward
+            segment, gold, state, by_entity, params, encoder_cfg, engine_cfg, objective, backward
         )
     return total
 
 
 def _segment_loss(
-    doc, segment, gold, state, by_entity, params, encoder_cfg, engine_cfg, objective, backward
+    segment, gold, state, by_entity, params, encoder_cfg, engine_cfg, objective, backward
 ) -> float:
-    fwd = segment_forward(doc, segment, params, encoder_cfg, engine_cfg)
+    fwd = segment_forward(segment, params, encoder_cfg, engine_cfg)
     if fwd is None:
         return 0.0
     spans, xs, sm = fwd.spans, fwd.xs, fwd.mention_scores
@@ -368,15 +372,17 @@ def _check_unique_ids(docs: Sequence[Document]) -> None:
 
 
 def evaluate_docs(
-    docs: Sequence[Document],
+    docs: Sequence[Document | DocumentPlan],
     params: ParamStore,
     encoder_cfg: EncoderConfig,
     engine_cfg: EngineConfig,
 ) -> tuple[MetricReport, dict]:
-    """Corpus-level metric report plus per-document predicted clusters, keyed by id."""
-    _check_unique_ids(docs)
-    predictions = {doc.doc_id: resolve_document(doc, params, encoder_cfg, engine_cfg) for doc in docs}
-    report = score_corpus((doc.clusters, predictions[doc.doc_id]) for doc in docs)
+    """Corpus-level metric report plus per-document predicted clusters, keyed by
+    id; each document may be given as its plan."""
+    plans = [plan_document(doc, encoder_cfg, engine_cfg) for doc in docs]
+    _check_unique_ids([plan.doc for plan in plans])
+    predictions = {p.doc.doc_id: resolve_document(p, params, encoder_cfg, engine_cfg) for p in plans}
+    report = score_corpus((p.doc.clusters, predictions[p.doc.doc_id]) for p in plans)
     return report, predictions
 
 
@@ -409,6 +415,13 @@ def train(
     optimizer = AdamOptimizer(params, config)
     rng = np.random.default_rng(config.seed)
 
+    # every epoch passes over the same documents: plan each one once per call
+    def plan_all(docs):
+        return [plan_document(doc, encoder_cfg, engine_cfg) for doc in docs]
+
+    train_plans, dev_plans = plan_all(train_docs), plan_all(dev_docs)
+    extra_plans = plan_all(extra_eval_docs) if cache_predictions and extra_eval_docs is not None else None
+
     history: list[EpochRecord] = []
     best: Optional[Checkpoint] = None
     for epoch in range(1, config.max_epochs + 1):
@@ -416,15 +429,14 @@ def train(
         epoch_loss = 0.0
         norms = []
         for doc_i in order:
-            doc = train_docs[doc_i]
             # gradients start at zero: the copy has none, and each step zeroes them
             epoch_loss += document_loss(
-                doc, params, encoder_cfg, engine_cfg, config.objective, backward=True
+                train_plans[doc_i], params, encoder_cfg, engine_cfg, config.objective, backward=True
             )
             norms.append(optimizer.step(params))
         epoch_loss /= len(train_docs)
 
-        dev_report, dev_preds = evaluate_docs(dev_docs, params, encoder_cfg, engine_cfg)
+        dev_report, dev_preds = evaluate_docs(dev_plans, params, encoder_cfg, engine_cfg)
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss,
@@ -435,8 +447,8 @@ def train(
         )
         if cache_predictions:
             record.dev_predictions = dev_preds
-            if extra_eval_docs is not None:
-                _, extra_preds = evaluate_docs(extra_eval_docs, params, encoder_cfg, engine_cfg)
+            if extra_plans is not None:
+                _, extra_preds = evaluate_docs(extra_plans, params, encoder_cfg, engine_cfg)
                 record.extra_predictions = extra_preds
         history.append(record)
 

@@ -11,6 +11,10 @@ walk reference scores each span against a copied cluster matrix with one
 pair-scorer call and one merge-gate call of its own. The Adam reference
 updates one tensor at a time, each with its own moment arrays. Round trips
 through the readers and writers are checked with ``structurally_equal``.
+
+The loop versions of the parameter-free steps that the library does as array
+operations are kept here too: span enumeration, width buckets, pruning by a
+sort key, and the encoder's window mix over one shifted copy per offset.
 """
 
 import itertools
@@ -19,17 +23,21 @@ import statistics
 
 import numpy as np
 
-from corefkit.documents import canonical_clusters, segment_document
+from corefkit.documents import canonical_clusters
 from corefkit.engine import (
     DUMMY_SCORE,
+    PRUNE_ORIGINAL,
+    PRUNE_REFORMULATED,
     ffn_backward,
     ffn_forward,
     pair_features,
+    plan_document,
+    prune_cap,
     segment_forward,
     span_dim,
     span_embeddings_backward,
 )
-from corefkit.encoder import embed_tokens_backward, encode_backward
+from corefkit.encoder import _WINDOW_OFFSETS, embed_tokens_backward, encode_backward
 from corefkit.metrics import score_corpus
 from corefkit.numeric import ENCODER_GROUP, NumericError, sigmoid
 from corefkit.training import OBJECTIVE_JOINT, select_checkpoint
@@ -244,17 +252,17 @@ def reference_document_loss(doc, params, encoder_cfg, engine_cfg, objective, bac
     gold = {span: entity for entity, cluster in enumerate(doc.clusters) for span in cluster}
     state = _RefState()
     total = 0.0
-    for segment in segment_document(doc, engine_cfg.max_segment_tokens):
+    for segment in plan_document(doc, encoder_cfg, engine_cfg).segments:
         total += _reference_segment_loss(
-            doc, segment, gold, state, params, encoder_cfg, engine_cfg, objective, backward
+            segment, gold, state, params, encoder_cfg, engine_cfg, objective, backward
         )
     return total
 
 
 def _reference_segment_loss(
-    doc, segment, gold, state, params, encoder_cfg, engine_cfg, objective, backward
+    segment, gold, state, params, encoder_cfg, engine_cfg, objective, backward
 ):
-    fwd = segment_forward(doc, segment, params, encoder_cfg, engine_cfg)
+    fwd = segment_forward(segment, params, encoder_cfg, engine_cfg)
     if fwd is None:
         return 0.0
     spans, xs, sm = fwd.spans, fwd.xs, fwd.mention_scores
@@ -377,8 +385,8 @@ def reference_resolve(doc, params, encoder_cfg, engine_cfg):
     """
     clusters = []
     cmat = np.empty((0, span_dim(encoder_cfg, engine_cfg)))
-    for segment in segment_document(doc, engine_cfg.max_segment_tokens):
-        fwd = segment_forward(doc, segment, params, encoder_cfg, engine_cfg)
+    for segment in plan_document(doc, encoder_cfg, engine_cfg).segments:
+        fwd = segment_forward(segment, params, encoder_cfg, engine_cfg)
         for row in fwd.kept if fwd is not None else ():
             span, x = fwd.spans[row], fwd.xs[row]
             best, best_pos = -math.inf, -1
@@ -440,3 +448,105 @@ def reference_adam_step(opt, params):
         p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     params.zero_grads()
     return norm
+
+
+def reference_enumerate_spans(sentence_lengths, max_width, offset=0):
+    """engine.enumerate_spans with nested loops over sentences, starts and ends."""
+    spans = []
+    start = offset
+    for length in sentence_lengths:
+        for a in range(start, start + length):
+            last = min(start + length - 1, a + max_width - 1)
+            for b in range(a, last + 1):
+                spans.append((a, b))
+        start += length
+    return sorted(spans)
+
+
+def reference_width_bucket(width):
+    """engine.width_bucket for one width, as a chain of comparisons."""
+    if width <= 4:
+        return width - 1
+    if width <= 7:
+        return 4
+    if width <= 15:
+        return 5
+    if width <= 31:
+        return 6
+    return 7
+
+
+def reference_width_buckets(widths):
+    return np.array([reference_width_bucket(int(w)) for w in widths], dtype=np.intp)
+
+
+def reference_prune_spans(spans, scores, prune_ratio, n_tokens, mode):
+    """engine.prune_spans with Python's sort and a (-score, start, width) key."""
+    cap = prune_cap(prune_ratio, n_tokens)
+    order = sorted(
+        range(len(spans)),
+        key=lambda i: (-scores[i], spans[i][0], spans[i][1] - spans[i][0]),
+    )
+    if mode == PRUNE_REFORMULATED:
+        order = [i for i in order if scores[i] > 0.0]
+    elif mode != PRUNE_ORIGINAL:
+        raise ValueError(f"unknown pruning mode {mode!r}")
+    kept = order[:cap]
+    return sorted(kept, key=lambda i: spans[i])
+
+
+def _shift(x, offset):
+    """result[t] = x[t + offset], zero beyond the ends."""
+    out = np.zeros_like(x)
+    n = x.shape[0]
+    if offset >= 0:
+        if offset < n:
+            out[: n - offset] = x[offset:]
+    else:
+        if -offset < n:
+            out[-offset:] = x[: n + offset]
+    return out
+
+
+def reference_encode_forward(params, cfg, x):
+    """encoder.encode_forward with the window mix over one shifted copy per offset."""
+    h = x
+    caches = []
+    for i in range(cfg.num_layers):
+        w = params.value(f"enc.{i}.W")
+        b = params.value(f"enc.{i}.b")
+        mix_logits = params.value(f"enc.{i}.mix")
+        gate = float(params.value(f"enc.{i}.gate")[0])
+        z = h @ w.T + b
+        a = np.tanh(z)
+        u = a + h
+        e = np.exp(mix_logits - mix_logits.max())
+        mix_w = e / e.sum()
+        m = np.zeros_like(u)
+        for j, off in enumerate(_WINDOW_OFFSETS):
+            m += mix_w[j] * _shift(u, off)
+        out = u + gate * m
+        caches.append((h, a, u, m, mix_w, gate, i))
+        h = out
+    return h, caches
+
+
+def reference_encode_backward(params, dh, caches):
+    """encoder.encode_backward over the caches of ``reference_encode_forward``."""
+    for (h_in, a, u, m, mix_w, gate, i) in reversed(caches):
+        w = params.value(f"enc.{i}.W")
+        du = dh.copy()
+        dm = gate * dh
+        dgate = float(np.sum(dh * m))
+        dmix_w = np.zeros_like(mix_w)
+        for j, off in enumerate(_WINDOW_OFFSETS):
+            du += mix_w[j] * _shift(dm, -off)
+            dmix_w[j] = float(np.sum(dm * _shift(u, off)))
+        dmix_logits = mix_w * (dmix_w - float(mix_w @ dmix_w))
+        dz = du * (1.0 - a * a)
+        params[f"enc.{i}.W"].grad += dz.T @ h_in
+        params[f"enc.{i}.b"].grad += dz.sum(axis=0)
+        params[f"enc.{i}.mix"].grad += dmix_logits
+        params[f"enc.{i}.gate"].grad += np.array([dgate])
+        dh = du + dz @ w
+    return dh

@@ -11,6 +11,7 @@ from corefkit.encoder import (
     token_id,
 )
 from corefkit.numeric import ENCODER_GROUP, AdamOptimizer, NumericError, ParamStore, grad_check
+from oracles import reference_encode_backward, reference_encode_forward
 
 
 def fresh_params(cfg, seed=0):
@@ -112,6 +113,29 @@ class TestEncode:
             return value
 
         assert grad_check(loss, params, eps=1e-6, max_scalars=300, seed=1) < 1e-6
+
+
+class TestWindowMixMatchesShiftReference:
+    """The window mix over one zero-padded buffer against one shifted copy per
+    offset, bit for bit, including segments shorter than the +/-2 window."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_forward_and_backward_bit_identical(self, cfg, n):
+        params = fresh_params(cfg, seed=n)
+        rng = np.random.default_rng(n)
+        for i in range(cfg.num_layers):  # uneven mix weights, and gates of both signs
+            params[f"enc.{i}.mix"].value[...] = rng.normal(size=5)
+            params[f"enc.{i}.gate"].value[...] = [0.7, -1.3, 2.0][i]
+        ref = params.copy()
+        x = rng.normal(size=(n, cfg.hidden_dim))
+        dh = rng.normal(size=(n, cfg.hidden_dim))
+        h, caches = encode_forward(params, cfg, x)
+        h_ref, caches_ref = reference_encode_forward(ref, cfg, x)
+        assert np.array_equal(h, h_ref)
+        assert np.array_equal(encode_backward(params, dh.copy(), caches),
+                              reference_encode_backward(ref, dh.copy(), caches_ref))
+        assert np.array_equal(params.flat_grads(), ref.flat_grads())
+        assert params.flat_grads().any()
 
 
 class TestFreezing:

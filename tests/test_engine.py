@@ -25,9 +25,17 @@ from corefkit.engine import (
     span_dim,
     span_embeddings_backward,
     span_embeddings_forward,
+    span_gather,
 )
 from corefkit.numeric import NumericError, grad_check, sigmoid
-from oracles import merge_alpha, pair_scores, reference_resolve
+from oracles import (
+    merge_alpha,
+    pair_scores,
+    reference_enumerate_spans,
+    reference_prune_spans,
+    reference_resolve,
+    reference_width_buckets,
+)
 
 
 @pytest.fixture
@@ -102,6 +110,41 @@ class TestWidthBuckets:
         assert width_bucket(width) == bucket
 
 
+class TestArrayStepsMatchLoopReferences:
+    """Enumeration, width buckets and pruning against their loop versions."""
+
+    SENTENCES = ([1], [5], [2, 3], [4, 1, 6], [3, 0, 2], [])
+
+    @pytest.mark.parametrize("offset", [0, 13])
+    @pytest.mark.parametrize("max_width", [1, 2, 3, 4, 7])
+    def test_enumeration_over_sentences_with_an_offset(self, max_width, offset):
+        for lengths in self.SENTENCES:
+            assert enumerate_spans(lengths, max_width, offset) == reference_enumerate_spans(
+                lengths, max_width, offset)
+
+    def test_width_buckets(self):
+        widths = np.arange(1, 101)
+        assert np.array_equal(width_bucket(widths), reference_width_buckets(widths))
+        spans = enumerate_spans([40, 3, 33], 40, offset=7)
+        bounds = np.array(spans) - 7
+        _, _, _, _, buckets = span_gather(bounds)
+        assert np.array_equal(buckets, reference_width_buckets(bounds[:, 1] - bounds[:, 0] + 1))
+
+    @pytest.mark.parametrize("mode", ["original", "reformulated"])
+    def test_pruning_with_ties_zeros_and_negatives(self, mode):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            lengths = rng.integers(1, 6, size=int(rng.integers(1, 4)))
+            spans = enumerate_spans(lengths, int(rng.integers(1, 5)), offset=int(rng.integers(0, 9)))
+            # few distinct scores, so ties on the score and on the start are common
+            scores = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=len(spans))
+            ratio = float(rng.uniform(0.05, 1.0))
+            n = int(lengths.sum())
+            expected = reference_prune_spans(spans, scores, ratio, n, mode)
+            assert prune_spans(spans, scores, ratio, n, mode) == expected
+            assert prune_spans(np.array(spans), scores, ratio, n, mode) == expected
+
+
 def encode_tokens(params, enc, tokens):
     x, _ = embed_tokens_forward(params, enc, tokens)
     h, _ = encode_forward(params, enc, x)
@@ -112,7 +155,7 @@ class TestSpanEmbedding:
     def test_single_token_span(self, model):
         params, enc, eng = model
         h = encode_tokens(params, enc, ["a", "b", "c"])
-        xs, _ = span_embeddings_forward(params, h, [(1, 1)])
+        xs, _ = span_embeddings_forward(params, h, span_gather([(1, 1)]))
         d = enc.hidden_dim
         np.testing.assert_allclose(xs[0, :d], h[1])
         np.testing.assert_allclose(xs[0, d : 2 * d], h[1])
@@ -122,14 +165,14 @@ class TestSpanEmbedding:
         params, enc, eng = model
         params["span.attn_v"].value[...] = 0.0
         h = encode_tokens(params, enc, ["a", "b", "c", "d"])
-        xs, _ = span_embeddings_forward(params, h, [(0, 3)])
+        xs, _ = span_embeddings_forward(params, h, span_gather([(0, 3)]))
         d = enc.hidden_dim
         np.testing.assert_allclose(xs[0, 2 * d : 3 * d], h.mean(axis=0), atol=1e-12)
 
     def test_width_feature_appended(self, model):
         params, enc, eng = model
         h = encode_tokens(params, enc, ["a", "b", "c"])
-        xs, _ = span_embeddings_forward(params, h, [(0, 1)])
+        xs, _ = span_embeddings_forward(params, h, span_gather([(0, 1)]))
         d = enc.hidden_dim
         np.testing.assert_allclose(
             xs[0, 3 * d :], params.value("span.width_emb")[width_bucket(2)]
@@ -145,7 +188,7 @@ class TestSpanEmbedding:
         target = rng.normal(size=(len(spans), span_dim(enc, eng)))
 
         def loss(backward):
-            xs, cache = span_embeddings_forward(params, h0, spans)
+            xs, cache = span_embeddings_forward(params, h0, span_gather(spans))
             if backward:
                 span_embeddings_backward(params, target.copy(), cache)
             return float(np.sum(xs * target))

@@ -219,6 +219,38 @@ class TestMatchesPerTensorReference:
     """The flat in-place step against the per-tensor step it replaced: values,
     moments and returned norms must be bit-identical."""
 
+    @pytest.mark.parametrize("how", ["set_frozen", "attribute"])
+    def test_freeze_flag_flipped_between_steps(self, how):
+        """The optimizer keeps its run layout across steps; a flag flipped
+        after a step must still take effect on the next one."""
+        config = TrainConfig(lr_task=1e-2, lr_encoder=3e-3)
+        flat, ref = mixed_store(), mixed_store()
+        opt = AdamOptimizer(flat, config)
+        ref_opt = SimpleNamespace(
+            config=config,
+            step_count=0,
+            m={n: np.zeros_like(ref.value(n)) for n in ref.names()},
+            v={n: np.zeros_like(ref.value(n)) for n in ref.names()},
+        )
+        rng = np.random.default_rng(2)
+        for frozen in ((), ("enc.0.W",), ("enc.0.W", "score.b1"), ()):
+            for store in (flat, ref):
+                for name in store.names():
+                    if how == "set_frozen":
+                        store.set_frozen(name, name in frozen)
+                    else:
+                        store[name].frozen = name in frozen
+            before = {name: flat.value(name).copy() for name in frozen}
+            for name in flat.names():
+                flat[name].grad[...] = ref[name].grad[...] = rng.normal(size=flat.value(name).shape)
+            assert opt.step(flat) == reference_adam_step(ref_opt, ref)
+            for name in flat.names():
+                assert np.array_equal(flat.value(name), ref.value(name)), name
+                assert np.array_equal(opt.m[name], ref_opt.m[name]), name
+                assert np.array_equal(opt.v[name], ref_opt.v[name]), name
+            for name, value in before.items():
+                assert np.array_equal(flat.value(name), value), name
+
     @pytest.mark.parametrize("grad_scale", [0.05, 5.0], ids=["no_clip", "clip"])
     @pytest.mark.parametrize("frozen", sorted(FROZEN))
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])

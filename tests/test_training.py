@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from corefkit import (
     train,
 )
 from corefkit.encoder import FreezeMask
-from corefkit.engine import EngineState, ffn_backward, ffn_forward, param_layout, segment_forward
+from corefkit.engine import (
+    EngineState,
+    ffn_backward,
+    ffn_forward,
+    param_layout,
+    plan_document,
+    segment_forward,
+)
 from corefkit.numeric import ENCODER_GROUP, AdamOptimizer, NumericError, grad_check, sigmoid
 from corefkit.training import ShapeMismatchError, check_compatible
 from oracles import reference_document_loss
@@ -235,7 +243,7 @@ class TestWalkGuards:
         params["score.mention.w2"].value[...] *= 1e3
         doc = Document("d", [[f"t{i}" for i in range(8)], [f"u{i}" for i in range(8)]],
                        [((0, 0), (9, 9))])
-        first = segment_forward(doc, segment_document(doc, 16)[0], params, ENC, eng)
+        first = segment_forward(plan_document(doc, ENC, eng).segments[0], params, ENC, eng)
         scores = first.mention_scores[first.kept]
         # finite, so the segment passes its own check, but the sigmoid saturates
         assert np.isfinite(scores).all() and 1e2 < np.abs(scores).max() < 1e4
@@ -488,3 +496,59 @@ class TestSharedSegmentPipeline:
                 assert a.kept == b.kept
                 np.testing.assert_array_equal(a.xs, b.xs)
                 np.testing.assert_array_equal(a.mention_scores, b.mention_scores)
+
+
+class TestPlansBuiltOncePerCall:
+    DOCS = SchemeConfig(num_docs=9, seed=4, sentences_per_doc=(3, 5), entities_per_doc=(2, 3),
+                        mentions_per_entity=(1, 3))
+
+    def test_train_segments_each_document_once(self, monkeypatch):
+        eng = dataclasses.replace(ENG, max_segment_tokens=16)
+        docs = synth_corpus(self.DOCS)
+        assert all(len(segment_document(doc, 16)) > 1 for doc in docs)
+        segmented = []
+
+        def counting(doc, max_len):
+            segmented.append(doc.doc_id)
+            return segment_document(doc, max_len)
+
+        # wherever the program holds a reference to it
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "corefkit" and getattr(module, "segment_document", None) is segment_document:
+                monkeypatch.setattr(module, "segment_document", counting)
+        result = train(docs[:4], docs[4:7], init_params(ENC, eng, seed=0), ENC, eng,
+                       TrainConfig(max_epochs=3, patience=3), extra_eval_docs=docs[7:],
+                       cache_predictions=True)
+        assert len(result.history) == 3 and result.history[-1].extra_predictions
+        # T + D + E documents, each once, across three epochs
+        assert sorted(segmented) == sorted(doc.doc_id for doc in docs)
+
+    @pytest.mark.parametrize("gold_mentions", [False, True])
+    def test_a_plan_gives_what_its_document_gives(self, gold_mentions):
+        eng = dataclasses.replace(ENG, max_segment_tokens=16, gold_mentions=gold_mentions,
+                                  pruning_mode="original")
+        docs = synth_corpus(self.DOCS)
+        plans = [plan_document(doc, ENC, eng) for doc in docs]
+        params = init_params(ENC, eng, seed=3)
+        params["score.pair.b2"].value[...] = 1.0  # so that clusters merge
+        for doc, plan in zip(docs, plans):
+            losses, grads = [], []
+            for given in (doc, plan):
+                params.zero_grads()
+                losses.append(document_loss(given, params, ENC, eng, "joint_singleton"))
+                grads.append(params.flat_grads().copy())
+            assert losses[0] == losses[1]
+            assert np.array_equal(grads[0], grads[1]) and grads[0].any()
+            assert resolve_document(doc, params, ENC, eng) == resolve_document(plan, params, ENC, eng)
+        assert evaluate_docs(docs, params, ENC, eng) == evaluate_docs(plans, params, ENC, eng)
+        assert any(len(c) > 1 for c in resolve_document(plans[0], params, ENC, eng))
+
+    def test_a_plan_for_other_configs_is_rejected(self):
+        doc = synth_corpus(self.DOCS)[0]
+        plan = plan_document(doc, ENC, ENG)
+        params = init_params(ENC, ENG, seed=0)
+        other = dataclasses.replace(ENG, max_span_width=2)
+        with pytest.raises(ValueError, match="plan was built for other configs"):
+            resolve_document(plan, params, ENC, other)
+        with pytest.raises(ValueError, match="plan was built for other configs"):
+            document_loss(plan, params, ENC, other, "joint_singleton")
