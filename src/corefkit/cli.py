@@ -5,7 +5,7 @@ Configuration comes from an INI-style file with [encoder], [engine], [train],
 command line with repeated ``--set section.key=value`` flags. Unknown keys are
 rejected. The COREF_SEED environment variable supplies the default seed.
 
-Commands that produce artifacts write them into ``--out DIR`` together with a
+Every command given ``--out DIR`` writes its artifacts there together with a
 run manifest (effective config, seed, sha256 of every input file) sufficient
 to reproduce the run. Errors exit nonzero with a single machine-parsable line
 ``error:<category>: <detail>`` on stderr.
@@ -48,7 +48,6 @@ from .training import (
     TrainConfig,
     TrainResult,
     check_compatible,
-    continued_train,
     document_loss,
     train,
 )
@@ -196,16 +195,14 @@ def _jsonable(value):
 
 def _effective_config(args) -> EffectiveConfig:
     config = EffectiveConfig()
-    if getattr(args, "config", None):
+    if args.config:
         config.load_file(args.config)
-    config.apply_set(getattr(args, "set", []) or [])
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        env = os.environ.get("COREF_SEED")
-        seed = int(env) if env else None
+    config.apply_set(args.set)
+    seed = args.seed
+    if seed is None and os.environ.get("COREF_SEED"):
+        seed = int(os.environ["COREF_SEED"])
     if seed is not None:
-        config.values["train"]["seed"] = int(seed)
-        config.values["synth"]["seed"] = int(seed)
+        config.values["train"]["seed"] = config.values["synth"]["seed"] = seed
     return config
 
 
@@ -244,38 +241,48 @@ def render_docs(docs: Sequence[Document], fmt: str) -> str:
     raise CliError("config", f"unknown format {fmt!r}")
 
 
+def _emit(path: Optional[str], text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout without one."""
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+# the argument names that hold an input file, whichever command has them
+_INPUTS = ("input", "key", "response", "model", "source", "source_test", "train", "dev", "test", "doc")
+
+
 class RunDir:
+    """A run's ``--out`` directory, made on the first write; without ``--out`` nothing is written."""
+
     def __init__(self, path: Optional[str], command: str, config: EffectiveConfig, inputs):
         self.path = Path(path) if path else None
         self.command = command
         self.config = config
-        self.inputs = [p for p in inputs if p]  # optional inputs arrive as None
+        self.inputs = inputs
         self.outputs: list[str] = []
-        if self.path:
-            self.path.mkdir(parents=True, exist_ok=True)
+
+    def file(self, name: str) -> Path:
+        """The path of output ``name``, its directory made if need be."""
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return self.path / name
 
     def write_text(self, name: str, text: str) -> None:
         if self.path:
-            (self.path / name).write_text(text)
-            self.outputs.append(name)
+            self.file(name).write_text(text)
 
     def write_csv(self, name: str, rows: list[dict]) -> None:
         if self.path and rows:
-            with open(self.path / name, "w", newline="") as fh:
+            with open(self.file(name), "w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
                 writer.writeheader()
                 writer.writerows(rows)
-            self.outputs.append(name)
-
-    def file(self, name: str) -> Path:
-        if not self.path:
-            raise CliError("config", "this command requires --out DIR")
-        self.outputs.append(name)
-        return self.path / name
 
     def finalize(self, seed: Optional[int]) -> None:
         if not self.path:
@@ -287,6 +294,7 @@ class RunDir:
             "inputs": {p: _sha256(p) for p in self.inputs},
             "outputs": sorted(set(self.outputs)),
         }
+        self.path.mkdir(parents=True, exist_ok=True)
         (self.path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -327,18 +335,39 @@ def _save_model(path: Path, params, encoder_cfg, engine_cfg, meta=None) -> None:
     save_checkpoint(path, params, meta=full_meta)
 
 
-def _load_model(path: str):
-    """(params, encoder config, engine config) of a saved model."""
-    params, _, meta = load_checkpoint(path)
-    try:
-        encoder_cfg = EncoderConfig(**meta["encoder"])
-        engine_cfg = EngineConfig(**meta["engine"])
-    except (KeyError, TypeError) as exc:
-        raise CliError("shape", f"checkpoint {path} lacks model configuration: {exc}") from exc
-    layout = param_layout(encoder_cfg, engine_cfg)
-    check_compatible(params, layout, f"checkpoint {path} disagrees with its own configs")
+def _load_run_model(config: EffectiveConfig, path: Optional[str] = None):
+    """(model params, encoder, model's engine, run's engine, train configs) of a run.
+
+    Without a model ``path`` the params and the model's engine config are
+    None, and the run's keys build every config. A saved model fixes the
+    encoder: an [encoder] key that differs from it is a config error. Each
+    [engine] key replaces the model's value for that key alone, and the
+    model's tensors must fit the resulting layout.
+    """
+    params = model_engine_cfg = None
+    if path is None:
+        encoder_cfg = config.build("encoder")
+    else:
+        params, _, meta = load_checkpoint(path)
+        try:
+            encoder_cfg = EncoderConfig(**meta["encoder"])
+            model_engine_cfg = EngineConfig(**meta["engine"])
+        except (KeyError, TypeError) as exc:
+            raise CliError("shape", f"checkpoint {path} lacks model configuration: {exc}") from exc
+        for key, value in config.values["encoder"].items():
+            if getattr(encoder_cfg, key) != value:
+                raise CliError(
+                    "config",
+                    f"[encoder] {key}={value} differs from the source model's {getattr(encoder_cfg, key)}",
+                )
+    engine_cfg = config.build("engine", base=model_engine_cfg)
     _check_segment_fits(encoder_cfg, engine_cfg)
-    return params, encoder_cfg, engine_cfg
+    if params is not None:
+        context = f"checkpoint {path} disagrees with its own configs"
+        if config.values["engine"]:
+            context += " and the run's [engine] keys"
+        check_compatible(params, param_layout(encoder_cfg, engine_cfg), context)
+    return params, encoder_cfg, model_engine_cfg, engine_cfg, config.build("train")
 
 
 def _check_segment_fits(encoder_cfg: EncoderConfig, engine_cfg: EngineConfig) -> None:
@@ -350,52 +379,44 @@ def _check_segment_fits(encoder_cfg: EncoderConfig, engine_cfg: EngineConfig) ->
         )
 
 
-def _split_from_args(args, fmt=None) -> CorpusSplit:
-    return CorpusSplit(
-        train=load_docs(args.train, fmt),
-        dev=load_docs(args.dev, fmt),
-        test=load_docs(args.test, fmt) if getattr(args, "test", None) else [],
-    )
+def _split(args) -> CorpusSplit:
+    return CorpusSplit(train=load_docs(args.train), dev=load_docs(args.dev), test=load_docs(args.test))
 
 
 def _int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p.strip() != ""]
 
 
+def _report(run: RunDir, name: str, rows: list[dict], line: str) -> None:
+    """Write an experiment's rows to ``name`` and print each as ``line``."""
+    run.write_csv(name, rows)
+    for row in rows:
+        print(line.format(**row))
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, config, run) and returns the run's seed
 # ---------------------------------------------------------------------------
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args, config, run):
     docs = load_docs(args.input, args.from_format)
     for fmt in args.to:
         text = render_docs(docs, fmt)
         docs = parse_conll(text) if fmt == "conll" else parse_jsonl(text)
-    final_fmt = args.to[-1]
-    text = render_docs(docs, final_fmt)
-    if args.out_file:
-        Path(args.out_file).write_text(text)
-    else:
-        sys.stdout.write(text)
-    print(f"converted {len(docs)} documents to {final_fmt}", file=sys.stderr)
-    return 0
+    _emit(args.out_file, render_docs(docs, args.to[-1]))
+    print(f"converted {len(docs)} documents to {args.to[-1]}", file=sys.stderr)
 
 
-def cmd_synth(args) -> int:
-    config = _effective_config(args)
+def cmd_synth(args, config, run):
     scheme = config.build("synth")
     docs = synth_corpus(scheme)
-    fmt = args.format or _format_of(args.out_file)
-    Path(args.out_file).write_text(render_docs(docs, fmt))
-    run = RunDir(args.out, "synth", config, [])
-    run.finalize(scheme.seed)
+    Path(args.out_file).write_text(render_docs(docs, args.format or _format_of(args.out_file)))
     print(f"wrote {len(docs)} synthetic documents to {args.out_file}")
-    return 0
+    return scheme.seed
 
 
-def cmd_score(args) -> int:
-    config = _effective_config(args)
+def cmd_score(args, config, run):
     key_docs = {d.doc_id: d for d in load_docs(args.key, args.format)}
     resp_docs = {d.doc_id: d for d in load_docs(args.response, args.format)}
     if set(key_docs) != set(resp_docs):
@@ -405,84 +426,37 @@ def cmd_score(args) -> int:
         (key_docs[doc_id].clusters, resp_docs[doc_id].clusters) for doc_id in sorted(key_docs)
     )
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    run = RunDir(args.out, "score", config, [args.key, args.response])
     run.write_text("report.json", payload)
-    run.finalize(None)
     print(payload)
     print(f"avg F1 {report.avg_f1:.4f} over {len(key_docs)} documents", file=sys.stderr)
-    return 0
 
 
-def cmd_resolve(args) -> int:
-    config = _effective_config(args)
-    params, encoder_cfg, engine_cfg = _load_model(args.model)
+def cmd_resolve(args, config, run):
+    params, encoder_cfg, _, engine_cfg, _ = _load_run_model(config, args.model)
     docs = load_docs(args.input, args.format)
     predicted = [
         doc.replace_clusters(resolve_document(doc, params, encoder_cfg, engine_cfg))
         for doc in docs
     ]
-    if args.to:
-        fmt = args.to
-    elif args.out_file:
-        fmt = _format_of(args.out_file)
-    else:
-        fmt = "jsonl"
+    fmt = args.to or (_format_of(args.out_file) if args.out_file else "jsonl")
     text = render_docs(predicted, fmt)
-    if args.out_file:
-        Path(args.out_file).write_text(text)
-    else:
-        sys.stdout.write(text)
-    run = RunDir(args.out, "resolve", config, [args.model, args.input])
+    _emit(args.out_file, text)
     run.write_text("predictions." + fmt, text)
-    run.finalize(None)
     total = sum(len(d.clusters) for d in predicted)
     print(f"resolved {len(docs)} documents, {total} clusters", file=sys.stderr)
-    return 0
 
 
-def _run_configs(config, encoder_cfg, source_engine_cfg=None):
-    """Engine and train configs; [engine] keys replace the source's settings one by one."""
-    engine_cfg = config.build("engine", base=source_engine_cfg)
-    _check_segment_fits(encoder_cfg, engine_cfg)
-    return engine_cfg, config.build("train")
-
-
-def _load_source(config, path: str):
-    """A source model's (params, encoder, engine); the run's [encoder] keys must match it."""
-    source_params, encoder_cfg, source_engine_cfg = _load_model(path)
-    for key, value in config.values["encoder"].items():
-        if getattr(encoder_cfg, key) != value:
-            raise CliError(
-                "config",
-                f"[encoder] {key}={value} differs from the source model's {getattr(encoder_cfg, key)}",
-            )
-    return source_params, encoder_cfg, source_engine_cfg
-
-
-def _train_common(config, source_path=None):
-    """(source params, encoder, engine, train configs); the params are None without a source.
-
-    A source model fixes the encoder and is the base of the engine settings.
-    """
-    if source_path is None:
-        source_params, encoder_cfg, source_engine_cfg = None, config.build("encoder"), None
-    else:
-        source_params, encoder_cfg, source_engine_cfg = _load_source(config, source_path)
-    return (source_params, encoder_cfg, *_run_configs(config, encoder_cfg, source_engine_cfg))
-
-
-def cmd_train(args) -> int:
-    config = _effective_config(args)
-    _, encoder_cfg, engine_cfg, train_cfg = _train_common(config)
+def cmd_train(args, config, run):
+    source_params, encoder_cfg, _, engine_cfg, train_cfg = _load_run_model(config, args.source)
     train_docs = load_docs(args.train)
     dev_docs = load_docs(args.dev)
-    params = init_params(encoder_cfg, engine_cfg, seed=train_cfg.seed)
+    params = source_params
+    if params is None:
+        params = init_params(encoder_cfg, engine_cfg, seed=train_cfg.seed)
     result = train(
         train_docs, dev_docs, params, encoder_cfg, engine_cfg, train_cfg,
         cache_predictions=args.cache_predictions,
     )
-    inputs = [args.train, args.dev]
-    run = RunDir(args.out, "train", config, inputs)
     _save_model(
         run.file("model.ckpt"), result.checkpoint.params, encoder_cfg, engine_cfg,
         meta={
@@ -493,55 +467,26 @@ def cmd_train(args) -> int:
     run.write_csv("history.csv", _history_csv(result))
     if args.cache_predictions:
         run.write_text("predictions.jsonl", _predictions_jsonl(result))
-    run.finalize(train_cfg.seed)
     print(
         f"trained {len(result.history)} epochs; best dev avg F1 "
         f"{result.checkpoint.dev_avg_f1:.4f} at epoch {result.checkpoint.epoch}"
     )
-    return 0
+    return train_cfg.seed
 
 
-def cmd_transfer(args) -> int:
-    config = _effective_config(args)
-    source_params, encoder_cfg, engine_cfg, train_cfg = _train_common(config, args.source)
-    train_docs = load_docs(args.train) if args.train else []
-    dev_docs = load_docs(args.dev)
-    result = continued_train(
-        source_params, train_docs, dev_docs, encoder_cfg, engine_cfg, train_cfg,
-    )
-    run = RunDir(args.out, "transfer", config, [args.source, args.dev, args.train])
-    _save_model(
-        run.file("model.ckpt"), result.checkpoint.params, encoder_cfg, engine_cfg,
-        meta={"epoch": result.checkpoint.epoch, "dev_avg_f1": result.checkpoint.dev_avg_f1},
-    )
-    run.write_csv("history.csv", _history_csv(result))
-    run.finalize(train_cfg.seed)
-    print(
-        f"continued training for {len(result.history)} epochs; best dev avg F1 "
-        f"{result.checkpoint.dev_avg_f1:.4f} at epoch {result.checkpoint.epoch}"
-    )
-    return 0
-
-
-def cmd_curve(args) -> int:
-    config = _effective_config(args)
-    split = _split_from_args(args)
-    source_params, encoder_cfg, engine_cfg, train_cfg = _train_common(config, args.source)
+def cmd_curve(args, config, run):
+    source_params, encoder_cfg, _, engine_cfg, train_cfg = _load_run_model(config, args.source)
     rows = learning_curve(
-        split, _int_list(args.sizes), encoder_cfg, engine_cfg, train_cfg, source_params
+        _split(args), _int_list(args.sizes), encoder_cfg, engine_cfg, train_cfg, source_params
     )
-    run = RunDir(args.out, "curve", config, [args.train, args.dev, args.test, args.source])
-    run.write_csv("curve.csv", rows)
-    run.finalize(train_cfg.seed)
-    for row in rows:
-        print(f"size {row['train_size']:4d}: test avg F1 {row['avg_f1']:.4f} mention F1 {row['mention_f1']:.4f}")
-    return 0
+    _report(run, "curve.csv", rows,
+            "size {train_size:4d}: test avg F1 {avg_f1:.4f} mention F1 {mention_f1:.4f}")
+    return train_cfg.seed
 
 
-def cmd_devalloc(args) -> int:
-    config = _effective_config(args)
-    _, encoder_cfg, engine_cfg, train_cfg = _train_common(config)
-    split = _split_from_args(args)
+def cmd_devalloc(args, config, run):
+    _, encoder_cfg, _, engine_cfg, train_cfg = _load_run_model(config)
+    split = _split(args)
     spec = DevAllocSpec(
         dev_subset_sizes=tuple(_int_list(args.subset_sizes)),
         num_subsets=args.num_subsets,
@@ -553,58 +498,38 @@ def cmd_devalloc(args) -> int:
         extra_eval_docs=split.test, cache_predictions=True, early_stop=False,
     )
     rows = dev_allocation_experiment(result.history, split.dev, split.test, spec, train_cfg.patience)
-    run = RunDir(args.out, "devalloc", config, [args.train, args.dev, args.test])
-    run.write_csv("devalloc.csv", rows)
     run.write_csv("history.csv", _history_csv(result))
     run.write_text("predictions.jsonl", _predictions_jsonl(result))
-    run.finalize(train_cfg.seed)
-    for row in rows:
-        print(
-            f"dev subset {row['subset_size']:3d}: expected test F1 {row['expected_test_f1']:.4f} "
-            f"(std {row['std_test_f1']:.4f}), agreement {row['agreement']}/{row['num_subsets']}"
-        )
-    return 0
+    _report(run, "devalloc.csv", rows,
+            "dev subset {subset_size:3d}: expected test F1 {expected_test_f1:.4f} "
+            "(std {std_test_f1:.4f}), agreement {agreement}/{num_subsets}")
+    return train_cfg.seed
 
 
-def cmd_forget(args) -> int:
-    config = _effective_config(args)
-    source_params, encoder_cfg, source_engine_cfg = _load_source(config, args.source)
-    target_engine_cfg, train_cfg = _run_configs(config, encoder_cfg, source_engine_cfg)
-    split = _split_from_args(args)
-    source_test = load_docs(args.source_test)
+def cmd_forget(args, config, run):
+    source_params, encoder_cfg, source_engine_cfg, target_engine_cfg, train_cfg = _load_run_model(
+        config, args.source
+    )
     rows = forgetting_eval(
-        source_params, source_test, split, _int_list(args.sizes),
+        source_params, load_docs(args.source_test), _split(args), _int_list(args.sizes),
         encoder_cfg, source_engine_cfg, target_engine_cfg, train_cfg,
     )
-    run = RunDir(args.out, "forget", config, [args.source, args.source_test, args.train, args.dev, args.test])
-    run.write_csv("forget.csv", rows)
-    run.finalize(train_cfg.seed)
-    for row in rows:
-        print(
-            f"target size {row['target_size']:4d}: target F1 {row['target_avg_f1']:.4f} "
-            f"source F1 {row['source_avg_f1']:.4f}"
-        )
-    return 0
+    _report(run, "forget.csv", rows,
+            "target size {target_size:4d}: target F1 {target_avg_f1:.4f} source F1 {source_avg_f1:.4f}")
+    return train_cfg.seed
 
 
-def cmd_freeze_sweep(args) -> int:
-    config = _effective_config(args)
-    source_params, encoder_cfg, engine_cfg, train_cfg = _train_common(config, args.source)
-    split = _split_from_args(args)
+def cmd_freeze_sweep(args, config, run):
+    source_params, encoder_cfg, _, engine_cfg, train_cfg = _load_run_model(config, args.source)
     rows = layer_freezing_sweep(
-        split, _int_list(args.top_k), encoder_cfg, engine_cfg, train_cfg, source_params
+        _split(args), _int_list(args.top_k), encoder_cfg, engine_cfg, train_cfg, source_params
     )
-    run = RunDir(args.out, "freeze-sweep", config, [args.train, args.dev, args.test, args.source])
-    run.write_csv("freeze.csv", rows)
-    run.finalize(train_cfg.seed)
-    for row in rows:
-        print(f"top-{row['top_k']}: test avg F1 {row['avg_f1']:.4f}")
-    return 0
+    _report(run, "freeze.csv", rows, "top-{top_k}: test avg F1 {avg_f1:.4f}")
+    return train_cfg.seed
 
 
-def cmd_gradcheck(args) -> int:
-    config = _effective_config(args)
-    _, encoder_cfg, engine_cfg, train_cfg = _train_common(config)
+def cmd_gradcheck(args, config, run):
+    _, encoder_cfg, _, engine_cfg, train_cfg = _load_run_model(config)
     doc = load_docs(args.doc)[0] if args.doc else load_bundled_doc()
     objective = {"joint": "joint_singleton", "antecedent": "antecedent_only"}.get(
         args.objective, args.objective
@@ -620,7 +545,7 @@ def cmd_gradcheck(args) -> int:
     print(f"gradcheck objective={objective} doc={doc.doc_id} max_rel_err={err:.3e}")
     if err >= args.tolerance:
         raise CliError("numeric", f"gradient check failed: {err:.3e} >= {args.tolerance}")
-    return 0
+    return train_cfg.seed
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +584,7 @@ def _train_args(p):
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--cache-predictions", action="store_true")
-
-
-def _transfer_args(p):
-    p.add_argument("--source", required=True, help="source checkpoint")
-    p.add_argument("--train", help="target training documents (omit for zero-shot)")
-    p.add_argument("--dev", required=True)
+    p.add_argument("--source", help="source checkpoint to continue training (default: train from scratch)")
 
 
 def _split_args(p):
@@ -718,8 +638,7 @@ def _commands() -> dict:
         "synth": ("generate a synthetic corpus", _synth_args, cmd_synth, False),
         "score": ("score a response file against a key file", _score_args, cmd_score, False),
         "resolve": ("predict clusters with a trained model", _resolve_args, cmd_resolve, False),
-        "train": ("train a model", _train_args, cmd_train, True),
-        "transfer": ("continued training from a source model", _transfer_args, cmd_transfer, True),
+        "train": ("train a model, from scratch or from a source model", _train_args, cmd_train, True),
         "curve": ("learning curve over training-set sizes", _curve_args, cmd_curve, True),
         "devalloc": ("dev-set allocation study", _devalloc_args, cmd_devalloc, True),
         "forget": ("catastrophic forgetting curves", _forget_args, cmd_forget, True),
@@ -756,7 +675,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _commands() else None)
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        config = _effective_config(args)
+        inputs = [path for name in _INPUTS if (path := getattr(args, name, None))]
+        run = RunDir(args.out, args.command, config, inputs)
+        run.finalize(args.fn(args, config, run))
+        return 0
     except Exception as exc:  # noqa: BLE001 - single reporting point
         category = _categorize(exc)
         print(f"error:{category}: {exc}", file=sys.stderr)

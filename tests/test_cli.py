@@ -12,6 +12,7 @@ from corefkit import (
     load_checkpoint,
     parse_conll,
     parse_jsonl,
+    resolve_document,
     save_checkpoint,
     synth_corpus,
     write_conll,
@@ -43,6 +44,17 @@ def corpus_files(tmp_path):
     conll.write_text(write_conll(docs))
     paths["conll"] = str(conll)
     return paths
+
+
+@pytest.fixture
+def model_file(capsys, corpus_files, tmp_path):
+    run_dir = tmp_path / "run"
+    code, _, _ = run_cli(
+        capsys, "train", "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+        "--out", str(run_dir), "--seed", "0", *SMALL_MODEL,
+    )
+    assert code == 0
+    return run_dir / "model.ckpt"
 
 
 SMALL_MODEL = [
@@ -101,6 +113,12 @@ class TestConvert:
         assert code == 0
         assert out.startswith("#begin document")
         parse_conll(out)
+
+    def test_missing_config_file_rejected(self, capsys, corpus_files, tmp_path):
+        code, out, err = run_cli(capsys, "convert", corpus_files["train"], "--to", "conll",
+                                 "--config", str(tmp_path / "missing.ini"))
+        assert code == 1 and out == ""
+        assert err.startswith("error:io: config file not found")
 
     def test_unknown_extension_rejected(self, capsys, tmp_path):
         bad = tmp_path / "data.txt"
@@ -184,22 +202,28 @@ class TestTrainResolve:
         assert code == 0
         assert 0.0 <= json.loads(out)["avg_f1"] <= 1.0
 
-    def test_transfer_zero_shot(self, capsys, corpus_files, tmp_path):
+    def test_curve_source_size_zero_is_zero_shot(self, capsys, corpus_files, tmp_path):
         run_dir = tmp_path / "src"
         run_cli(
             capsys, "train", "--train", corpus_files["train"], "--dev", corpus_files["dev"],
             "--out", str(run_dir), "--seed", "0", *SMALL_MODEL,
         )
-        transfer_dir = tmp_path / "tr"
-        code, out, _ = run_cli(
-            capsys, "transfer", "--source", str(run_dir / "model.ckpt"),
-            "--dev", corpus_files["dev"], "--out", str(transfer_dir),
+        curve_dir = tmp_path / "cv"
+        code, _, err = run_cli(
+            capsys, "curve", "--source", str(run_dir / "model.ckpt"),
+            "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--test", corpus_files["test"], "--sizes", "0", "--out", str(curve_dir),
             "--seed", "0", *SMALL_MODEL,
         )
-        assert code == 0
-        assert (transfer_dir / "model.ckpt").exists()
+        assert code == 0, err
+        with open(curve_dir / "curve.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["train_size"] == "0" and row["best_epoch"] == "0"
+        # the dev avg F1 that the former `transfer` command without --train
+        # stored in its model.ckpt for this source model and dev set
+        assert float(row["dev_avg_f1"]) == 0.21442366682597305
 
-    def test_transfer_engine_key_overrides_source_setting(self, capsys, corpus_files, tmp_path):
+    def test_train_source_engine_key_overrides_source_setting(self, capsys, corpus_files, tmp_path):
         # the scheme-shift case: only pruning_mode differs from the source
         run_dir = tmp_path / "src"
         code, _, _ = run_cli(
@@ -210,7 +234,7 @@ class TestTrainResolve:
         assert code == 0
         transfer_dir = tmp_path / "tr"
         code, _, err = run_cli(
-            capsys, "transfer", "--source", str(run_dir / "model.ckpt"),
+            capsys, "train", "--source", str(run_dir / "model.ckpt"),
             "--train", corpus_files["train"], "--dev", corpus_files["dev"],
             "--out", str(transfer_dir), "--seed", "0",
             "--set", "train.max_epochs=1", "--set", "train.patience=1",
@@ -222,19 +246,46 @@ class TestTrainResolve:
         assert meta["encoder"] == source_meta["encoder"]
         assert source_meta["engine"]["pruning_mode"] == "reformulated"
         assert meta["engine"] == dict(source_meta["engine"], pruning_mode="original")
+        manifest = json.loads((transfer_dir / "manifest.json").read_text())
+        assert manifest["command"] == "train"
+        assert set(manifest["inputs"]) == {
+            str(run_dir / "model.ckpt"), corpus_files["train"], corpus_files["dev"]
+        }
 
-
-class TestFailEarly:
-    @pytest.fixture
-    def model_file(self, capsys, corpus_files, tmp_path):
+    def test_resolve_applies_engine_keys_and_rejects_encoder_keys(self, capsys, corpus_files,
+                                                                  tmp_path):
         run_dir = tmp_path / "run"
         code, _, _ = run_cli(
             capsys, "train", "--train", corpus_files["train"], "--dev", corpus_files["dev"],
             "--out", str(run_dir), "--seed", "0", *SMALL_MODEL,
         )
         assert code == 0
-        return run_dir / "model.ckpt"
+        model = run_dir / "model.ckpt"
+        gold_keys = ["--set", "engine.gold_mentions=true", "--set", "engine.emit_singletons=true"]
+        outputs = {}
+        for name, keys in (("model", []), ("gold", gold_keys)):
+            code, out, err = run_cli(capsys, "resolve", str(model), corpus_files["test"], *keys)
+            assert code == 0, err
+            outputs[name] = parse_jsonl(out)
+        params, _, meta = load_checkpoint(model)
+        enc = EncoderConfig(**meta["encoder"])
+        eng = EngineConfig(**dict(meta["engine"], gold_mentions=True, emit_singletons=True))
+        docs = load_docs(corpus_files["test"])
+        assert [d.clusters for d in outputs["gold"]] == [
+            resolve_document(d, params, enc, eng) for d in docs
+        ]
+        for doc, predicted in zip(docs, outputs["gold"]):
+            gold_spans = {m for c in doc.clusters for m in c}
+            assert {m for c in predicted.clusters for m in c} == gold_spans
+        assert outputs["gold"] != outputs["model"]
 
+        code, out, err = run_cli(capsys, "resolve", str(model), corpus_files["test"],
+                                 "--set", "encoder.hidden_dim=16")
+        assert code == 1 and out == ""
+        assert err.startswith("error:config: [encoder] hidden_dim=16 differs")
+
+
+class TestFailEarly:
     def test_truncated_checkpoint(self, capsys, corpus_files, model_file):
         data = model_file.read_bytes()
         model_file.write_bytes(data[: len(data) // 2])
@@ -256,26 +307,31 @@ class TestFailEarly:
         assert code == 1
         assert err.startswith("error:numeric: corrupt checkpoint: sha256 digest mismatch")
 
-    @pytest.mark.parametrize("key,value,tensor", [
-        ("hash_vocab_size", 32, "embed.token"),  # tokens hashed into the wrong rows, exit 0
-        ("hidden_dim", 16, "enc.0.W"),  # exit 0
-        ("num_layers", 3, "enc.2.W"),  # error:internal
+    @pytest.mark.parametrize("section,key,value,tensor", [
+        ("encoder", "hash_vocab_size", 32, "embed.token"),  # tokens hashed into the wrong rows, exit 0
+        ("encoder", "hidden_dim", 16, "enc.0.W"),  # exit 0
+        ("encoder", "num_layers", 3, "enc.2.W"),  # error:internal
+        # given as a run's key: each [engine] key replaces the model's value
+        ("engine", "scorer_hidden_dim", 16, "score.mention.W1"),
     ])
-    @pytest.mark.parametrize("command", ["resolve", "transfer"])
+    @pytest.mark.parametrize("command", ["resolve", "train"])
     def test_meta_disagreeing_with_tensors(self, capsys, corpus_files, tmp_path, model_file,
-                                           command, key, value, tensor):
-        params, _, meta = load_checkpoint(model_file)
-        meta["encoder"][key] = value
-        save_checkpoint(model_file, params, meta=meta)
+                                           command, section, key, value, tensor):
+        keys = ["--set", f"engine.{key}={value}"] if section == "engine" else []
+        if section == "encoder":
+            params, _, meta = load_checkpoint(model_file)
+            meta["encoder"][key] = value
+            save_checkpoint(model_file, params, meta=meta)
         argv = {
             "resolve": ["resolve", str(model_file), corpus_files["test"]],
-            "transfer": ["transfer", "--source", str(model_file), "--dev", corpus_files["dev"],
-                         "--out", str(tmp_path / "tr")],
+            "train": ["train", "--source", str(model_file), "--train", corpus_files["train"],
+                      "--dev", corpus_files["dev"], "--out", str(tmp_path / "tr")],
         }[command]
-        code, _, err = run_cli(capsys, *argv)
+        code, _, err = run_cli(capsys, *argv, *keys)
         assert code == 1
         assert err.startswith(f"error:shape: checkpoint {model_file} disagrees with its own configs")
         assert tensor in err
+        assert not (tmp_path / "tr").exists()
 
     @pytest.mark.parametrize("sets,message", [
         (["train.max_epochs=0", "train.patience=0"], "[train] max_epochs must be >= 1"),
@@ -338,8 +394,9 @@ class TestFailEarly:
     def test_encoder_key_differing_from_source_rejected(self, capsys, corpus_files, tmp_path,
                                                         model_file):
         code, _, err = run_cli(
-            capsys, "transfer", "--source", str(model_file), "--dev", corpus_files["dev"],
-            "--out", str(tmp_path / "tr"), "--set", "encoder.hidden_dim=16",
+            capsys, "train", "--source", str(model_file), "--train", corpus_files["train"],
+            "--dev", corpus_files["dev"], "--out", str(tmp_path / "tr"),
+            "--set", "encoder.hidden_dim=16",
         )
         assert code == 1
         assert err.startswith("error:config:") and "hidden_dim" in err
@@ -519,8 +576,7 @@ COMMAND_FLAGS = {
     "synth": ["--out-file", "--format"],
     "score": ["--format"],
     "resolve": ["--format", "--to", "--out-file"],
-    "train": ["--train", "--dev", "--cache-predictions"],
-    "transfer": ["--source", "--train", "--dev"],
+    "train": ["--train", "--dev", "--cache-predictions", "--source"],
     "curve": ["--train", "--dev", "--test", "--sizes", "--source"],
     "devalloc": ["--test", "--subset-sizes", "--num-subsets"],
     "forget": ["--source", "--source-test", "--sizes"],
@@ -567,3 +623,35 @@ class TestParser:
             main(["resolve", "model.ckpt", "in.jsonl", "--to", "xml"])
         assert exit_info.value.code == 2
         assert "argument --to: invalid choice: 'xml'" in capsys.readouterr().err
+
+
+def _command_argv(command, files, model):
+    """A quick successful run of ``command`` on the small corpus."""
+    split = ["--train", files["train"], "--dev", files["dev"], "--test", files["test"]]
+    return {
+        "convert": ["convert", files["train"], "--to", "conll"],
+        "synth": ["synth", "--out-file", files["synth"], "--set", "synth.num_docs=2"],
+        "score": ["score", files["test"], files["test"]],
+        "resolve": ["resolve", model, files["test"]],
+        "train": ["train", "--source", model, "--train", files["train"], "--dev", files["dev"]],
+        "curve": ["curve", *split, "--sizes", "0,2", "--source", model],
+        "devalloc": ["devalloc", *split, "--subset-sizes", "1", "--num-subsets", "2"],
+        "forget": ["forget", *split, "--source", model, "--source-test", files["test"], "--sizes", "0"],
+        "freeze-sweep": ["freeze-sweep", *split, "--top-k", "0"],
+        "gradcheck": ["gradcheck", "--scalars", "20"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_every_command_writes_its_manifest(capsys, corpus_files, model_file, tmp_path, command):
+    files = dict(corpus_files, synth=str(tmp_path / "synth.jsonl"))
+    out_dir = tmp_path / "out"
+    argv = _command_argv(command, files, str(model_file))
+    code, _, err = run_cli(capsys, *argv, "--out", str(out_dir), "--seed", "1", *SMALL_MODEL)
+    assert code == 0, err
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["seed"] == (None if command in ("convert", "score", "resolve") else 1)
+    # every file the command read, and no other
+    read = {str(model_file), *corpus_files.values()}
+    assert set(manifest["inputs"]) == {arg for arg in argv if arg in read}

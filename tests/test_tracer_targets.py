@@ -71,6 +71,33 @@ dev_allocation_experiment(history, [doc], [doc], DevAllocSpec((1,), 2), patience
 print(json.dumps(tracer.metrics(), allow_nan=False))
 """
 
+# `corefkit train` on a tiny model, through the traced command table; a
+# handler bound before `install()` ran would read 0.0 s here
+TRACED_TRAIN = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+tracer = tracing.install()
+from corefkit import SchemeConfig, synth_corpus, write_jsonl
+from corefkit.cli import main
+
+docs = synth_corpus(SchemeConfig(num_docs=3, seed=5, sentences_per_doc=(2, 2),
+                                 entities_per_doc=(2, 2), mentions_per_entity=(2, 2)))
+small = ["encoder.num_layers=1", "encoder.hidden_dim=8", "encoder.hash_vocab_size=64",
+         "encoder.max_position=64", "engine.max_span_width=2", "engine.scorer_hidden_dim=4",
+         "engine.width_embedding_dim=2", "engine.max_segment_tokens=64", "train.max_epochs=1",
+         "train.patience=1"]
+tracer.active = True
+with tempfile.TemporaryDirectory() as tmp:
+    Path(tmp, "train.jsonl").write_text(write_jsonl(docs[:2]))
+    Path(tmp, "dev.jsonl").write_text(write_jsonl(docs[2:]))
+    code = main(["train", "--train", str(Path(tmp, "train.jsonl")), "--dev", str(Path(tmp, "dev.jsonl")),
+                 "--out", str(Path(tmp, "run")), "--seed", "0"] + [a for k in small for a in ("--set", k)])
+assert code == 0
+print(json.dumps(tracer.metrics(), allow_nan=False))
+"""
+
 
 def _child(script):
     result = subprocess.run(
@@ -101,6 +128,12 @@ def test_traced_walks_give_finite_metrics():
     # so are the study and the CEAF alignment it reaches through the metrics
     assert metrics["harness.devalloc_s"][0] > 0.0
     assert counts["metrics.assignment_calls"] > 0
+
+
+def test_traced_train_command_reads_its_span():
+    metrics = json.loads(_child(TRACED_TRAIN).stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert metrics["cli.train_s"][0] > 0.0
+    assert metrics["cli.train_s"][0] >= metrics["training.document_loss_s"][0] > 0.0
 
 
 def test_workloads_import_and_selftest_passes():
