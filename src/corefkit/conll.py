@@ -160,7 +160,13 @@ def _add_mention(clusters, cid, span, doc_id, lineno):
 
 
 def write_conll(docs: Sequence[Document]) -> str:
-    """Serialize documents; output is byte-stable and round-trips via parse_conll.
+    """Serialize documents; output is byte-stable and round-trips via
+    parse_conll unless a cluster has crossing mentions.
+
+    Two mentions of one cluster cross when s1 < s2 < e1 < e2: under the
+    innermost-first rule no marker order expresses them (the first close
+    would end the later start), so such a document raises DocumentError,
+    naming the cluster and both spans, before anything is written.
 
     Cluster ids are assigned from the canonical cluster order (1-based). At each
     token the column lists closing brackets first (innermost-first), then
@@ -169,9 +175,17 @@ def write_conll(docs: Sequence[Document]) -> str:
     where another same-id span opens would pop the fresh open under the
     innermost-first matching rule.
     """
-    lines: list[str] = []
     for doc in docs:
         doc.validate()
+        for cid, cluster in enumerate(doc.clusters, start=1):
+            crossing = _crossing_pair(cluster)
+            if crossing is not None:
+                raise DocumentError(
+                    f"doc {doc.doc_id!r}: cluster {cid} has crossing mentions {crossing[0]} and "
+                    f"{crossing[1]}, which CoNLL brackets cannot express"
+                )
+    lines: list[str] = []
+    for doc in docs:
         opens: dict[int, list[tuple[Span, int]]] = {}
         closes: dict[int, list[tuple[Span, int]]] = {}
         units: dict[int, list[int]] = {}
@@ -205,3 +219,16 @@ def write_conll(docs: Sequence[Document]) -> str:
             lines.append("")
         lines.append("#end document")
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def _crossing_pair(cluster) -> tuple[Span, Span] | None:
+    """Two mentions (s1, e1), (s2, e2) of the cluster with s1 < s2 < e1 < e2, or None."""
+    open_spans: list[Span] = []  # enclosing spans, innermost last
+    for span in sorted(cluster, key=lambda se: (se[0], -se[1])):
+        # spans ending at or before this start are closed by now
+        while open_spans and open_spans[-1][1] <= span[0]:
+            open_spans.pop()
+        if open_spans and open_spans[-1][1] < span[1]:
+            return open_spans[-1], span
+        open_spans.append(span)
+    return None

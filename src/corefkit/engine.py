@@ -233,30 +233,69 @@ def span_embeddings_backward(params: ParamStore, dxs: np.ndarray, cache) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def ffn_forward(params: ParamStore, scorer: str, x: np.ndarray):
-    """Scalar score per row of x; x has shape (S, d_in), result (S,)."""
+class RowBuffers:
+    """Grow-only work arrays, by name, for a scorer's stacked rows.
+
+    ``take(name, rows, cols)`` gives a C-contiguous (rows, cols) view of the
+    named buffer, growing it when it is too small, and overwrites what the
+    last take of that name gave. Held across calls, the same memory serves
+    every call, where fresh arrays would make the allocator hand pages back
+    and fault them in again.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, rows: int, cols: int) -> np.ndarray:
+        size = rows * cols
+        flat = self._flat.get(name)
+        if flat is None or len(flat) < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(rows, cols)
+
+
+def _rows(buffers: Optional[RowBuffers], name: str, rows: int, cols: int) -> np.ndarray:
+    return np.empty((rows, cols)) if buffers is None else buffers.take(name, rows, cols)
+
+
+def ffn_forward(params: ParamStore, scorer: str, x: np.ndarray, buffers: Optional[RowBuffers] = None):
+    """Scalar score per row of x; x has shape (S, d_in), result (S,).
+
+    With ``buffers``, the hidden rows (kept in the returned cache) are
+    written into its "hidden" buffer.
+    """
     w1 = params.value(f"score.{scorer}.W1")
     b1 = params.value(f"score.{scorer}.b1")
     w2 = params.value(f"score.{scorer}.w2")
     b2 = params.value(f"score.{scorer}.b2")
     if x.shape[1] != w1.shape[1]:
         raise NumericError(f"{scorer} scorer: input dim {x.shape[1]} != {w1.shape[1]}")
-    hidden = np.tanh(x @ w1.T + b1)
+    hidden = np.matmul(x, w1.T, out=_rows(buffers, "hidden", len(x), len(b1)))
+    hidden += b1
+    np.tanh(hidden, out=hidden)
     scores = hidden @ w2 + b2[0]
     return scores, (scorer, x, hidden)
 
 
-def ffn_backward(params: ParamStore, dscores: np.ndarray, cache) -> np.ndarray:
+def ffn_backward(
+    params: ParamStore, dscores: np.ndarray, cache, buffers: Optional[RowBuffers] = None
+) -> np.ndarray:
+    """Accumulate the scorer's parameter gradients and return the gradient
+    of its input rows. With ``buffers``, that gradient and the intermediate
+    rows are written into its "dx", "dhidden" and "slope" buffers."""
     scorer, x, hidden = cache
     w1 = params.value(f"score.{scorer}.W1")
     w2 = params.value(f"score.{scorer}.w2")
     params[f"score.{scorer}.w2"].grad += hidden.T @ dscores
     params[f"score.{scorer}.b2"].grad += np.array([dscores.sum()])
-    dhidden = np.outer(dscores, w2)
-    dz = dhidden * (1.0 - hidden * hidden)
+    # dz = dhidden * (1 - hidden^2)
+    dz = np.outer(dscores, w2, out=_rows(buffers, "dhidden", *hidden.shape))
+    slope = np.multiply(hidden, hidden, out=_rows(buffers, "slope", *hidden.shape))
+    np.subtract(1.0, slope, out=slope)
+    dz *= slope
     params[f"score.{scorer}.W1"].grad += dz.T @ x
     params[f"score.{scorer}.b1"].grad += dz.sum(axis=0)
-    return dz @ w1
+    return np.matmul(dz, w1, out=_rows(buffers, "dx", len(dz), w1.shape[1]))
 
 
 def _scorer_tensors(params: ParamStore, scorer: str):

@@ -26,7 +26,7 @@ import numpy as np
 from .documents import Document
 from .encoder import EncoderConfig, FreezeMask
 from .engine import EngineConfig, init_params
-from .metrics import avg_f1_totals, document_stats
+from .metrics import avg_f1_totals, coref_stats
 from .numeric import ParamStore
 from .training import (
     EpochRecord,
@@ -124,8 +124,8 @@ class MissingPredictionsError(ValueError):
 def _stats_from_cached(
     history: Sequence[EpochRecord], docs: Sequence[Document], which: str, scored: dict
 ) -> np.ndarray:
-    """(docs, epochs, 3, 4) counts of the cached predictions: the muc, b_cubed
-    and ceaf_phi4 rows of document_stats, the ones avg F1 reads.
+    """(docs, epochs, 3, 4) counts of the cached predictions: their
+    ``coref_stats``, the document_stats rows that avg F1 reads.
 
     ``scored`` maps (gold, predicted) clusters to their counts, so a pair that
     repeats across epochs, or in both the dev and the test set, is scored once.
@@ -146,7 +146,7 @@ def _stats_from_cached(
         for d, doc in enumerate(docs):
             pair = (gold[d], tuple(map(tuple, cached[doc.doc_id])))
             if pair not in scored:
-                scored[pair] = document_stats(doc.clusters, cached[doc.doc_id])[:3]
+                scored[pair] = coref_stats(doc.clusters, cached[doc.doc_id])
             stats[d, e] = scored[pair]
     return stats
 

@@ -15,7 +15,8 @@ where response clusters and unaligned mentions each form a part. B-cubed
 recall averages |K(m) n R(m)| / |K(m)| over key mentions (empty R(m) if the
 mention is unpredicted); precision is the mirror image. CEAF aligns key and
 response clusters one-to-one to maximize total similarity
-phi4(K, R) = 2|K n R| / (|K| + |R|), then divides by the cluster counts.
+phi4(K, R) = 2|K n R| / (|K| + |R|), then divides by the cluster counts; the
+alignment (``hungarian_max``) is an exact assignment solver in pure Python.
 All three read one table of |K n R| counts per document, built in one pass
 over the mentions both sides share; each side's clusters must be disjoint.
 ``avg_f1_totals`` scores many summed totals at once.
@@ -23,12 +24,12 @@ over the mentions both sides share; each side's clusters must be disjoint.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 Clustering = Sequence[Iterable]
 
@@ -99,13 +100,94 @@ def _b_cubed_side(clusters: list[frozenset], squares: list[int]) -> tuple[float,
 def hungarian_max(scores) -> list[tuple[int, int]]:
     """Row-to-column one-to-one assignment maximizing the total score.
 
-    A rectangular matrix assigns min(rows, cols) pairs.
+    A rectangular matrix (a list of row lists, or anything numpy reads as
+    one) assigns min(rows, cols) pairs, listed in row order; a matrix without
+    cells gives ``[]``, and a NaN or infinite score raises ValueError.
+
+    Shortest augmenting paths with row and column potentials (Jonker and
+    Volgenant), on lists, with rows <= columns: the row duals start at each
+    row's best score, a row whose best column is free takes it, and only the
+    rows that lose a contested column search for a path.
     """
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
+    if not (isinstance(scores, list) and scores and isinstance(scores[0], list)):
+        array = np.asarray(scores, dtype=float)
+        if array.size == 0:
+            return []
+        if array.ndim != 2:
+            raise ValueError(f"hungarian_max: expected a 2-d matrix, got {array.ndim} dimensions")
+        scores = array.tolist()
+    if not scores[0]:
         return []
-    row_ind, col_ind = linear_sum_assignment(-scores)
-    return [(int(r), int(c)) for r, c in zip(row_ind, col_ind)]
+    w = scores if len(scores) <= len(scores[0]) else list(zip(*scores))
+    # any NaN or infinity makes the sum non-finite; a finite sum can still overflow
+    if not math.isfinite(sum(map(sum, w))) and not all(math.isfinite(x) for row in w for x in row):
+        raise ValueError("hungarian_max: scores contain NaN or infinity")
+    if w is scores:
+        return list(enumerate(_assign_rows(w)))
+    return sorted((row, col) for col, row in enumerate(_assign_rows(w)))
+
+
+def _assign_rows(w) -> list[int]:
+    """Column of each row in a max-weight assignment of a rows <= columns matrix.
+
+    Duals u (rows) and v (columns) keep u[i] + v[j] >= w[i][j], with equality
+    on assigned pairs; a search runs Dijkstra over the reduced costs
+    u[i] + v[j] - w[i][j], then moves the duals of what it scanned and flips
+    the path. Columns are scanned from the last one down and a tie goes to a
+    free column, the order of scipy's solver, so that on tied optima the
+    pairs, and with them the rounding of a total summed in row order, mostly
+    come out as scipy's do.
+    """
+    m = len(w[0])
+    u = [max(row) for row in w]
+    v = [0.0] * m
+    col_of = [-1] * len(w)
+    row_of = [-1] * m
+    searching = []
+    for i, row in enumerate(w):
+        j = row.index(u[i])
+        if row_of[j] < 0:
+            row_of[j], col_of[i] = i, j
+        else:
+            searching.append(i)
+    for start in searching:
+        dist = [math.inf] * m
+        pred = [-1] * m  # the row each column was reached from
+        todo = list(range(m - 1, -1, -1))  # columns not yet scanned, last first
+        scanned = []  # assigned columns scanned, each leading on to its row
+        i, base = start, 0.0
+        while True:
+            ui, wi = u[i], w[i]
+            best, best_at = math.inf, -1
+            for at, j in enumerate(todo):
+                d = base + ui + v[j] - wi[j]
+                if d < dist[j]:
+                    dist[j], pred[j] = d, i
+                d = dist[j]
+                if d < best or (d == best and row_of[j] < 0):
+                    best, best_at = d, at
+            j = todo[best_at]
+            todo[best_at] = todo[-1]
+            todo.pop()
+            base = best
+            if row_of[j] < 0:
+                break
+            scanned.append(j)
+            i = row_of[j]
+        # scanned columns and their rows move by how much closer than the sink they were
+        u[start] -= base
+        for k in scanned:
+            d = base - dist[k]
+            v[k] += d
+            u[row_of[k]] -= d
+        # flip the path: each column on it takes the row it was reached from
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return col_of
 
 
 def ceaf_phi4_stats(key: Clustering, response: Clustering) -> tuple[float, float, float, float]:
@@ -116,14 +198,17 @@ def _ceaf_phi4(sides: _Sides) -> tuple[float, float, float, float]:
     key_c, resp_c = sides.key, sides.resp
     if not key_c or not resp_c:
         return 0.0, float(len(resp_c)), 0.0, float(len(key_c))
-    shared = np.zeros((len(key_c), len(resp_c)))
-    for cell, n in sides.shared.items():
-        shared[cell] = n
-    sizes = np.array([len(c) for c in key_c])[:, None] + np.array([len(c) for c in resp_c])
+    key_sizes, resp_sizes = [len(c) for c in key_c], [len(c) for c in resp_c]
     # phi4(K, R) = 2|K n R| / (|K| + |R|) of every (key, response) pair
-    sim = 2.0 * shared / sizes
-    total = sum(sim[r, c] for r, c in hungarian_max(sim))
-    return float(total), float(len(resp_c)), float(total), float(len(key_c))
+    sim = [[0.0] * len(resp_c) for _ in key_c]
+    for (i, j), n in sides.shared.items():
+        sim[i][j] = 2.0 * n / (key_sizes[i] + resp_sizes[j])
+    # added one at a time in key order, not by sum(), which compensates
+    # rounding for floats on newer Pythons
+    total = 0.0
+    for i, j in hungarian_max(sim):
+        total += sim[i][j]
+    return total, float(len(resp_c)), total, float(len(key_c))
 
 
 def mention_stats(key_mentions: Iterable, response_mentions: Iterable) -> tuple[float, float, float, float]:
@@ -163,6 +248,13 @@ def document_stats(key: Clustering, response: Clustering) -> np.ndarray:
     """
     sides = _Sides(key, response)
     return np.array([fn(sides) for fn in _STATS_FNS.values()], dtype=np.float64)
+
+
+def coref_stats(key: Clustering, response: Clustering) -> np.ndarray:
+    """The muc, b_cubed and ceaf_phi4 rows of ``document_stats``, the ones
+    avg F1 reads, without computing the other two."""
+    sides = _Sides(key, response)
+    return np.array([_muc(sides), _b_cubed(sides), _ceaf_phi4(sides)], dtype=np.float64)
 
 
 @dataclass

@@ -23,10 +23,18 @@ stacked pair rows gives the pair scorer's gradients. The merge gate's input
 gradient depends on the clusters' gradients, so the reverse walk takes it one
 merge at a time, and one call after the walk gives the gate's parameter
 gradients.
+
+The stacked pair rows (features, hidden layer, and the backward pass's
+intermediate and input-gradient rows) go into grow-only buffers
+(``engine.RowBuffers``). One ``train()`` call holds one set for all of its
+training steps, so that each segment reuses the memory of the last; a
+``document_loss`` call outside ``train()`` uses a set of its own.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -47,6 +55,7 @@ from .engine import (
     EngineConfig,
     EngineState,
     EntityCluster,
+    RowBuffers,
     SegmentForward,
     ffn_backward,
     ffn_forward,
@@ -97,6 +106,20 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
+# the pair-row buffers of the train() call whose steps are running; a
+# document_loss call outside one makes its own
+_TRAIN_ROWS: ContextVar[Optional[RowBuffers]] = ContextVar("train_rows", default=None)
+
+
+@contextmanager
+def _holding(buffers: RowBuffers):
+    token = _TRAIN_ROWS.set(buffers)
+    try:
+        yield
+    finally:
+        _TRAIN_ROWS.reset(token)
+
+
 def _gold_entity_map(doc: Document) -> dict[Span, int]:
     mapping = {}
     for entity, cluster in enumerate(doc.clusters):
@@ -125,16 +148,17 @@ def document_loss(
     gold = _gold_entity_map(plan.doc)
     state = EngineState()
     by_entity: dict[int, EntityCluster] = {}
+    buffers = _TRAIN_ROWS.get() or RowBuffers()
     total = 0.0
     for segment in plan.segments:
         total += _segment_loss(
-            segment, gold, state, by_entity, params, encoder_cfg, engine_cfg, objective, backward
+            segment, gold, state, by_entity, params, encoder_cfg, engine_cfg, objective, backward, buffers
         )
     return total
 
 
 def _segment_loss(
-    segment, gold, state, by_entity, params, encoder_cfg, engine_cfg, objective, backward
+    segment, gold, state, by_entity, params, encoder_cfg, engine_cfg, objective, backward, buffers
 ) -> float:
     fwd = segment_forward(segment, params, encoder_cfg, engine_cfg)
     if fwd is None:
@@ -154,7 +178,7 @@ def _segment_loss(
             seen.add(entity)
             live += 1
     offsets = list(accumulate(sizes, initial=0))
-    feats = np.empty((offsets[-1], 3 * xs.shape[1]))
+    feats = buffers.take("feats", offsets[-1], 3 * xs.shape[1])
 
     # it also fixes every step's target and merge, so the walk computes only
     # the merge gates and the cluster rows; the pair scores come after it
@@ -193,7 +217,7 @@ def _segment_loss(
     joint = objective == OBJECTIVE_JOINT
     sa, hidden = np.zeros(0), None
     if offsets[-1]:
-        sa, (_, _, hidden) = ffn_forward(params, "pair", feats)
+        sa, (_, _, hidden) = ffn_forward(params, "pair", feats, buffers)
     sizes, targets = np.array(sizes, dtype=np.intp), np.array(targets, dtype=np.intp)
     steps_ix = np.arange(len(kept))
     pair_cell = np.arange(max(sizes, default=0) + 1) < sizes[:, None]
@@ -245,13 +269,13 @@ def _segment_loss(
 
     if backward:
         _segment_backward(
-            params, fwd, len(state.clusters), steps, (feats, hidden, dscores), mention_grad, joint
+            params, fwd, len(state.clusters), steps, (feats, hidden, dscores), mention_grad, joint, buffers
         )
     # one running total in walk order, as the terms were met
     return float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
 
 
-def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, pair_rows, mention_grad, joint):
+def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, pair_rows, mention_grad, joint, buffers):
     xs = fwd.xs
     n = xs.shape[1]
     dxs = np.zeros_like(xs)
@@ -265,7 +289,7 @@ def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, pair_rows,
     feats, hidden, dscores = pair_rows
     scored = [(row, a) for row, a, b, _, _ in steps if b > a]
     if scored:
-        dfeat = ffn_backward(params, dscores, ("pair", feats, hidden))
+        dfeat = ffn_backward(params, dscores, ("pair", feats, hidden), buffers)
         # [x; c; x*c] rows: the span part is summed per step, the cluster part
         # is added to dcs when the reverse walk reaches the step
         dc_rows = dfeat[:, n : 2 * n] + dfeat[:, 2 * n :] * feats[:, :n]
@@ -422,18 +446,22 @@ def train(
     train_plans, dev_plans = plan_all(train_docs), plan_all(dev_docs)
     extra_plans = plan_all(extra_eval_docs) if cache_predictions and extra_eval_docs is not None else None
 
+    # every training step of this call reuses one set of pair-row buffers
+    buffers = RowBuffers()
+
     history: list[EpochRecord] = []
     best: Optional[Checkpoint] = None
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_docs))
         epoch_loss = 0.0
         norms = []
-        for doc_i in order:
-            # gradients start at zero: the copy has none, and each step zeroes them
-            epoch_loss += document_loss(
-                train_plans[doc_i], params, encoder_cfg, engine_cfg, config.objective, backward=True
-            )
-            norms.append(optimizer.step(params))
+        with _holding(buffers):
+            for doc_i in order:
+                # gradients start at zero: the copy has none, and each step zeroes them
+                epoch_loss += document_loss(
+                    train_plans[doc_i], params, encoder_cfg, engine_cfg, config.objective, backward=True
+                )
+                norms.append(optimizer.step(params))
         epoch_loss /= len(train_docs)
 
         dev_report, dev_preds = evaluate_docs(dev_plans, params, encoder_cfg, engine_cfg)

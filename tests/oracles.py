@@ -118,16 +118,16 @@ def oracle_ceaf(key, response):
 
 
 def oracle_assignment_total(matrix):
+    """The best total over assignments of min(rows, cols) pairs, negative
+    cells included."""
     matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape[0] > matrix.shape[1]:
+        matrix = matrix.T
     rows, cols = matrix.shape
-    if rows > cols:
-        return oracle_assignment_total(matrix.T)
-    # leaving a row unassigned scores 0, so each pair counts at most its gain
-    best = -math.inf
-    for perm in itertools.permutations(range(cols), rows):
-        total = sum(max(0.0, matrix[i, j]) for i, j in enumerate(perm))
-        best = max(best, total)
-    return best
+    return max(
+        sum(matrix[i, j] for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(cols), rows)
+    )
 
 
 def random_clustering(rng, mentions, max_clusters):

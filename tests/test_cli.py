@@ -120,6 +120,15 @@ class TestConvert:
         assert code == 1 and out == ""
         assert err.startswith("error:io: config file not found")
 
+    def test_crossing_mentions_leave_no_file(self, capsys, tmp_path):
+        source = tmp_path / "crossing.jsonl"
+        source.write_text(write_jsonl([Document("x", [[f"w{i}" for i in range(8)]], [((3, 5), (4, 6))])]))
+        out_file = tmp_path / "out.conll"
+        code, out, err = run_cli(capsys, "convert", str(source), "--to", "conll", "--out-file", str(out_file))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:parse: doc 'x': cluster 1 has crossing mentions (3, 5) and (4, 6)")
+        assert not out_file.exists()
+
     def test_unknown_extension_rejected(self, capsys, tmp_path):
         bad = tmp_path / "data.txt"
         bad.write_text("")
@@ -201,6 +210,19 @@ class TestTrainResolve:
         code, out, _ = run_cli(capsys, "score", corpus_files["test"], str(predictions))
         assert code == 0
         assert 0.0 <= json.loads(out)["avg_f1"] <= 1.0
+
+    def test_resolve_to_conll_rejects_crossing_predictions(self, capsys, model_file, tmp_path, monkeypatch):
+        """A predicted cluster with crossing mentions ends the command with
+        a parse error, and neither the output file nor a run directory is left."""
+        source = tmp_path / "one.jsonl"
+        source.write_text(write_jsonl([Document("x", [[f"w{i}" for i in range(8)]], [])]))
+        monkeypatch.setattr("corefkit.cli.resolve_document", lambda *args: [((3, 5), (4, 5), (4, 6))])
+        out_file, run_dir = tmp_path / "pred.conll", tmp_path / "resolved"
+        code, out, err = run_cli(capsys, "resolve", str(model_file), str(source), "--to", "conll",
+                                 "--out-file", str(out_file), "--out", str(run_dir))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:parse: doc 'x': cluster 1 has crossing mentions (3, 5) and (4, 6)")
+        assert not out_file.exists() and not run_dir.exists()
 
     def test_curve_source_size_zero_is_zero_shot(self, capsys, corpus_files, tmp_path):
         run_dir = tmp_path / "src"

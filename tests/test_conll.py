@@ -1,6 +1,14 @@
 import pytest
 
-from corefkit import ConllParseError, Document, SchemeConfig, parse_conll, synth_corpus, write_conll
+from corefkit import (
+    ConllParseError,
+    Document,
+    DocumentError,
+    SchemeConfig,
+    parse_conll,
+    synth_corpus,
+    write_conll,
+)
 from oracles import structurally_equal
 
 
@@ -88,9 +96,26 @@ class TestRoundTrip:
         body = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert all(l.endswith(" -") for l in body)
 
-    def test_nested_and_crossing_same_cluster(self):
+    def test_nested_and_touching_same_cluster(self):
         self.assert_round_trip(Document("d", [["a", "b", "c", "d"]], [((0, 2), (1, 2), (1, 1))]))
         self.assert_round_trip(Document("d", [["a", "b", "c"]], [((0, 1), (1, 2))]))
+        sentence = [[f"w{i}" for i in range(8)]]
+        self.assert_round_trip(Document("d", sentence, [((0, 7), (1, 6), (2, 2), (2, 5), (5, 5))]))
+        self.assert_round_trip(Document("d", sentence, [((3, 5), (5, 7), (3, 7), (3, 3))]))
+
+    @pytest.mark.parametrize("cluster", [((3, 5), (4, 6)), ((3, 5), (4, 5), (4, 6))])
+    def test_crossing_mentions_of_one_cluster_rejected(self, cluster):
+        """s1 < s2 < e1 < e2 in one cluster has no marker order: the first
+        close would end the later start, and the file would read back as
+        other mentions."""
+        sentence = [[f"w{i}" for i in range(8)]]
+        ok = Document("ok", sentence, [((0, 1),)])
+        crossing = Document("x", sentence, [((0, 0), (7, 7)), cluster])
+        with pytest.raises(DocumentError, match=r"doc 'x': cluster 2 has crossing mentions \(3, 5\) and \(4, 6\)"):
+            write_conll([ok, crossing])
+
+    def test_crossing_mentions_of_two_clusters_round_trip(self):
+        self.assert_round_trip(Document("d", [[f"w{i}" for i in range(8)]], [((3, 5),), ((4, 6),)]))
 
     def test_shared_boundaries_across_clusters(self):
         self.assert_round_trip(

@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -129,6 +135,18 @@ class TestHungarian:
 
     def test_empty(self):
         assert hungarian_max(np.zeros((0, 0))) == []
+        assert hungarian_max([]) == [] and hungarian_max([[]]) == []
+        assert hungarian_max(np.zeros((3, 0))) == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            hungarian_max([[bad]])
+        with pytest.raises(ValueError):
+            hungarian_max(np.array([[0.0, 1.0], [bad, 0.5], [1.0, 0.0]]))
+
+    def test_finite_sum_overflow_accepted(self):
+        assert hungarian_max([[1e308, 1e308], [1e308, 0.0]]) == [(0, 1), (1, 0)]
 
     @pytest.mark.parametrize("shape", [(7, 7), (3, 5), (5, 3)])
     def test_matches_brute_force(self, shape):
@@ -190,9 +208,9 @@ class TestDocumentStats:
 
 
 clusterings = st.lists(
-    st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=5),
+    st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=5),
     min_size=0,
-    max_size=4,
+    max_size=6,
 )
 
 
@@ -284,3 +302,104 @@ class TestArrayScoring:
         for stats, oracle in zip(rows, (oracle_muc, oracle_b_cubed, oracle_ceaf)):
             prf = PRF.from_stats(*stats)
             assert (prf.precision, prf.recall, prf.f1) == pytest.approx(oracle(key, response), abs=1e-12)
+
+
+def matrices(elements):
+    """Lists of 1-6 rows of 1-6 cells."""
+    return st.integers(1, 6).flatmap(
+        lambda cols: st.lists(st.lists(elements, min_size=cols, max_size=cols), min_size=1, max_size=6)
+    )
+
+
+# small whole numbers tie often; zeros and negative cells are drawn too
+whole = st.integers(-3, 3).map(float)
+fractional = st.one_of(whole, st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+
+
+def _check_assignment(matrix):
+    pairs = hungarian_max(matrix)
+    rows, cols = zip(*pairs)
+    assert len(pairs) == min(len(matrix), len(matrix[0]))
+    assert list(rows) == sorted(set(rows)) and len(set(cols)) == len(cols)
+    total = 0.0
+    for r, c in pairs:
+        total += matrix[r][c]
+    return total
+
+
+class TestAssignmentProperties:
+    @FEW
+    @given(matrices(whole))
+    def test_whole_number_totals_are_exact(self, matrix):
+        assert _check_assignment(matrix) == oracle_assignment_total(matrix)
+
+    @FEW
+    @given(matrices(fractional))
+    def test_totals_match_brute_force(self, matrix):
+        assert _check_assignment(matrix) == pytest.approx(oracle_assignment_total(matrix), abs=1e-12)
+        # an array gives the same pairs as its rows
+        assert hungarian_max(np.array(matrix)) == hungarian_max(matrix)
+
+    @FEW
+    @given(key=st.lists(st.lists(st.integers(0, 15), min_size=1, max_size=6), min_size=1, max_size=6),
+           response=st.lists(st.lists(st.integers(0, 15), min_size=1, max_size=6), min_size=1, max_size=6))
+    def test_phi4_totals_equal_scipy_bit_for_bit(self, key, response):
+        optimize = pytest.importorskip("scipy.optimize")
+        key, response = dedupe(key), dedupe(response)
+        # the phi4 table as _ceaf_phi4 builds it
+        sim = [[2.0 * len(k & r) / (len(k) + len(r)) for r in response] for k in key]
+        rows, cols = optimize.linear_sum_assignment(-np.array(sim))
+        expected = 0.0
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            expected += sim[r][c]
+        got = ceaf_phi4_stats(key, response)[0]
+        if hungarian_max(sim) == list(zip(rows.tolist(), cols.tolist())):
+            assert got == expected
+        else:
+            # another optimum of a tie: its cells, summed in row order, may
+            # round differently (about one table in 3,000 drawn from random
+            # clusterings of 2-16 mentions, by one unit in the last place)
+            assert abs(got - expected) <= 4 * math.ulp(expected)
+
+    def test_tied_optimum_pairs_are_pinned(self):
+        """A tie that scipy's solver breaks the other way, to pairs
+        (0, 0), (1, 3), (2, 2), (3, 1) summing to 1.3523809523809525 in row
+        order. The pairs chosen here are pinned: a change to the tie-breaking
+        can move a reported score in its last place."""
+        sim = [[0.2857142857142857, 0.0, 0.2857142857142857, 0.25],
+               [0.0, 0.2857142857142857, 0.0, 0.4],
+               [0.0, 1 / 3, 0.0, 0.0],
+               [1 / 3, 2 / 3, 0.0, 0.0],
+               [0.0, 0.0, 0.0, 0.0]]
+        assert hungarian_max(sim) == [(0, 2), (1, 3), (2, 1), (3, 0)]
+        total = _check_assignment(sim)
+        assert total == 1.3523809523809522
+        assert total == pytest.approx(oracle_assignment_total(sim), abs=1e-15)
+
+    def test_tied_optimum_total_is_the_one_scipy_gave(self):
+        """Tied optima of this table sum to 1.5666666666666667 (scipy's
+        pairs, and these) or to 1.5666666666666664 (scanning the columns
+        first to last); the CEAF numerator keeps the first."""
+        key = [{3, 4}, {1, 2}, {0}, {5, 6}]
+        response = [{2, 4}, {0, 5}, {1, 3, 6}]
+        assert ceaf_phi4_stats(key, response)[0] == 1.5666666666666667
+
+
+def test_no_scipy_at_import():
+    """corefkit's only runtime dependency is numpy: importing the package and
+    its command line in a fresh interpreter loads no scipy module."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, corefkit, corefkit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+    assert [dep.split(">")[0] for dep in project["optional-dependencies"]["dev"]] == ["pytest", "hypothesis"]

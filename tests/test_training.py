@@ -23,8 +23,10 @@ from corefkit import (
     train,
 )
 from corefkit.encoder import FreezeMask
+from corefkit import training
 from corefkit.engine import (
     EngineState,
+    RowBuffers,
     ffn_backward,
     ffn_forward,
     param_layout,
@@ -189,9 +191,9 @@ class TestBatchedBackward:
             events.append("segment")
             return segment_forward(*args)
 
-        def recording_backward(params, dscores, cache):
+        def recording_backward(params, dscores, cache, *rest):
             events.append(cache[0])
-            return ffn_backward(params, dscores, cache)
+            return ffn_backward(params, dscores, cache, *rest)
 
         monkeypatch.setattr("corefkit.training.segment_forward", recording_forward)
         monkeypatch.setattr("corefkit.training.ffn_backward", recording_backward)
@@ -210,10 +212,10 @@ class TestBatchedBackward:
         params = init_params(ENC, eng, seed=3)
         pair_rows = []  # rows of each pair-scorer forward call
 
-        def recording_forward(params, scorer, x):
+        def recording_forward(params, scorer, x, *rest):
             if scorer == "pair":
                 pair_rows.append(len(x))
-            return ffn_forward(params, scorer, x)
+            return ffn_forward(params, scorer, x, *rest)
 
         monkeypatch.setattr("corefkit.training.ffn_forward", recording_forward)
         document_loss(growing_doc, params, ENC, eng, "antecedent_only")
@@ -221,6 +223,68 @@ class TestBatchedBackward:
         assert len(pair_rows) == len(segment_document(growing_doc, 16)) == 6
         firsts = [cluster[0] for cluster in growing_doc.clusters]
         assert sum(pair_rows) == sum(sum(f < m for f in firsts) for m in growing_doc.mentions())
+
+
+class TestPairRowBuffers:
+    def test_scorer_rows_in_buffers_equal_fresh_ones(self):
+        params = init_params(ENC, ENG, seed=2)
+        rng = np.random.default_rng(0)
+        buffers = RowBuffers()
+        for n in (7, 30, 3):  # grow, then reuse a larger buffer
+            x = rng.normal(size=(n, params.value("score.pair.W1").shape[1]))
+            dscores = rng.normal(size=n)
+            outs = []
+            for given in (None, buffers):
+                params.zero_grads()
+                scores, cache = ffn_forward(params, "pair", x, given)
+                dx = ffn_backward(params, dscores, cache, given)
+                outs.append((scores, cache[2].copy(), dx.copy(), params.flat_grads().copy()))
+            for fresh, held in zip(*outs):
+                assert np.array_equal(fresh, held)
+            assert np.shares_memory(dx, buffers.take("dx", 1, 1))
+
+    @pytest.mark.parametrize("objective", ["antecedent_only", "joint_singleton"])
+    def test_held_buffers_leave_losses_and_gradients_unchanged(self, objective, growing_doc, tiny_doc):
+        """One RowBuffers held across documents of different sizes, as
+        train() holds it, against a fresh one per call."""
+        eng = dataclasses.replace(ENG, max_segment_tokens=16, pruning_mode="original", prune_ratio=1.0)
+        params = init_params(ENC, eng, seed=3)
+        params["score.pair.b2"].value[...] = 1.0  # so that clusters merge
+        docs = [growing_doc, tiny_doc, growing_doc]
+
+        def run():
+            out = []
+            for doc in docs:
+                params.zero_grads()
+                out.append((document_loss(doc, params, ENC, eng, objective), params.flat_grads().copy()))
+            return out
+
+        fresh = run()
+        with training._holding(RowBuffers()):
+            held = run()
+        for (loss_a, grad_a), (loss_b, grad_b) in zip(fresh, held):
+            assert loss_a == loss_b and np.array_equal(grad_a, grad_b)
+
+    def test_train_holds_one_set_only_during_its_steps(self, monkeypatch):
+        docs = synth_corpus(SchemeConfig(num_docs=5, seed=4, sentences_per_doc=(2, 3)))
+        held = []
+
+        def recording(*args, **kwargs):
+            held.append(training._TRAIN_ROWS.get())
+            if len(held) == 7:
+                raise NumericError("stop")
+            return document_loss(*args, **kwargs)
+
+        monkeypatch.setattr("corefkit.training.document_loss", recording)
+        params = init_params(ENC, ENG, seed=0)
+        config = TrainConfig(max_epochs=2, patience=2)
+        train(docs[:3], docs[3:], params, ENC, ENG, config)
+        assert len(held) == 6 and len({id(b) for b in held}) == 1 and isinstance(held[0], RowBuffers)
+        assert training._TRAIN_ROWS.get() is None
+        with pytest.raises(NumericError, match="stop"):
+            train(docs[:3], docs[3:], params, ENC, ENG, dataclasses.replace(config, max_epochs=3, patience=3))
+        assert training._TRAIN_ROWS.get() is None
+        assert held[-1] is not held[0]  # each call holds its own
 
 
 class TestWalkGuards:
