@@ -529,20 +529,24 @@ def cmd_freeze_sweep(args, config, run):
 
 
 def cmd_gradcheck(args, config, run):
+    if not args.tolerance > 0.0:  # NaN too
+        raise CliError("config", f"tolerance must be positive, got {args.tolerance}")
     _, encoder_cfg, _, engine_cfg, train_cfg = _load_run_model(config)
-    doc = load_docs(args.doc)[0] if args.doc else load_bundled_doc()
+    docs = load_docs(args.doc) if args.doc else [load_bundled_doc()]
+    if not docs:
+        raise CliError("config", f"no document in {args.doc}")
     objective = {"joint": "joint_singleton", "antecedent": "antecedent_only"}.get(
         args.objective, args.objective
     )
     params = init_params(encoder_cfg, engine_cfg, seed=train_cfg.seed)
     err = grad_check(
-        lambda backward: document_loss(doc, params, encoder_cfg, engine_cfg, objective, backward=backward),
+        lambda backward: document_loss(docs[0], params, encoder_cfg, engine_cfg, objective, backward=backward),
         params,
         eps=args.eps,
         max_scalars=args.scalars,
         seed=train_cfg.seed,
     )
-    print(f"gradcheck objective={objective} doc={doc.doc_id} max_rel_err={err:.3e}")
+    print(f"gradcheck objective={objective} doc={docs[0].doc_id} max_rel_err={err:.3e}")
     if err >= args.tolerance:
         raise CliError("numeric", f"gradient check failed: {err:.3e} >= {args.tolerance}")
     return train_cfg.seed

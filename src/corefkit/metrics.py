@@ -68,20 +68,11 @@ def _partition(clustering: Clustering) -> tuple[list[frozenset], dict]:
     return clusters, {m: i for i, cluster in enumerate(clusters) for m in cluster}
 
 
-def muc_stats(key: Clustering, response: Clustering) -> tuple[float, float, float, float]:
-    """(p_num, p_den, r_num, r_den) for the link-based metric."""
-    return _muc(_Sides(key, response))
-
-
 def _muc(s: _Sides) -> tuple[float, float, float, float]:
     # a cluster's links minus its parts (one per other-side cluster it meets,
     # one per mention the other side lacks), summed, is the same on both sides
     num = float(s.shared.total() - len(s.shared))
     return num, float(sum(len(c) - 1 for c in s.resp)), num, float(sum(len(c) - 1 for c in s.key))
-
-
-def b_cubed_stats(key: Clustering, response: Clustering) -> tuple[float, float, float, float]:
-    return _b_cubed(_Sides(key, response))
 
 
 def _b_cubed(s: _Sides) -> tuple[float, float, float, float]:
@@ -190,10 +181,6 @@ def _assign_rows(w) -> list[int]:
     return col_of
 
 
-def ceaf_phi4_stats(key: Clustering, response: Clustering) -> tuple[float, float, float, float]:
-    return _ceaf_phi4(_Sides(key, response))
-
-
 def _ceaf_phi4(sides: _Sides) -> tuple[float, float, float, float]:
     key_c, resp_c = sides.key, sides.resp
     if not key_c or not resp_c:
@@ -211,21 +198,13 @@ def _ceaf_phi4(sides: _Sides) -> tuple[float, float, float, float]:
     return total, float(len(resp_c)), total, float(len(key_c))
 
 
-def mention_stats(key_mentions: Iterable, response_mentions: Iterable) -> tuple[float, float, float, float]:
-    return _mention_counts(set(key_mentions), set(response_mentions))
-
-
 def _mention_counts(key_set, resp_set) -> tuple[float, float, float, float]:
     hits = float(len(key_set & resp_set))
     return hits, float(len(resp_set)), hits, float(len(key_set))
 
 
-def exact_cluster_stats(key: Clustering, response: Clustering) -> tuple[float, float, float, float]:
-    """Whole-cluster exact-set matching (the stricter exact-match reading)."""
-    return _exact_cluster(_Sides(key, response))
-
-
 def _exact_cluster(sides: _Sides) -> tuple[float, float, float, float]:
+    """Whole-cluster exact-set matching (the stricter exact-match reading)."""
     return _mention_counts(set(sides.key), set(sides.resp))
 
 

@@ -336,10 +336,9 @@ def _take(data: memoryview, offset: int, n: int, what: str) -> memoryview:
 def load_checkpoint(path) -> tuple[ParamStore, None, dict]:
     """Read a checkpoint as (params, None, meta); the middle slot is always None.
 
-    A version 2 file's digest is checked before anything after the version is
-    read, so a cut, padded or altered file raises NumericError. Version 1 files
-    carry no digest; a short read, a corrupt header, bytes after the last
-    tensor or optimizer state raise NumericError.
+    Only version 2 is read; any other version raises NumericError. The digest
+    is checked before anything after the version is read, so a cut, padded or
+    altered file raises NumericError.
     """
     with open(path, "rb") as fh:
         buf = np.empty(-(-os.fstat(fh.fileno()).st_size // 8))
@@ -347,12 +346,11 @@ def load_checkpoint(path) -> tuple[ParamStore, None, dict]:
     if data[:4] != _MAGIC:
         raise NumericError(f"not a checkpoint file: bad magic {bytes(data[:4])!r}")
     (version,) = struct.unpack("<I", _take(data, 4, 4, "version"))
-    if version == _VERSION:
-        data, digest = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
-        if hashlib.sha256(data).digest() != digest:
-            raise NumericError("corrupt checkpoint: sha256 digest mismatch, the file is cut or altered")
-    elif version != 1:
+    if version != _VERSION:
         raise NumericError(f"unsupported checkpoint version {version}")
+    data, digest = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
+    if hashlib.sha256(data).digest() != digest:
+        raise NumericError("corrupt checkpoint: sha256 digest mismatch, the file is cut or altered")
     (header_len,) = struct.unpack("<Q", _take(data, 8, 8, "header length"))
     header_bytes = _take(data, 16, header_len, "header")
     try:
@@ -365,13 +363,10 @@ def load_checkpoint(path) -> tuple[ParamStore, None, dict]:
         payload = _take(data, 16 + header_len, 8 * size, "parameter payload")
         # a view into the read buffer when the payload is aligned, else a copy
         params = ParamStore(layout, np.require(np.frombuffer(payload, dtype="<f8"), np.float64, "AW"))
-        optimizer_state = header.get("optimizer")
         meta = header.get("meta", {})
     # undecodable or non-JSON bytes (both ValueError), missing or mistyped fields
     except (ValueError, KeyError, TypeError) as exc:
         raise NumericError(f"corrupt checkpoint header: {type(exc).__name__} {exc}") from exc
-    if optimizer_state is not None:
-        raise NumericError("checkpoint holds optimizer state, which corefkit no longer reads")
     if len(data) > 16 + header_len + 8 * size:
         raise NumericError("corrupt checkpoint: trailing bytes after the last tensor")
     return params, None, meta

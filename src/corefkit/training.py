@@ -6,9 +6,9 @@ gold mention joins its entity's cluster, so teacher forcing keeps exactly one
 cluster per gold entity. A span's target is that
 cluster, or the dummy when the entity has no cluster yet or the span is no
 gold mention. The antecedent objective softmaxes the combined score s_c over
-live clusters plus the dummy; the joint objective factors each span into a
-mention-detection term (sigmoid of the mention score) and, for gold mentions,
-a cluster-choice term that softmaxes the pair score s_a instead. Gradients are
+live clusters plus the dummy; the joint objective factors each kept span into
+a mention-detection term (sigmoid of the mention score) and a cluster-choice
+term that softmaxes the pair score s_a instead. Gradients are
 backpropagated through cluster merges within a segment; cluster embeddings
 carried across segments are treated as constants.
 
@@ -26,15 +26,13 @@ gradients.
 
 The stacked pair rows (features, hidden layer, and the backward pass's
 intermediate and input-gradient rows) go into grow-only buffers
-(``engine.RowBuffers``). One ``train()`` call holds one set for all of its
-training steps, so that each segment reuses the memory of the last; a
-``document_loss`` call outside ``train()`` uses a set of its own.
+(``engine.RowBuffers``), passed to ``document_loss`` as ``buffers``. One
+``train()`` call passes one set to all of its training steps, so that each
+segment reuses the memory of the last; a call without one uses a set of its own.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -106,20 +104,6 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-# the pair-row buffers of the train() call whose steps are running; a
-# document_loss call outside one makes its own
-_TRAIN_ROWS: ContextVar[Optional[RowBuffers]] = ContextVar("train_rows", default=None)
-
-
-@contextmanager
-def _holding(buffers: RowBuffers):
-    token = _TRAIN_ROWS.set(buffers)
-    try:
-        yield
-    finally:
-        _TRAIN_ROWS.reset(token)
-
-
 def _gold_entity_map(doc: Document) -> dict[Span, int]:
     mapping = {}
     for entity, cluster in enumerate(doc.clusters):
@@ -135,12 +119,15 @@ def document_loss(
     engine_cfg: EngineConfig,
     objective: str,
     backward: bool = True,
+    *,
+    buffers: Optional[RowBuffers] = None,
 ) -> float:
     """Total negative log likelihood of the document, or of its plan, under
     teacher forcing.
 
     When ``backward`` is true, analytic gradients are accumulated into the
-    parameter store (for every tensor, frozen or not).
+    parameter store (for every tensor, frozen or not). The pair rows go into
+    ``buffers``, or into a set of their own without one.
     """
     if objective not in (OBJECTIVE_ANTECEDENT, OBJECTIVE_JOINT):
         raise ValueError(f"unknown objective {objective!r}")
@@ -148,7 +135,7 @@ def document_loss(
     gold = _gold_entity_map(plan.doc)
     state = EngineState()
     by_entity: dict[int, EntityCluster] = {}
-    buffers = _TRAIN_ROWS.get() or RowBuffers()
+    buffers = RowBuffers() if buffers is None else buffers
     total = 0.0
     for segment in plan.segments:
         total += _segment_loss(
@@ -373,16 +360,16 @@ def select_checkpoint(scores: Sequence[float], patience: int) -> tuple[int, int]
     """Early-stopping selection over a per-epoch score sequence.
 
     Returns (best_index, stop_index): the first index achieving the best score
-    seen before stopping, and the index at which training would stop (the
-    epoch after `patience` consecutive non-improving epochs, or the last one).
+    seen before stopping, and the index at which ``train()`` would stop (the
+    first one `patience` epochs after the best so far, or the last one).
     """
     if not scores:
         raise ValueError("empty score sequence")
     best_i = 0
-    for i in range(1, len(scores)):
+    for i in range(len(scores)):
         if scores[i] > scores[best_i]:
             best_i = i
-        elif i - best_i >= patience:
+        if i - best_i >= patience:
             return best_i, i
     return best_i, len(scores) - 1
 
@@ -455,13 +442,12 @@ def train(
         order = rng.permutation(len(train_docs))
         epoch_loss = 0.0
         norms = []
-        with _holding(buffers):
-            for doc_i in order:
-                # gradients start at zero: the copy has none, and each step zeroes them
-                epoch_loss += document_loss(
-                    train_plans[doc_i], params, encoder_cfg, engine_cfg, config.objective, backward=True
-                )
-                norms.append(optimizer.step(params))
+        for doc_i in order:
+            # gradients start at zero: the copy has none, and each step zeroes them
+            epoch_loss += document_loss(
+                train_plans[doc_i], params, encoder_cfg, engine_cfg, config.objective, buffers=buffers
+            )
+            norms.append(optimizer.step(params))
         epoch_loss /= len(train_docs)
 
         dev_report, dev_preds = evaluate_docs(dev_plans, params, encoder_cfg, engine_cfg)

@@ -20,6 +20,7 @@ from corefkit import (
 )
 from corefkit.cli import load_docs, main
 from corefkit.harness import CorpusSplit, layer_freezing_sweep
+from stores import v1_checkpoint, with_version
 
 
 def run_cli(capsys, *argv):
@@ -321,6 +322,17 @@ class TestFailEarly:
         assert code == 1
         assert err.startswith("error:numeric: corrupt checkpoint: sha256 digest mismatch")
 
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_unsupported_checkpoint_version(self, capsys, corpus_files, model_file, version):
+        if version == 1:
+            params, _, meta = load_checkpoint(model_file)
+            model_file.write_bytes(v1_checkpoint(params, meta))
+        else:
+            model_file.write_bytes(with_version(model_file.read_bytes(), version))
+        code, out, err = run_cli(capsys, "resolve", str(model_file), corpus_files["test"])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error:numeric: unsupported checkpoint version {version}\n")
+
     def test_corrupt_header_checkpoint(self, capsys, corpus_files, model_file):
         data = bytearray(model_file.read_bytes())
         data[20] ^= 0xFF  # inside the JSON header, which starts at byte 16
@@ -483,11 +495,21 @@ class TestGradcheck:
     @pytest.mark.parametrize("flags,message", [
         (["--scalars", "0"], "max_scalars must be >= 1"),  # passed, checking nothing
         (["--eps", "0"], "eps must be positive"),  # error:internal: float division by zero
+        (["--tolerance", "nan"], "tolerance must be positive"),  # passed every check
+        (["--tolerance", "0"], "tolerance must be positive"),
+        (["--tolerance", "-1"], "tolerance must be positive"),  # failed a perfect check
     ])
     def test_bad_arguments_rejected(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "gradcheck", *flags, "--seed", "1", *SMALL_MODEL)
         assert code == 1 and out == ""
         assert err.startswith(f"error:config: {message}")
+
+    def test_doc_file_without_documents_rejected(self, capsys, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, out, err = run_cli(capsys, "gradcheck", "--doc", str(empty), "--seed", "1", *SMALL_MODEL)
+        assert code == 1 and out == ""
+        assert err == f"error:config: no document in {empty}\n"
 
 
 class TestExperimentCommands:

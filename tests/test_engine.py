@@ -341,13 +341,12 @@ class TestResolve:
     def test_gold_mentions_mention_f1_is_one(self, model, tiny_doc):
         import dataclasses
 
-        from corefkit.metrics import PRF, mention_stats
+        from corefkit.metrics import score_corpus
 
         params, enc, eng = model
         eng = dataclasses.replace(eng, gold_mentions=True, emit_singletons=True)
         predicted = resolve_document(tiny_doc, params, enc, eng)
-        pred_mentions = {m for c in predicted for m in c}
-        assert PRF.from_stats(*mention_stats(tiny_doc.mentions(), pred_mentions)).f1 == 1.0
+        assert score_corpus([(tiny_doc.clusters, predicted)]).mention.f1 == 1.0
 
     def test_deterministic(self, model, tiny_doc):
         params, enc, eng = model

@@ -10,16 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corefkit import PRF, avg_f1, hungarian_max, score_corpus
-from corefkit.metrics import (
-    CorpusStats,
-    avg_f1_totals,
-    b_cubed_stats,
-    ceaf_phi4_stats,
-    document_stats,
-    exact_cluster_stats,
-    mention_stats,
-    muc_stats,
-)
+from corefkit.metrics import CorpusStats, avg_f1_totals, document_stats
 from oracles import (
     oracle_assignment_total,
     oracle_b_cubed,
@@ -32,8 +23,22 @@ KEY = [{"a", "b", "c"}]
 RESP = [{"a", "b"}, {"c"}]
 
 
-def prf_of(stats_fn, key, response):
-    return PRF.from_stats(*stats_fn(key, response))
+# the rows of document_stats, in order
+METRICS = ("muc", "b_cubed", "ceaf_phi4", "mention", "exact_cluster")
+
+
+def stats_of(metric, key, response):
+    """One metric's (p_num, p_den, r_num, r_den), read from document_stats."""
+    return tuple(document_stats(key, response)[METRICS.index(metric)].tolist())
+
+
+def prf_of(metric, key, response):
+    return PRF.from_stats(*stats_of(metric, key, response))
+
+
+def singletons(mentions):
+    """Each mention a cluster of its own."""
+    return [{m} for m in mentions]
 
 
 # ---------------------------------------------------------------------------
@@ -43,18 +48,18 @@ def prf_of(stats_fn, key, response):
 
 class TestWorkedCase:
     def test_muc(self):
-        prf = prf_of(muc_stats, KEY, RESP)
+        prf = prf_of("muc", KEY, RESP)
         assert prf.precision == pytest.approx(1.0, abs=1e-12)
         assert prf.recall == pytest.approx(0.5, abs=1e-12)
         assert prf.f1 == pytest.approx(2 / 3, abs=1e-12)
 
     def test_b_cubed(self):
-        prf = prf_of(b_cubed_stats, KEY, RESP)
+        prf = prf_of("b_cubed", KEY, RESP)
         assert prf.precision == pytest.approx(1.0, abs=1e-12)
         assert prf.recall == pytest.approx(5 / 9, abs=1e-12)
 
     def test_ceaf(self):
-        prf = prf_of(ceaf_phi4_stats, KEY, RESP)
+        prf = prf_of("ceaf_phi4", KEY, RESP)
         assert prf.recall == pytest.approx(0.8, abs=1e-12)
         assert prf.precision == pytest.approx(0.4, abs=1e-12)
         assert prf.f1 == pytest.approx(2 * 0.8 * 0.4 / 1.2, abs=1e-12)
@@ -68,33 +73,31 @@ class TestWorkedCase:
 
 
 class TestIdentityAndDegenerate:
-    @pytest.mark.parametrize(
-        "fn", [muc_stats, b_cubed_stats, ceaf_phi4_stats], ids=["muc", "b_cubed", "ceaf_phi4"]
-    )
-    def test_perfect(self, fn):
-        prf = prf_of(fn, KEY, KEY)
+    @pytest.mark.parametrize("metric", ["muc", "b_cubed", "ceaf_phi4"])
+    def test_perfect(self, metric):
+        prf = prf_of(metric, KEY, KEY)
         assert (prf.precision, prf.recall, prf.f1) == (1.0, 1.0, 1.0)
 
     def test_muc_no_shared_links(self):
-        prf = prf_of(muc_stats, [{"a", "b"}, {"c", "d"}], [{"a", "c"}, {"b", "d"}])
+        prf = prf_of("muc", [{"a", "b"}, {"c", "d"}], [{"a", "c"}, {"b", "d"}])
         assert prf.f1 == 0.0
 
     def test_muc_all_singletons_flagged(self):
-        prf = prf_of(muc_stats, [{"a"}, {"b"}], [{"a"}, {"b"}])
+        prf = prf_of("muc", [{"a"}, {"b"}], [{"a"}, {"b"}])
         assert (prf.precision, prf.recall, prf.f1) == (0.0, 0.0, 0.0)
         assert prf.degenerate
 
     def test_b_cubed_empty_key_flagged(self):
-        prf = prf_of(b_cubed_stats, [], [{"a"}])
+        prf = prf_of("b_cubed", [], [{"a"}])
         assert prf.recall == 0.0 and prf.degenerate
 
     def test_ceaf_empty_side_flagged(self):
-        assert prf_of(ceaf_phi4_stats, [], [{"a"}]).degenerate
-        assert prf_of(ceaf_phi4_stats, [{"a"}], []).degenerate
+        assert prf_of("ceaf_phi4", [], [{"a"}]).degenerate
+        assert prf_of("ceaf_phi4", [{"a"}], []).degenerate
 
     def test_spurious_singleton_precision(self):
         # response adds singleton {d} not in the key: d contributes 0 to precision
-        prf = prf_of(b_cubed_stats, [{"a", "b"}], [{"a", "b"}, {"d"}])
+        prf = prf_of("b_cubed", [{"a", "b"}], [{"a", "b"}, {"d"}])
         assert prf.recall == pytest.approx(1.0, abs=1e-12)
         assert prf.precision == pytest.approx(2 / 3, abs=1e-12)
         p, r, f = oracle_b_cubed([{"a", "b"}], [{"a", "b"}, {"d"}])
@@ -103,25 +106,26 @@ class TestIdentityAndDegenerate:
 
 class TestMentionF1:
     def test_identical(self):
-        assert prf_of(mention_stats, {(0, 1)}, {(0, 1)}).f1 == 1.0
+        assert prf_of("mention", [{(0, 1)}], [{(0, 1)}]).f1 == 1.0
 
     def test_superset(self):
-        prf = prf_of(mention_stats, {(0, 0), (1, 1), (2, 2)}, {(0, 0), (1, 1), (2, 2), (3, 3)})
+        key, response = singletons([(0, 0), (1, 1), (2, 2)]), singletons([(0, 0), (1, 1), (2, 2), (3, 3)])
+        prf = prf_of("mention", key, response)
         assert prf.precision == 0.75 and prf.recall == 1.0
 
     def test_disjoint(self):
-        assert prf_of(mention_stats, {(0, 0)}, {(1, 1)}).f1 == 0.0
+        assert prf_of("mention", [{(0, 0)}], [{(1, 1)}]).f1 == 0.0
 
     def test_both_empty_flagged(self):
-        prf = prf_of(mention_stats, set(), set())
+        prf = prf_of("mention", [], [])
         assert prf.f1 == 0.0 and prf.degenerate
 
 
 class TestExactCluster:
     def test_exact_match_required(self):
-        prf = prf_of(exact_cluster_stats, KEY, RESP)
+        prf = prf_of("exact_cluster", KEY, RESP)
         assert prf.f1 == 0.0
-        assert prf_of(exact_cluster_stats, KEY, KEY).f1 == 1.0
+        assert prf_of("exact_cluster", KEY, KEY).f1 == 1.0
 
 
 class TestHungarian:
@@ -188,22 +192,10 @@ class TestDocumentStats:
                 for _ in range(int(rng.integers(1, 30)))
             ]
             total = np.zeros((5, 4))
-            # the per-metric python-float sums of a corpus scored pair by pair
-            expected = [[0.0] * 4 for _ in range(5)]
             for key, response in pairs:
                 row = document_stats(key, response)
                 assert row.dtype == np.float64 and row.shape == (5, 4)
                 total = total + row
-                stats = (
-                    muc_stats(key, response), b_cubed_stats(key, response),
-                    ceaf_phi4_stats(key, response),
-                    mention_stats({m for c in key for m in c}, {m for c in response for m in c}),
-                    exact_cluster_stats(key, response),
-                )
-                for m, values in enumerate(stats):
-                    for i, v in enumerate(values):
-                        expected[m][i] += v
-            assert total.tolist() == expected
             assert score_corpus(pairs) == CorpusStats(total).report()
 
 
@@ -249,10 +241,10 @@ class TestProperties:
     def test_muc_singleton_blind(self):
         key = [{"a", "b", "c"}]
         resp = [{"a", "b"}, {"c"}]
-        assert prf_of(muc_stats, key + [{"z"}], resp + [{"z"}]) == prf_of(muc_stats, key, resp)
+        assert prf_of("muc", key + [{"z"}], resp + [{"z"}]) == prf_of("muc", key, resp)
         # the same singleton does enter the B3 and CEAF denominators
-        assert b_cubed_stats(key + [{"z"}], resp + [{"z"}]) != b_cubed_stats(key, resp)
-        assert ceaf_phi4_stats(key + [{"z"}], resp + [{"z"}]) != ceaf_phi4_stats(key, resp)
+        assert stats_of("b_cubed", key + [{"z"}], resp + [{"z"}]) != stats_of("b_cubed", key, resp)
+        assert stats_of("ceaf_phi4", key + [{"z"}], resp + [{"z"}]) != stats_of("ceaf_phi4", key, resp)
 
     def test_avg_invariant_under_reordering(self):
         key = [{"a", "b", "c"}, {"d"}]
@@ -291,17 +283,19 @@ class TestArrayScoring:
     @example(key=[], response=[])
     @example(key=[[1, 2]], response=[])
     @example(key=[], response=[[1, 2]])
-    def test_document_stats_rows_are_the_public_functions(self, key, response):
+    def test_document_stats_rows_match_oracles(self, key, response):
         key, response = dedupe(key), dedupe(response)
-        rows = [
-            muc_stats(key, response), b_cubed_stats(key, response), ceaf_phi4_stats(key, response),
-            mention_stats({m for c in key for m in c}, {m for c in response for m in c}),
-            exact_cluster_stats(key, response),
-        ]
-        assert document_stats(key, response).tolist() == [list(row) for row in rows]
+        rows = document_stats(key, response).tolist()
         for stats, oracle in zip(rows, (oracle_muc, oracle_b_cubed, oracle_ceaf)):
             prf = PRF.from_stats(*stats)
             assert (prf.precision, prf.recall, prf.f1) == pytest.approx(oracle(key, response), abs=1e-12)
+        # the mention and exact-cluster rows count what the two sides share
+        for key_set, resp_set, row in (
+            ({m for c in key for m in c}, {m for c in response for m in c}, rows[3]),
+            (set(map(frozenset, key)), set(map(frozenset, response)), rows[4]),
+        ):
+            hits = len(key_set & resp_set)
+            assert row == [hits, len(resp_set), hits, len(key_set)]
 
 
 def matrices(elements):
@@ -352,7 +346,7 @@ class TestAssignmentProperties:
         expected = 0.0
         for r, c in zip(rows.tolist(), cols.tolist()):
             expected += sim[r][c]
-        got = ceaf_phi4_stats(key, response)[0]
+        got = stats_of("ceaf_phi4", key, response)[0]
         if hungarian_max(sim) == list(zip(rows.tolist(), cols.tolist())):
             assert got == expected
         else:
@@ -382,7 +376,7 @@ class TestAssignmentProperties:
         first to last); the CEAF numerator keeps the first."""
         key = [{3, 4}, {1, 2}, {0}, {5, 6}]
         response = [{2, 4}, {0, 5}, {1, 3, 6}]
-        assert ceaf_phi4_stats(key, response)[0] == 1.5666666666666667
+        assert stats_of("ceaf_phi4", key, response)[0] == 1.5666666666666667
 
 
 def test_no_scipy_at_import():

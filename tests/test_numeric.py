@@ -18,7 +18,7 @@ from corefkit.numeric import (
     sigmoid,
 )
 from oracles import reference_adam_step, softmax
-from stores import store_of
+from stores import store_of, v1_checkpoint, with_version
 
 
 class TestPrimitives:
@@ -368,42 +368,13 @@ class TestFlatStore:
         assert loss(params) == loss(params.copy())
 
 
-# the optimizer section a version 1 writer put in the header: the defaults
-# of its optimizer settings, Adam's decay rates and guard among them
-V1_OPTIMIZER_CONFIG = {"lr_task": 2e-4, "lr_encoder": 1e-5, "beta1": 0.9, "beta2": 0.999,
-                       "eps": 1e-8, "clip_norm": 10.0, "weight_decay_encoder": 0.01}
-
-
-def v1_checkpoint(params, meta=None, optimizer=None):
-    """The bytes of a version 1 checkpoint: no digest, an ``optimizer`` header
-    key, and the Adam moments after the values when ``optimizer`` is given."""
-    header = {
-        "tensors": [{"name": name, "shape": list(p.value.shape), "group": p.group,
-                     "frozen": p.frozen} for name, p in params.items()],
-        "meta": meta or {},
-        "optimizer": optimizer and {"step_count": optimizer.step_count,
-                                    "config": V1_OPTIMIZER_CONFIG},
-    }
-    payloads = [params.flat_values()]
-    if optimizer is not None:
-        payloads += [np.concatenate([moments[n].ravel() for n in params.names()])
-                     for moments in (optimizer.m, optimizer.v)]
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    return (b"CKPT" + struct.pack("<IQ", 1, len(header_bytes)) + header_bytes
-            + b"".join(flat.astype("<f8").tobytes() for flat in payloads))
-
-
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 class TestCheckpoint:
-    # sha256 of the files for init_params(SRC_ENC, SRC_ENG, seed=0): version 2,
-    # and the version 1 files of the per-tensor writer the flat one replaced,
-    # without and with optimizer state
+    # sha256 of the file for init_params(SRC_ENC, SRC_ENG, seed=0)
     PINNED_V2 = "0adc7fff5b196b634f8f732b1205855b2fd11c57c15b9e27223e1b211b8ef6d5"
-    PINNED_V1 = "71ea8bf5c871d10acd0f7894a4cc06035e13bd29ea57f8d6e14f0346c2be68a7"
-    PINNED_V1_WITH_OPTIMIZER = "87fa48d52317d35e6082f40e021915c6b1fd5baf7ec06e847568ea9a5b8a0d0f"
 
     def test_bytes_pinned(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -411,39 +382,23 @@ class TestCheckpoint:
         save_checkpoint(path, params)
         data = path.read_bytes()
         assert sha256_hex(data) == self.PINNED_V2
-        v1 = v1_checkpoint(params)
-        assert sha256_hex(v1) == self.PINNED_V1
-        # the same payload bytes in both versions, in version 2 at an offset
-        # that is a multiple of 8 and followed by the sha256 of all before it
-        payload = params.flat_values().size * 8
-        assert data[-32 - payload : -32] == v1[-payload:]
-        assert (len(data) - 32 - payload) % 8 == 0
+        # the raw little-endian values, at an offset that is a multiple of 8
+        # and followed by the sha256 of all before them
+        payload = params.flat_values().astype("<f8").tobytes()
+        assert data[-32 - len(payload) : -32] == payload
+        assert (len(data) - 32 - len(payload)) % 8 == 0
         assert data[-32:] == hashlib.sha256(data[:-32]).digest()
 
-    def test_version_1_loads(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_unsupported_version_rejected(self, tmp_path, version):
         path = tmp_path / "m.ckpt"
         params = init_params(SRC_ENC, SRC_ENG, seed=0)
-        params.set_frozen("embed.pos", True)
-        path.write_bytes(v1_checkpoint(params, meta={"epoch": 2}))
-        loaded, middle, meta = load_checkpoint(path)
-        assert middle is None and meta == {"epoch": 2}
-        assert loaded.names() == params.names()
-        np.testing.assert_array_equal(loaded.flat_values(), params.flat_values())
-        assert [p.frozen for _, p in loaded.items()] == [p.frozen for _, p in params.items()]
-
-    def test_version_1_with_optimizer_rejected(self, tmp_path):
-        path = tmp_path / "m.ckpt"
-        params = init_params(SRC_ENC, SRC_ENG, seed=0)
-        opt = AdamOptimizer(params, TrainConfig())
-        rng = np.random.default_rng(0)
-        for name in params.names():
-            params[name].grad[...] = rng.normal(size=params.value(name).shape)
-        params.set_frozen("embed.pos", True)
-        opt.step(params)
-        data = v1_checkpoint(params, meta={"epoch": 1}, optimizer=opt)
-        assert sha256_hex(data) == self.PINNED_V1_WITH_OPTIMIZER
+        save_checkpoint(path, params)
+        # a version 1 file as its writer made it; a version 3 header on a
+        # version 2 file, whose digest is checked only after the version
+        data = v1_checkpoint(params) if version == 1 else with_version(path.read_bytes(), version)
         path.write_bytes(data)
-        with pytest.raises(NumericError, match="optimizer state"):
+        with pytest.raises(NumericError, match=f"^unsupported checkpoint version {version}$"):
             load_checkpoint(path)
 
     def test_round_trip(self, tmp_path):
@@ -505,10 +460,14 @@ class TestCheckpoint:
         with pytest.raises(NumericError, match="digest mismatch"):
             load_checkpoint(path)
 
-    def test_version_1_trailing_bytes_rejected(self, tmp_path):
+    def test_trailing_bytes_under_the_digest_rejected(self, tmp_path):
+        params = store_of(("w", np.zeros(3), "task"))
         path = tmp_path / "m.ckpt"
-        path.write_bytes(v1_checkpoint(store_of(("w", np.zeros(3), "task"))) + b"\0" * 8)
-        with pytest.raises(NumericError, match="trailing"):
+        save_checkpoint(path, params)
+        # bytes after the last tensor, in a file whose digest covers them
+        body = path.read_bytes()[:-32] + b"\0" * 8
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(NumericError, match="trailing bytes after the last tensor"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("where", ["header", "payload", "digest"])

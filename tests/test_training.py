@@ -23,7 +23,6 @@ from corefkit import (
     train,
 )
 from corefkit.encoder import FreezeMask
-from corefkit import training
 from corefkit.engine import (
     EngineState,
     RowBuffers,
@@ -252,39 +251,36 @@ class TestPairRowBuffers:
         params["score.pair.b2"].value[...] = 1.0  # so that clusters merge
         docs = [growing_doc, tiny_doc, growing_doc]
 
-        def run():
+        def run(buffers):
             out = []
             for doc in docs:
                 params.zero_grads()
-                out.append((document_loss(doc, params, ENC, eng, objective), params.flat_grads().copy()))
+                loss = document_loss(doc, params, ENC, eng, objective, buffers=buffers)
+                out.append((loss, params.flat_grads().copy()))
             return out
 
-        fresh = run()
-        with training._holding(RowBuffers()):
-            held = run()
+        fresh = run(None)
+        held = run(RowBuffers())
         for (loss_a, grad_a), (loss_b, grad_b) in zip(fresh, held):
             assert loss_a == loss_b and np.array_equal(grad_a, grad_b)
 
     def test_train_holds_one_set_only_during_its_steps(self, monkeypatch):
+        """Every step of one train() call is passed the same set by keyword,
+        and another call passes a set of its own."""
         docs = synth_corpus(SchemeConfig(num_docs=5, seed=4, sentences_per_doc=(2, 3)))
         held = []
 
-        def recording(*args, **kwargs):
-            held.append(training._TRAIN_ROWS.get())
-            if len(held) == 7:
-                raise NumericError("stop")
-            return document_loss(*args, **kwargs)
+        def recording(*args, buffers=None, **kwargs):
+            held.append(buffers)
+            return document_loss(*args, buffers=buffers, **kwargs)
 
         monkeypatch.setattr("corefkit.training.document_loss", recording)
         params = init_params(ENC, ENG, seed=0)
         config = TrainConfig(max_epochs=2, patience=2)
         train(docs[:3], docs[3:], params, ENC, ENG, config)
         assert len(held) == 6 and len({id(b) for b in held}) == 1 and isinstance(held[0], RowBuffers)
-        assert training._TRAIN_ROWS.get() is None
-        with pytest.raises(NumericError, match="stop"):
-            train(docs[:3], docs[3:], params, ENC, ENG, dataclasses.replace(config, max_epochs=3, patience=3))
-        assert training._TRAIN_ROWS.get() is None
-        assert held[-1] is not held[0]  # each call holds its own
+        train(docs[:3], docs[3:], params, ENC, ENG, config)
+        assert len(held) == 12 and held[6] is not held[0] and len({id(b) for b in held[6:]}) == 1
 
 
 class TestWalkGuards:
@@ -341,6 +337,23 @@ class TestSelectCheckpoint:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             select_checkpoint([], patience=5)
+
+    def test_patience_zero_stops_at_the_first_epoch(self):
+        assert select_checkpoint([0.1, 0.2, 0.3, 0.2], patience=0) == (0, 0)
+
+    def test_replays_train_early_stopping(self):
+        """train() with early stopping runs the epochs, and keeps the best
+        epoch, that select_checkpoint picks from the same run's scores."""
+        docs = small_corpus()
+        init = init_params(ENC, ENG, seed=4)
+        # dev F1 ties for two epochs, peaks at the third and then falls
+        config = TrainConfig(max_epochs=6, patience=6, seed=0, lr_task=1e-3)
+        scores = train(docs[:4], docs[4:], init, ENC, ENG, config, early_stop=False).dev_scores()
+        for patience in (0, 1, 2):
+            best, stop = select_checkpoint(scores, patience)
+            result = train(docs[:4], docs[4:], init, ENC, ENG, dataclasses.replace(config, patience=patience))
+            assert len(result.history) == stop + 1
+            assert result.checkpoint.epoch == best + 1
 
 
 def small_corpus():
