@@ -67,7 +67,7 @@ _ERROR_CATEGORIES = (
     (MissingPredictionsError, "config"),
     (ShapeMismatchError, "shape"),
     (NumericError, "numeric"),
-    (FileNotFoundError, "io"),
+    (OSError, "io"),
     (ValueError, "config"),
 )
 

@@ -127,13 +127,14 @@ def _stats_from_cached(
     """(docs, epochs, 3, 4) counts of the cached predictions: their
     ``coref_stats``, the document_stats rows that avg F1 reads.
 
-    ``scored`` maps (gold, predicted) clusters to their counts, so a pair that
-    repeats across epochs, or in both the dev and the test set, is scored once.
+    ``scored`` maps gold clusters to {predicted clusters: counts}, so each
+    document's gold side is built once for all its distinct predictions, and
+    a pair that repeats across epochs, or in both the dev and the test set,
+    is scored once.
     """
     ids = {d.doc_id for d in docs}
-    gold = [tuple(map(tuple, doc.clusters)) for doc in docs]
-    stats = np.zeros((len(docs), len(history), 3, 4))
-    for e, record in enumerate(history):
+    per_epoch = []
+    for record in history:
         cached = record.dev_predictions if which == "dev" else record.extra_predictions
         if cached is None:
             raise MissingPredictionsError(
@@ -143,11 +144,15 @@ def _stats_from_cached(
         missing = ids - set(cached)
         if missing:
             raise MissingPredictionsError(f"missing cached predictions for {sorted(missing)}")
-        for d, doc in enumerate(docs):
-            pair = (gold[d], tuple(map(tuple, cached[doc.doc_id])))
-            if pair not in scored:
-                scored[pair] = coref_stats(doc.clusters, cached[doc.doc_id])
-            stats[d, e] = scored[pair]
+        per_epoch.append(cached)
+    stats = np.zeros((len(docs), len(history), 3, 4))
+    for d, doc in enumerate(docs):
+        known = scored.setdefault(tuple(map(tuple, doc.clusters)), {})
+        preds = [tuple(map(tuple, cached[doc.doc_id])) for cached in per_epoch]
+        new = list(dict.fromkeys(pred for pred in preds if pred not in known))
+        known.update(zip(new, coref_stats(doc.clusters, new)))
+        for e, pred in enumerate(preds):
+            stats[d, e] = known[pred]
     return stats
 
 

@@ -53,10 +53,11 @@ class PRF:
 class _Sides:
     """Both sides of one document, built once for every metric: each side's
     non-empty clusters and mentions, and ``shared``, the count |K_i n R_j| of
-    every (key i, response j) cluster pair that shares a mention."""
+    every (key i, response j) cluster pair that shares a mention. The key
+    comes partitioned, so that one key can be read against many responses."""
 
-    def __init__(self, key: Clustering, response: Clustering):
-        self.key, key_map = _partition(key)
+    def __init__(self, key: tuple[list[frozenset], dict], response: Clustering):
+        self.key, key_map = key
         self.resp, resp_map = _partition(response)
         self.key_mentions, self.resp_mentions = key_map.keys(), resp_map.keys()
         self.shared = Counter((key_map[m], resp_map[m]) for m in key_map.keys() & resp_map.keys())
@@ -225,15 +226,20 @@ def document_stats(key: Clustering, response: Clustering) -> np.ndarray:
     summing the rows of its documents. Both sides are built once and every
     metric reads them.
     """
-    sides = _Sides(key, response)
+    sides = _Sides(_partition(key), response)
     return np.array([fn(sides) for fn in _STATS_FNS.values()], dtype=np.float64)
 
 
-def coref_stats(key: Clustering, response: Clustering) -> np.ndarray:
+def coref_stats(key: Clustering, responses: Sequence[Clustering]) -> np.ndarray:
     """The muc, b_cubed and ceaf_phi4 rows of ``document_stats``, the ones
-    avg F1 reads, without computing the other two."""
-    sides = _Sides(key, response)
-    return np.array([_muc(sides), _b_cubed(sides), _ceaf_phi4(sides)], dtype=np.float64)
+    avg F1 reads, of each response against one key, as a (response, 3, 4)
+    array; the key is partitioned once and the other two rows are skipped."""
+    key_side = _partition(key)
+    stats = np.zeros((len(responses), 3, 4))
+    for r, response in enumerate(responses):
+        sides = _Sides(key_side, response)
+        stats[r] = [_muc(sides), _b_cubed(sides), _ceaf_phi4(sides)]
+    return stats
 
 
 @dataclass

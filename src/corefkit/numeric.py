@@ -13,6 +13,11 @@ is a reshaped view into them. The optimizer, zeroing, copying and checkpoints
 therefore work on whole vectors. Write through the views (``p.value[...] = x``,
 ``p.grad += g``); rebinding ``Param.value`` or ``Param.grad`` raises, since a
 rebound array would silently detach from the buffers.
+
+The gradient vector lies in a private anonymous memory mapping, whose pages
+read as zero and take memory only once a gradient is written to them, so a
+store that is only read (a checkpoint, a copy, a loaded model) costs its
+values alone.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import struct
 from types import MappingProxyType
@@ -70,7 +76,12 @@ class ParamStore:
         self._values = np.zeros(size) if values is None else values
         if self._values.shape != (size,):
             raise ValueError(f"{self._values.size} values for tensors of {size} scalars")
-        self._grads = np.zeros(size)
+        # pages take memory once written (module docstring); mmap rejects length 0
+        self._grads = (
+            np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), dtype=np.float64)
+            if size
+            else np.zeros(0)
+        )
         self._params: dict[str, Param] = {}
         offset = 0
         for name, shape, group, *frozen in rows:
@@ -111,9 +122,11 @@ class ParamStore:
         self._params[name].frozen = frozen
 
     def copy(self) -> "ParamStore":
-        """Values and freeze flags in a new store; zero gradients."""
+        """Values and freeze flags in a new store; zero gradients, which take
+        memory only once one is written."""
         rows = [(name, p.value.shape, p.group, p.frozen) for name, p in self._params.items()]
         return ParamStore(rows, self._values.copy())
+
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))

@@ -613,6 +613,16 @@ class TestExperimentCommands:
         )
         assert code == 1 and err.startswith("error:io:")
 
+    @pytest.mark.parametrize("command", ["resolve", "convert", "score"])
+    def test_input_path_is_a_directory(self, capsys, tmp_path, command):
+        args = {
+            "resolve": [str(tmp_path), str(tmp_path / "x.jsonl")],
+            "convert": [str(tmp_path), "--to", "jsonl"],
+            "score": [str(tmp_path), str(tmp_path)],
+        }[command]
+        code, _, err = run_cli(capsys, command, *args)
+        assert code == 1 and err.startswith("error:io:"), err
+
 
 # each command and some of its own flags; every command also takes the common ones
 COMMAND_FLAGS = {

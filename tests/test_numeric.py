@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import json
 import struct
+import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -306,6 +309,7 @@ class TestFlatStore:
         params = ParamStore([("a", (2, 3), "task"), ("b", (4,), "encoder", True)])
         assert params.flat_values().size == 10 and not params.flat_values().any()
         assert params["b"].frozen and not params["a"].frozen
+        assert ParamStore([("z", (0,), "task")]).flat_grads().shape == (0,)
         with pytest.raises(KeyError, match="already exists"):
             ParamStore([("a", (2,), "task"), ("a", (1,), "task")])
         with pytest.raises(ValueError, match="unknown group"):
@@ -366,6 +370,42 @@ class TestFlatStore:
 
         assert loss(params) != loss_before
         assert loss(params) == loss(params.copy())
+
+    @pytest.mark.parametrize("made_by", ["copy", "init_params", "load_checkpoint"])
+    def test_gradients_take_memory_only_once_written(self, tmp_path, made_by):
+        source = init_params(SRC_ENC, SRC_ENG, seed=0)
+        save_checkpoint(tmp_path / "m.ckpt", source)
+        make = {
+            "copy": source.copy,
+            "init_params": lambda: init_params(SRC_ENC, SRC_ENG, seed=0),
+            "load_checkpoint": lambda: load_checkpoint(tmp_path / "m.ckpt")[0],
+        }[made_by]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            params = make()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the values, and no gradient vector beside them
+        assert grown <= params.flat_values().nbytes + 64 * 1024
+        assert not params.flat_grads().any()
+
+    def test_trained_store_freed_without_the_cyclic_collector(self):
+        enc = EncoderConfig(num_layers=2, hidden_dim=8, hash_vocab_size=128, max_position=64)
+        eng = EngineConfig(max_span_width=3, scorer_hidden_dim=6, width_embedding_dim=4)
+        doc = Document("d", [["Anna", "saw", "her", "dog"]], [((0, 0), (2, 2))])
+        gc.disable()
+        try:
+            params = init_params(enc, eng, seed=0)
+            opt = AdamOptimizer(params, TrainConfig())
+            document_loss(doc, params, enc, eng, "joint_singleton", backward=True)
+            opt.step(params)
+            alive = weakref.ref(params)
+            del params
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 def sha256_hex(data: bytes) -> str:
