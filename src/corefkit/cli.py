@@ -305,6 +305,16 @@ def _history_csv(result: TrainResult) -> list[dict]:
     ]
 
 
+_EPOCH_FIELDS = ("epoch", "train_loss", "dev_avg_f1", "grad_norm_mean", "grad_norm_max", "clipped_steps")
+
+
+def _epochs_jsonl(result: TrainResult) -> str:
+    """One JSON object per epoch: its loss, dev F1 and optimizer-step norms."""
+    return "".join(
+        json.dumps({name: getattr(r, name) for name in _EPOCH_FIELDS}) + "\n" for r in result.history
+    )
+
+
 def _predictions_jsonl(result: TrainResult) -> str:
     lines = []
     for record in result.history:
@@ -465,6 +475,7 @@ def cmd_train(args, config, run):
         },
     )
     run.write_csv("history.csv", _history_csv(result))
+    run.write_text("epochs.jsonl", _epochs_jsonl(result))
     if args.cache_predictions:
         run.write_text("predictions.jsonl", _predictions_jsonl(result))
     print(
@@ -499,6 +510,7 @@ def cmd_devalloc(args, config, run):
     )
     rows = dev_allocation_experiment(result.history, split.dev, split.test, spec, train_cfg.patience)
     run.write_csv("history.csv", _history_csv(result))
+    run.write_text("epochs.jsonl", _epochs_jsonl(result))
     run.write_text("predictions.jsonl", _predictions_jsonl(result))
     _report(run, "devalloc.csv", rows,
             "dev subset {subset_size:3d}: expected test F1 {expected_test_f1:.4f} "

@@ -18,6 +18,10 @@ The gradient vector lies in a private anonymous memory mapping, whose pages
 read as zero and take memory only once a gradient is written to them, so a
 store that is only read (a checkpoint, a copy, a loaded model) costs its
 values alone.
+
+``AdamOptimizer`` updates the store in 14 in-place passes over the runs of
+trainable tensors, with the bias corrections folded into its step size;
+``AdamOptimizer.step`` gives the update and its tolerance.
 """
 
 from __future__ import annotations
@@ -142,14 +146,19 @@ def sigmoid(x):
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the squared norm is summed from dot products over at most this many
+# gradients: OpenBLAS splits a longer one over its threads, and its rounding
+# then follows the thread count
+_DOT_CHUNK = 8192
 
 
 class AdamOptimizer:
     """Adaptive-moment updates per learning-rate group with global norm clipping.
 
-    The encoder group additionally gets decoupled weight decay. Frozen tensors
-    are skipped entirely: no update, no moment accumulation, and they do not
-    contribute to the clipping norm. Gradients are zeroed after each step.
+    The encoder group additionally gets decoupled weight decay (AdamW). Frozen
+    tensors are skipped entirely: no update, no moment accumulation, and they
+    do not contribute to the clipping norm. Gradients are zeroed after each
+    step.
 
     The moments are flat vectors laid out like the store's buffers; ``m`` and
     ``v`` are read-only mappings from each name to its view. The optimizer
@@ -175,78 +184,98 @@ class AdamOptimizer:
     def step(self, params: ParamStore) -> float:
         """Apply one update; returns the pre-clip global gradient norm.
 
-        Runs in place over contiguous runs of trainable tensors of one group.
-        Every element sees the same operations in the same order as a
-        per-tensor update, and the squared norm is summed per tensor in store
-        order, so results do not depend on the layout.
+        With ``c`` the clip factor (``clip_norm / norm`` when the norm exceeds
+        ``clip_norm``, else 1), step ``t`` and ``b1 = 1 - BETA1**t``,
+        ``b2 = 1 - BETA2**t``, each trainable element gets::
+
+            m = BETA1 * m + (c * (1 - BETA1)) * g
+            v = BETA2 * v + (g * (c * sqrt(1 - BETA2)))**2
+            value *= 1 - lr * weight_decay             # encoder group only
+            value -= (lr * sqrt(b2) / b1) * m / (sqrt(v) + ADAM_EPS * sqrt(b2))
+
+        This is the textbook ``lr * (m / b1) / (sqrt(v / b2) + ADAM_EPS)``
+        with its scalars folded together, the order that Kingma & Ba give in
+        Section 2 of the Adam paper, with their guard set to
+        ``ADAM_EPS * sqrt(b2)``. The folding changes only the rounding: over 50
+        steps of the tests, values stay within 1e-13 relative of the textbook
+        order, ``v`` within 2e-15, and ``m`` within 4e-14 of its tensor's
+        largest magnitude.
+
+        A step is 14 in-place passes over contiguous runs of trainable tensors
+        of one group: the norm, two for the scaled square, one to scale the
+        gradient, two for each moment, five for the update and one to zero
+        the gradients (plus one for the encoder's decay). Every element sees
+        the same operations as in a per-tensor update, and the squared norm
+        is summed, in store order, over dot products of slices of each
+        tensor, so results do not depend on the layout. A norm that overflows
+        to infinity from finite gradients clips them to zero: the moments
+        only decay, the values see only their weight decay, and the step
+        returns ``inf``. A non-finite gradient raises ``NumericError``.
         """
         cfg = self.config
-        values, grads, sq_g = params.flat_values(), params.flat_grads(), self._scratch
-        if grads.size != sq_g.size:
+        values, grads, scratch = params.flat_values(), params.flat_grads(), self._scratch
+        if grads.size != scratch.size:
             raise ValueError("optimizer was built for a store of another size")
         frozen = tuple(p.frozen for _, p in params.items())
         if frozen != self._layout_key:
             self._layout_key, self._layout = frozen, _trainable_layout(params)
-        tensors, runs = self._layout
-        for lo, hi, _ in runs:
-            np.multiply(grads[lo:hi], grads[lo:hi], out=sq_g[lo:hi])
+        chunks, runs = self._layout
         sq = 0.0
-        for lo, hi in tensors:
-            sq += float(np.add.reduce(sq_g[lo:hi]))  # np.sum's pairwise order
+        for lo, hi in chunks:
+            sq += float(np.dot(grads[lo:hi], grads[lo:hi]))
         if not math.isfinite(sq):
             for name, p in params.items():
                 if not p.frozen and not np.all(np.isfinite(p.grad)):
                     raise NumericError(f"non-finite gradient in {name}")
-        norm = float(np.sqrt(sq))
+        norm = math.sqrt(sq)
         scale = 1.0 if norm <= cfg.clip_norm or norm == 0.0 else cfg.clip_norm / norm
 
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1**t
-        bc2 = 1.0 - BETA2**t
+        root_bc2 = math.sqrt(1.0 - BETA2**t)
+        # scaling before squaring keeps an overflowing gradient's square at zero
+        sq_scale = scale * math.sqrt(1.0 - BETA2)
+        m_scale = scale * (1.0 - BETA1)
+        guard = ADAM_EPS * root_bc2
         for lo, hi, group in runs:
-            g, s, value = grads[lo:hi], sq_g[lo:hi], values[lo:hi]
+            g, s, value = grads[lo:hi], scratch[lo:hi], values[lo:hi]
             m, v = self._m[lo:hi], self._v[lo:hi]
-            if scale != 1.0:
-                g *= scale
-                np.multiply(g, g, out=s)
+            np.multiply(g, sq_scale, out=s)
+            np.square(s, out=s)
             v *= BETA2
-            s *= 1.0 - BETA2
             v += s
-            np.multiply(g, 1.0 - BETA1, out=s)
+            g *= m_scale
             m *= BETA1
-            m += s
+            m += g
             lr = cfg.lr_encoder if group == ENCODER_GROUP else cfg.lr_task
             if group == ENCODER_GROUP and cfg.weight_decay_encoder > 0.0:
-                np.multiply(value, lr * cfg.weight_decay_encoder, out=s)
-                value -= s
-            # the gradient is spent: its slots hold the denominator
-            np.divide(m, bc1, out=s)
-            s *= lr
-            np.divide(v, bc2, out=g)
-            np.sqrt(g, out=g)
-            g += ADAM_EPS
-            s /= g
+                value *= 1.0 - lr * cfg.weight_decay_encoder
+            np.sqrt(v, out=s)
+            s += guard
+            np.divide(m, s, out=s)
+            s *= lr * root_bc2 / bc1
             value -= s
         params.zero_grads()
         return norm
 
 
 def _trainable_layout(params: ParamStore):
-    """[lo, hi) of each unfrozen tensor in the flat buffers, and the maximal
-    runs of them that share a group, as (lo, hi, group); both in order."""
-    tensors: list[tuple[int, int]] = []
+    """The norm's slices of the flat buffers, each within one unfrozen tensor
+    and at most ``_DOT_CHUNK`` long, and the maximal runs of unfrozen tensors
+    that share a group, as (lo, hi, group); both in order."""
+    chunks: list[tuple[int, int]] = []
     runs: list[tuple[int, int, str]] = []
     for _, p in params.items():
         if p.frozen:
             continue
         lo, hi = p.offset, p.offset + p.value.size
-        tensors.append((lo, hi))
+        chunks.extend((a, min(a + _DOT_CHUNK, hi)) for a in range(lo, hi, _DOT_CHUNK))
         if runs and runs[-1][1] == lo and runs[-1][2] == p.group:
             runs[-1] = (runs[-1][0], hi, p.group)
         else:
             runs.append((lo, hi, p.group))
-    return tensors, runs
+    return chunks, runs
 
 
 # ---------------------------------------------------------------------------

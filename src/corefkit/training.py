@@ -33,6 +33,7 @@ segment reuses the memory of the last; a call without one uses a set of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -90,10 +91,15 @@ class TrainConfig:
             raise ValueError("patience must be >= 0")
         if self.patience > self.max_epochs:
             raise ValueError("patience must be <= max_epochs")
-        if self.lr_task <= 0 or self.lr_encoder <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
+        for name in ("lr_task", "lr_encoder"):
+            lr = getattr(self, name)
+            if not (math.isfinite(lr) and lr > 0):
+                raise ValueError(f"{name} must be finite and positive, got {lr}")
+        if not self.clip_norm > 0:  # NaN too; inf means no clipping
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+        wd = self.weight_decay_encoder
+        if not (math.isfinite(wd) and wd >= 0):
+            raise ValueError(f"weight_decay_encoder must be finite and >= 0, got {wd}")
         if self.objective not in (OBJECTIVE_ANTECEDENT, OBJECTIVE_JOINT):
             raise ValueError(f"unknown objective {self.objective!r}")
         return self

@@ -8,8 +8,9 @@ teacher-forced loss reference scores each (span, cluster) pair on its own,
 with soft antecedent weights, keeps a copy of each cluster embedding it
 scored, and runs one backward call per pair and per merge. The inference
 walk reference scores each span against a copied cluster matrix with one
-pair-scorer call and one merge-gate call of its own. The Adam reference
-updates one tensor at a time, each with its own moment arrays. Round trips
+pair-scorer call and one merge-gate call of its own. The Adam references
+update one tensor at a time, each with its own moment arrays: one in the
+library's arithmetic, one in the textbook order. Round trips
 through the readers and writers are checked with ``structurally_equal``.
 
 The loop versions of the parameter-free steps that the library does as array
@@ -409,12 +410,55 @@ def reference_resolve(doc, params, encoder_cfg, engine_cfg):
 
 
 def reference_adam_step(opt, params):
-    """One per-tensor Adam/AdamW step with global norm clipping.
+    """numeric.AdamOptimizer.step one tensor at a time, in its arithmetic.
 
     ``opt`` carries ``config`` (a ``TrainConfig``), ``step_count`` and
     per-name ``m``/``v`` arrays of its own; ``params`` is only read and written
-    per tensor. Returns the pre-clip global gradient norm. The moment decay
-    rates and the denominator guard are written out here, not imported.
+    per tensor. The squared norm sums dot products over slices of at most
+    8,192 gradients of each tensor's view. Returns the pre-clip global
+    gradient norm. The moment decay rates, the denominator guard and the
+    slice length are written out here, not imported.
+    """
+    beta1, beta2, eps, chunk = 0.9, 0.999, 1e-8, 8192
+    cfg = opt.config
+    sq = 0.0
+    for name, p in params.items():
+        if p.frozen:
+            continue
+        if not np.all(np.isfinite(p.grad)):
+            raise NumericError(f"non-finite gradient in {name}")
+        g = p.grad.ravel()
+        for lo in range(0, g.size, chunk):
+            sq += float(np.dot(g[lo : lo + chunk], g[lo : lo + chunk]))
+    norm = math.sqrt(sq)
+    scale = 1.0 if norm <= cfg.clip_norm or norm == 0.0 else cfg.clip_norm / norm
+
+    opt.step_count += 1
+    t = opt.step_count
+    bc1 = 1.0 - beta1**t
+    root_bc2 = math.sqrt(1.0 - beta2**t)
+    for name, p in params.items():
+        if p.frozen:
+            continue
+        m = opt.m[name]
+        v = opt.v[name]
+        v *= beta2
+        v += np.square(p.grad * (scale * math.sqrt(1.0 - beta2)))
+        m *= beta1
+        m += p.grad * (scale * (1.0 - beta1))
+        lr = cfg.lr_encoder if p.group == ENCODER_GROUP else cfg.lr_task
+        if p.group == ENCODER_GROUP and cfg.weight_decay_encoder > 0.0:
+            p.value *= 1.0 - lr * cfg.weight_decay_encoder
+        p.value -= (m / (np.sqrt(v) + eps * root_bc2)) * (lr * root_bc2 / bc1)
+    params.zero_grads()
+    return norm
+
+
+def textbook_adam_step(opt, params):
+    """One per-tensor Adam/AdamW step with global norm clipping, in the
+    textbook order: clip the gradient, update the moments, divide each by its
+    bias correction. Same arguments as ``reference_adam_step``; the squared
+    norm is ``np.sum`` per tensor.
     """
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     cfg = opt.config

@@ -20,6 +20,7 @@ from corefkit import (
 )
 from corefkit.cli import load_docs, main
 from corefkit.harness import CorpusSplit, layer_freezing_sweep
+from corefkit.training import train
 from stores import v1_checkpoint, with_version
 
 
@@ -371,6 +372,11 @@ class TestFailEarly:
         (["train.max_epochs=0", "train.patience=0"], "[train] max_epochs must be >= 1"),
         (["train.patience=-3"], "[train] patience must be >= 0"),
         (["engine.width_embedding_dim=-1"], "[engine] width_embedding_dim must be >= 0"),
+        (["train.lr_task=nan"], "[train] lr_task must be finite and positive, got nan"),
+        (["train.lr_encoder=inf"], "[train] lr_encoder must be finite and positive, got inf"),
+        (["train.clip_norm=nan"], "[train] clip_norm must be positive, got nan"),
+        (["train.weight_decay_encoder=-1"], "[train] weight_decay_encoder must be finite and >= 0"),
+        (["train.weight_decay_encoder=nan"], "[train] weight_decay_encoder must be finite and >= 0"),
     ])
     def test_config_bounds_rejected(self, capsys, corpus_files, tmp_path, monkeypatch, sets, message):
         loaded = []
@@ -383,6 +389,7 @@ class TestFailEarly:
         assert code == 1
         assert err.startswith(f"error:config: {message}")
         assert loaded == []
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["score", "resolve", "score_swapped"])
     @pytest.mark.parametrize("fmt", ["jsonl", "conll"])
@@ -537,6 +544,42 @@ class TestExperimentCommands:
         assert (out_dir / "predictions.jsonl").exists()
         first = json.loads((out_dir / "predictions.jsonl").read_text().splitlines()[0])
         assert {"epoch", "split", "doc_id", "clusters"} <= set(first)
+
+    @pytest.mark.parametrize("command", ["train", "devalloc"])
+    def test_epochs_jsonl_holds_the_history(self, capsys, corpus_files, tmp_path, monkeypatch,
+                                            command):
+        results = []
+
+        def recording_train(*args, **kwargs):
+            results.append(train(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr("corefkit.cli.train", recording_train)
+        out_dir = tmp_path / command
+        extra = {
+            "train": [],
+            "devalloc": ["--test", corpus_files["test"], "--subset-sizes", "1,2", "--num-subsets", "4"],
+        }[command]
+        code, _, _ = run_cli(
+            capsys, command, "--train", corpus_files["train"], "--dev", corpus_files["dev"], *extra,
+            "--out", str(out_dir), "--seed", "0", *SMALL_MODEL,
+            "--set", "train.max_epochs=3", "--set", "train.patience=3", "--set", "train.clip_norm=1",
+        )
+        assert code == 0
+        history = results[0].history
+        lines = (out_dir / "epochs.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"epoch": r.epoch, "train_loss": r.train_loss, "dev_avg_f1": r.dev_avg_f1,
+             "grad_norm_mean": r.grad_norm_mean, "grad_norm_max": r.grad_norm_max,
+             "clipped_steps": r.clipped_steps}
+            for r in history
+        ]
+        assert len(history) == 3 and any(r.clipped_steps for r in history)
+        rows = list(csv.reader((out_dir / "history.csv").read_text().splitlines()))
+        assert rows == [["epoch", "train_loss", "dev_avg_f1"]] + [
+            [str(r.epoch), str(r.train_loss), str(r.dev_avg_f1)] for r in history
+        ]
+        assert "epochs.jsonl" in json.loads((out_dir / "manifest.json").read_text())["outputs"]
 
     @pytest.mark.parametrize("flag,value,detail", [
         ("--num-subsets", "0", "num_subsets 0 is below 1"),

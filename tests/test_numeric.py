@@ -1,14 +1,20 @@
 import gc
 import hashlib
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import corefkit
 from corefkit import Document, EncoderConfig, EngineConfig, TrainConfig, document_loss
 from corefkit.engine import init_params
 from corefkit.numeric import (
@@ -20,7 +26,7 @@ from corefkit.numeric import (
     save_checkpoint,
     sigmoid,
 )
-from oracles import reference_adam_step, softmax
+from oracles import reference_adam_step, softmax, textbook_adam_step
 from stores import store_of, v1_checkpoint, with_version
 
 
@@ -141,10 +147,78 @@ class TestOptimizer:
         assert np.all(params["a"].grad == 0.0)
 
     def test_nonfinite_gradient_rejected(self):
-        params = store_of(("a", np.ones(2), "task"))
-        params["a"].grad[:] = [np.inf, 0.0]
-        with pytest.raises(NumericError, match="non-finite"):
-            AdamOptimizer(params, TrainConfig()).step(params)
+        for bad in (np.inf, -np.inf, np.nan):
+            params = store_of(("a", np.ones(2), "task"), ("b", np.ones(3), "encoder"))
+            params["b"].grad[:] = [0.0, bad, 0.0]
+            with pytest.raises(NumericError, match="non-finite gradient in b"):
+                AdamOptimizer(params, TrainConfig()).step(params)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_norm_clips_to_zero(self):
+        """Finite gradients whose squared norm overflows: the step returns an
+        infinite norm and clips them to zero, so the moments stay at zero and
+        only the encoder's weight decay moves a value."""
+        params = store_of(("t", np.full(3, 2.0), "task"), ("e", np.full(2, 2.0), "encoder"))
+        config = TrainConfig(weight_decay_encoder=0.01)
+        opt = AdamOptimizer(params, config)
+        params["t"].grad[:] = 1e200
+        params["e"].grad[:] = -1e200
+        assert opt.step(params) == math.inf
+        for name in params.names():
+            assert not opt.m[name].any() and not opt.v[name].any(), name
+        assert np.array_equal(params.value("t"), np.full(3, 2.0))
+        np.testing.assert_allclose(params.value("e"), 2.0 * (1.0 - 1e-5 * 0.01), rtol=1e-15)
+        assert not params.flat_grads().any()
+        # the next finite step updates as usual
+        params["t"].grad[:] = 1.0
+        assert opt.step(params) == pytest.approx(math.sqrt(3.0))
+        assert np.all(params.value("t") < 2.0) and np.all(np.isfinite(opt.v["t"]))
+
+    def test_step_allocates_no_run_sized_array(self):
+        params = init_params(SRC_ENC, SRC_ENG, seed=0)
+        opt = AdamOptimizer(params, TrainConfig())
+        rng = np.random.default_rng(0)
+        smallest_run = min(
+            sum(p.value.nbytes for _, p in params.items() if p.group == group)
+            for group in ("encoder", "task")
+        )
+        tracemalloc.start()
+        try:
+            for _ in range(2):  # the first step also builds the run layout
+                params.flat_grads()[:] = rng.normal(size=params.flat_grads().size)  # clipped
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                assert opt.step(params) > opt.config.clip_norm
+                grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < smallest_run // 4
+
+    def test_norm_does_not_follow_the_blas_thread_count(self):
+        """Ten steps on a tensor of 32,768 scalars give the same norms and
+        values with one BLAS thread as with two."""
+        program = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from corefkit import TrainConfig\n"
+            "from corefkit.numeric import AdamOptimizer, ParamStore\n"
+            "params = ParamStore([('w', (32768,), 'task')])\n"
+            "opt, rng = AdamOptimizer(params, TrainConfig()), np.random.default_rng(0)\n"
+            "for _ in range(10):\n"
+            "    params.flat_grads()[:] = rng.normal(size=32768)\n"
+            "    print(opt.step(params).hex())\n"
+            "print(hashlib.sha256(params.flat_values().tobytes()).hexdigest())\n"
+        )
+        src = str(Path(corefkit.__file__).resolve().parents[1])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", program],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert len(outputs) == 1
 
     def test_convex_bowl_convergence(self):
         params = store_of(("x", np.array([3.0]), "task"))
@@ -218,9 +292,19 @@ def mixed_store(seed=0):
     return store_of(*((name, rng.normal(size=shape), group) for name, shape, group in MIXED_LAYOUT))
 
 
+def reference_optimizer(config, store):
+    """The state ``reference_adam_step`` and ``textbook_adam_step`` update."""
+    return SimpleNamespace(
+        config=config,
+        step_count=0,
+        m={n: np.zeros_like(store.value(n)) for n in store.names()},
+        v={n: np.zeros_like(store.value(n)) for n in store.names()},
+    )
+
+
 class TestMatchesPerTensorReference:
-    """The flat in-place step against the per-tensor step it replaced: values,
-    moments and returned norms must be bit-identical."""
+    """The flat in-place step against the same arithmetic applied one tensor
+    at a time: values, moments and returned norms must be bit-identical."""
 
     @pytest.mark.parametrize("how", ["set_frozen", "attribute"])
     def test_freeze_flag_flipped_between_steps(self, how):
@@ -229,12 +313,7 @@ class TestMatchesPerTensorReference:
         config = TrainConfig(lr_task=1e-2, lr_encoder=3e-3)
         flat, ref = mixed_store(), mixed_store()
         opt = AdamOptimizer(flat, config)
-        ref_opt = SimpleNamespace(
-            config=config,
-            step_count=0,
-            m={n: np.zeros_like(ref.value(n)) for n in ref.names()},
-            v={n: np.zeros_like(ref.value(n)) for n in ref.names()},
-        )
+        ref_opt = reference_optimizer(config, ref)
         rng = np.random.default_rng(2)
         for frozen in ((), ("enc.0.W",), ("enc.0.W", "score.b1"), ()):
             for store in (flat, ref):
@@ -261,12 +340,7 @@ class TestMatchesPerTensorReference:
         config = TrainConfig(lr_task=1e-2, lr_encoder=3e-3, weight_decay_encoder=weight_decay)
         flat, ref = mixed_store(), mixed_store()
         opt = AdamOptimizer(flat, config)
-        ref_opt = SimpleNamespace(
-            config=config,
-            step_count=0,
-            m={n: np.zeros_like(ref.value(n)) for n in ref.names()},
-            v={n: np.zeros_like(ref.value(n)) for n in ref.names()},
-        )
+        ref_opt = reference_optimizer(config, ref)
         rng = np.random.default_rng(1)
         clipped = 0
         for step in range(50):
@@ -286,6 +360,54 @@ class TestMatchesPerTensorReference:
                 assert np.array_equal(opt.v[name], ref_opt.v[name]), name
             assert not flat.flat_grads().any()
         assert clipped == (50 if grad_scale > 1.0 else 0)
+
+    def test_acceptance_model_bit_identical(self):
+        """Tensors longer than one dot-product slice of the norm."""
+        config = TrainConfig()
+        flat, ref = init_params(SRC_ENC, SRC_ENG, seed=0), init_params(SRC_ENC, SRC_ENG, seed=0)
+        ref.set_frozen("enc.0.W", True)
+        flat.set_frozen("enc.0.W", True)
+        opt, ref_opt = AdamOptimizer(flat, config), reference_optimizer(config, ref)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            flat.flat_grads()[:] = ref.flat_grads()[:] = rng.normal(size=flat.flat_grads().size)
+            assert opt.step(flat) == reference_adam_step(ref_opt, ref)
+            assert np.array_equal(flat.flat_values(), ref.flat_values())
+            for name in flat.names():
+                assert np.array_equal(opt.m[name], ref_opt.m[name]), name
+                assert np.array_equal(opt.v[name], ref_opt.v[name]), name
+
+
+class TestMatchesTextbookAdam:
+    """The step against the textbook order of the same update: clip the
+    gradient, update the moments, divide each by its bias correction. Only
+    the rounding differs; the bounds are about twice the largest deviation
+    measured on this grid (values 5.0e-14, ``v`` 9.0e-16, norms 2.6e-16,
+    ``m`` 1.9e-14 of its tensor's largest magnitude)."""
+
+    @pytest.mark.parametrize("grad_scale", [0.05, 5.0], ids=["no_clip", "clip"])
+    @pytest.mark.parametrize("frozen", sorted(FROZEN))
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_fifty_steps_within_rounding(self, grad_scale, frozen, weight_decay):
+        config = TrainConfig(lr_task=1e-2, lr_encoder=3e-3, weight_decay_encoder=weight_decay)
+        flat, ref = mixed_store(), mixed_store()
+        opt, ref_opt = AdamOptimizer(flat, config), reference_optimizer(config, ref)
+        rng = np.random.default_rng(1)
+        for step in range(50):
+            for store in (flat, ref):
+                for name in store.names():
+                    store.set_frozen(name, name in FROZEN[frozen](step))
+            for name in flat.names():
+                flat[name].grad[...] = ref[name].grad[...] = (
+                    rng.normal(size=flat.value(name).shape) * grad_scale
+                )
+            norm, textbook = opt.step(flat), textbook_adam_step(ref_opt, ref)
+            assert norm == pytest.approx(textbook, rel=1e-15, abs=0)
+            for name in flat.names():
+                np.testing.assert_allclose(flat.value(name), ref.value(name), rtol=1e-13, atol=0)
+                np.testing.assert_allclose(opt.v[name], ref_opt.v[name], rtol=2e-15, atol=0)
+                largest = np.max(np.abs(ref_opt.m[name]), initial=0.0)
+                np.testing.assert_allclose(opt.m[name], ref_opt.m[name], rtol=0, atol=4e-14 * largest)
 
 
 SRC_ENC = EncoderConfig(num_layers=2, hidden_dim=16, hash_vocab_size=2048, max_position=128)

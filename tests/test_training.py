@@ -364,10 +364,35 @@ def small_corpus():
 
 
 class TestTrainLoop:
-    @pytest.mark.parametrize("clip_norm", [0.0, -1.0])
+    @pytest.mark.parametrize("clip_norm", [0.0, -1.0, float("nan")])
     def test_non_positive_clip_norm_rejected(self, clip_norm):
         with pytest.raises(ValueError, match="clip_norm must be positive"):
             TrainConfig(clip_norm=clip_norm).validate()
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"lr_task": float("nan")}, "lr_task must be finite and positive"),
+        ({"lr_task": float("inf")}, "lr_task must be finite and positive"),
+        ({"lr_task": 0.0}, "lr_task must be finite and positive"),
+        ({"lr_encoder": float("nan")}, "lr_encoder must be finite and positive"),
+        ({"lr_encoder": float("inf")}, "lr_encoder must be finite and positive"),
+        ({"lr_encoder": -1e-5}, "lr_encoder must be finite and positive"),
+        ({"weight_decay_encoder": -0.5}, "weight_decay_encoder must be finite and >= 0"),
+        ({"weight_decay_encoder": float("nan")}, "weight_decay_encoder must be finite and >= 0"),
+        ({"weight_decay_encoder": float("inf")}, "weight_decay_encoder must be finite and >= 0"),
+    ])
+    def test_bad_optimizer_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kwargs).validate()
+
+    def test_infinite_clip_norm_means_no_clipping(self):
+        config = TrainConfig(clip_norm=float("inf"), weight_decay_encoder=0.0).validate()
+        params = init_params(ENC, ENG, seed=0)
+        optimizer = AdamOptimizer(params, config)
+        params.flat_grads()[:] = 1e3
+        norm = optimizer.step(params)
+        assert norm > 1e3
+        # unclipped: the first moment is (1 - beta1) times the raw gradient
+        assert all(np.allclose(m, 100.0, rtol=1e-15, atol=0) for m in optimizer.m.values())
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"max_epochs": 0, "patience": 0}, "max_epochs must be >= 1"),
