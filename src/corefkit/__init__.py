@@ -14,7 +14,6 @@ from .synth import SchemeConfig, synth_corpus
 from .metrics import (
     PRF,
     MetricReport,
-    avg_f1,
     hungarian_max,
     score_corpus,
 )

@@ -21,13 +21,14 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .bundled import load_bundled_doc
 from .conll import ConllParseError, parse_conll, write_conll
-from .documents import Document, DocumentError, SegmentationError
+from .documents import Document, DocumentError, SegmentationError, check_unique_ids
 from .encoder import EncoderConfig, FreezeMask
 from .engine import EngineConfig, init_params, param_layout, resolve_document
 from .harness import (
@@ -93,49 +94,39 @@ _SECTIONS = {
 }
 
 
-def _parse_scalar(text: str, target_type):
-    if target_type is bool:
-        lowered = text.strip().lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise CliError("config", f"expected a boolean, got {text!r}")
-    if target_type is int:
-        return int(text)
-    if target_type is float:
-        return float(text)
-    return text
+# each section's field -> declared type, resolved once: a config value is parsed by it
+_FIELD_TYPES = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
+_BOOLEANS = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(("false", "0", "no", "off"), False)
+
+
+def _parse(kind, text: str):
+    """``text`` as a value of the field type ``kind``; docs/cli.md lists the spellings."""
+    word = text.strip().lower()
+    args = typing.get_args(kind)
+    if type(None) in args:  # Optional: "none", and for a set also "" or "all"
+        if word == "none" or (typing.get_origin(args[0]) is frozenset and word in ("", "all")):
+            return None
+        return _parse(args[0], text)
+    if kind is FreezeMask:
+        return FreezeMask(_parse(Optional[int], text))
+    if kind is bool:
+        if word not in _BOOLEANS:
+            raise CliError("config", f"expected a boolean, got {text!r}")
+        return _BOOLEANS[word]
+    if typing.get_origin(kind) is frozenset:
+        return frozenset(t.strip() for t in text.split(",") if t.strip())
+    if typing.get_origin(kind) is tuple:  # a (lo, hi) range
+        lo, hi = (_parse(args[0], part) for part in text.split(","))
+        return lo, hi
+    if kind in (int, float, str):
+        return kind(text)
+    raise CliError("config", f"no parser for fields of type {kind}")
 
 
 def _coerce(section: str, key: str, text: str):
-    cls = _SECTIONS[section]
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    if key not in fields:
+    if key not in _FIELD_TYPES[section]:
         raise CliError("config", f"unknown key {section}.{key}")
-    if section == "train" and key == "freeze":
-        return FreezeMask(None if text.strip().lower() == "none" else int(text))
-    if section == "synth" and key == "allowed_entity_types":
-        if text.strip().lower() in ("", "none", "all"):
-            return None
-        return frozenset(t.strip() for t in text.split(",") if t.strip())
-    if section == "synth" and key in ("sentences_per_doc", "entities_per_doc", "mentions_per_entity"):
-        lo, hi = (int(p) for p in text.split(","))
-        return (lo, hi)
-    value = fields[key].default
-    if isinstance(value, bool):
-        return _parse_scalar(text, bool)
-    if isinstance(value, int):
-        return _parse_scalar(text, int)
-    if isinstance(value, float):
-        return _parse_scalar(text, float)
-    if isinstance(value, str):
-        return text
-    if value is None:  # Optional[bool] emit_singletons
-        if text.strip().lower() == "none":
-            return None
-        return _parse_scalar(text, bool)
-    raise CliError("config", f"cannot parse {section}.{key}")
+    return _parse(_FIELD_TYPES[section][key], text)
 
 
 class EffectiveConfig:
@@ -170,27 +161,18 @@ class EffectiveConfig:
         if base is None:
             base = _SECTIONS[section]()
         try:
-            cfg = dataclasses.replace(base, **self.values[section])
-            if hasattr(cfg, "validate"):
-                cfg.validate()
-            return cfg
+            return dataclasses.replace(base, **self.values[section]).validate()
         except (TypeError, ValueError) as exc:
             raise CliError("config", f"[{section}] {exc}") from exc
 
-    def to_dict(self) -> dict:
-        return {s: _jsonable(v) for s, v in self.values.items() if v}
 
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+def _json_value(value):
+    """A set as its sorted list, a FreezeMask as its layer count: the config values json cannot write."""
     if isinstance(value, frozenset):
         return sorted(value)
     if isinstance(value, FreezeMask):
         return value.trainable_top_layers
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _effective_config(args) -> EffectiveConfig:
@@ -225,11 +207,7 @@ def _format_of(path: str, explicit: Optional[str] = None) -> str:
 def load_docs(path: str, fmt: Optional[str] = None) -> list[Document]:
     text = Path(path).read_text()
     docs = parse_conll(text) if _format_of(path, fmt) == "conll" else parse_jsonl(text)
-    seen = set()
-    for doc in docs:
-        if doc.doc_id in seen:
-            raise DocumentError(f"{path}: repeated doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
+    check_unique_ids(docs, f"{path}: ")
     return docs
 
 
@@ -289,30 +267,24 @@ class RunDir:
             return
         manifest = {
             "command": self.command,
-            "config": self.config.to_dict(),
+            "config": {section: keys for section, keys in self.config.values.items() if keys},
             "seed": seed,
             "inputs": {p: _sha256(p) for p in self.inputs},
             "outputs": sorted(set(self.outputs)),
         }
         self.path.mkdir(parents=True, exist_ok=True)
-        (self.path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def _history_csv(result: TrainResult) -> list[dict]:
-    return [
-        {"epoch": r.epoch, "train_loss": r.train_loss, "dev_avg_f1": r.dev_avg_f1}
-        for r in result.history
-    ]
+        text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_value)
+        (self.path / "manifest.json").write_text(text)
 
 
 _EPOCH_FIELDS = ("epoch", "train_loss", "dev_avg_f1", "grad_norm_mean", "grad_norm_max", "clipped_steps")
 
 
-def _epochs_jsonl(result: TrainResult) -> str:
-    """One JSON object per epoch: its loss, dev F1 and optimizer-step norms."""
-    return "".join(
-        json.dumps({name: getattr(r, name) for name in _EPOCH_FIELDS}) + "\n" for r in result.history
-    )
+def _write_history(run: RunDir, result: TrainResult) -> None:
+    """history.csv (epoch, loss, dev F1) and epochs.jsonl (those and the optimizer-step norms)."""
+    rows = [{name: getattr(r, name) for name in _EPOCH_FIELDS} for r in result.history]
+    run.write_csv("history.csv", [{name: row[name] for name in _EPOCH_FIELDS[:3]} for row in rows])
+    run.write_text("epochs.jsonl", "".join(json.dumps(row) + "\n" for row in rows))
 
 
 def _predictions_jsonl(result: TrainResult) -> str:
@@ -474,8 +446,7 @@ def cmd_train(args, config, run):
             "dev_avg_f1": result.checkpoint.dev_avg_f1,
         },
     )
-    run.write_csv("history.csv", _history_csv(result))
-    run.write_text("epochs.jsonl", _epochs_jsonl(result))
+    _write_history(run, result)
     if args.cache_predictions:
         run.write_text("predictions.jsonl", _predictions_jsonl(result))
     print(
@@ -509,8 +480,7 @@ def cmd_devalloc(args, config, run):
         extra_eval_docs=split.test, cache_predictions=True, early_stop=False,
     )
     rows = dev_allocation_experiment(result.history, split.dev, split.test, spec, train_cfg.patience)
-    run.write_csv("history.csv", _history_csv(result))
-    run.write_text("epochs.jsonl", _epochs_jsonl(result))
+    _write_history(run, result)
     run.write_text("predictions.jsonl", _predictions_jsonl(result))
     _report(run, "devalloc.csv", rows,
             "dev subset {subset_size:3d}: expected test F1 {expected_test_f1:.4f} "

@@ -35,6 +35,8 @@ class ConllParseError(ValueError):
 
 _BEGIN_RE = re.compile(r"#begin document\s*(?:\((?P<paren>[^)]*)\)|(?P<bare>\S.*))?")
 _MARKER_RE = re.compile(r"^(\()?(\d+)(\))?$")
+# an id that reads back: ';' and ')' end it in the begin line, and a row starting with '#' is a comment
+_DOC_ID_RE = re.compile(r"[^\s;)#][^\s;)]*")
 
 
 def parse_conll(text: str) -> list[Document]:
@@ -166,7 +168,8 @@ def write_conll(docs: Sequence[Document]) -> str:
     Two mentions of one cluster cross when s1 < s2 < e1 < e2: under the
     innermost-first rule no marker order expresses them (the first close
     would end the later start), so such a document raises DocumentError,
-    naming the cluster and both spans, before anything is written.
+    naming the cluster and both spans, before anything is written. So does
+    an id or token that would read back as other text (docs/formats.md).
 
     Cluster ids are assigned from the canonical cluster order (1-based). At each
     token the column lists closing brackets first (innermost-first), then
@@ -177,6 +180,11 @@ def write_conll(docs: Sequence[Document]) -> str:
     """
     for doc in docs:
         doc.validate()
+        if not _DOC_ID_RE.fullmatch(doc.doc_id):
+            raise DocumentError(f"doc {doc.doc_id!r}: CoNLL ids are one word with no ';', ')' or leading '#'")
+        for token in doc.tokens:
+            if token.split() != [token]:
+                raise DocumentError(f"doc {doc.doc_id!r}: token {token!r} is empty or holds whitespace")
         for cid, cluster in enumerate(doc.clusters, start=1):
             crossing = _crossing_pair(cluster)
             if crossing is not None:

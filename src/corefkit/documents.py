@@ -20,6 +20,15 @@ class DocumentError(ValueError):
     """A document violates the span/cluster invariants."""
 
 
+def check_unique_ids(docs: Iterable[Document], where: str = "") -> None:
+    """Raise DocumentError, its message headed by ``where``, at the first repeated doc_id."""
+    seen = set()
+    for doc in docs:
+        if doc.doc_id in seen:
+            raise DocumentError(f"{where}repeated doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+
+
 def canonical_clusters(clusters: Iterable[Iterable[Span]]) -> list[tuple[Span, ...]]:
     """Sort mentions within each cluster and clusters by their first mention."""
     canon = [tuple(sorted((int(s), int(e)) for (s, e) in cluster)) for cluster in clusters]

@@ -73,14 +73,18 @@ def nested_subsets(docs: Sequence[Document], sizes: Sequence[int], seed: int) ->
     return {int(s): shuffled[: int(s)] for s in sizes}
 
 
-def _train_from(source_params, train_docs, dev_docs, encoder_cfg, engine_cfg, config):
-    """Continued training from ``source_params``, or training from scratch without it."""
+def _train_and_test(source_params, train_docs, split, encoder_cfg, engine_cfg, config):
+    """(test report, checkpoint) of continued training from ``source_params``,
+    or of training from scratch without it, selected on ``split.dev``."""
     if source_params is not None:
-        return continued_train(source_params, train_docs, dev_docs, encoder_cfg, engine_cfg, config)
-    if not train_docs:
+        result = continued_train(source_params, train_docs, split.dev, encoder_cfg, engine_cfg, config)
+    elif not train_docs:
         raise ValueError("scratch training needs at least one document")
-    params = init_params(encoder_cfg, engine_cfg, seed=config.seed)
-    return train(train_docs, dev_docs, params, encoder_cfg, engine_cfg, config)
+    else:
+        params = init_params(encoder_cfg, engine_cfg, seed=config.seed)
+        result = train(train_docs, split.dev, params, encoder_cfg, engine_cfg, config)
+    report, _ = evaluate_docs(split.test, result.checkpoint.params, encoder_cfg, engine_cfg)
+    return report, result.checkpoint
 
 
 def learning_curve(
@@ -102,16 +106,13 @@ def learning_curve(
     subsets = nested_subsets(split.train, sizes, config.seed)
 
     def run(size: int) -> dict:
-        result = _train_from(
-            source_params, subsets[size], split.dev, encoder_cfg, engine_cfg, config
-        )
-        report, _ = evaluate_docs(split.test, result.checkpoint.params, encoder_cfg, engine_cfg)
+        report, best = _train_and_test(source_params, subsets[size], split, encoder_cfg, engine_cfg, config)
         return {
             "train_size": size,
             "avg_f1": report.avg_f1,
             "mention_f1": report.mention.f1,
-            "best_epoch": result.checkpoint.epoch,
-            "dev_avg_f1": result.checkpoint.dev_avg_f1,
+            "best_epoch": best.epoch,
+            "dev_avg_f1": best.dev_avg_f1,
         }
 
     return [run(int(size)) for size in sizes]
@@ -272,15 +273,12 @@ def layer_freezing_sweep(
 
     def run(top_k: int) -> dict:
         run_config = dataclasses.replace(config, freeze=FreezeMask(top_k))
-        result = _train_from(
-            source_params, split.train, split.dev, encoder_cfg, engine_cfg, run_config
-        )
-        report, _ = evaluate_docs(split.test, result.checkpoint.params, encoder_cfg, engine_cfg)
+        report, best = _train_and_test(source_params, split.train, split, encoder_cfg, engine_cfg, run_config)
         return {
             "top_k": top_k,
             "avg_f1": report.avg_f1,
             "mention_f1": report.mention.f1,
-            "best_epoch": result.checkpoint.epoch,
+            "best_epoch": best.epoch,
         }
 
     return [run(int(k)) for k in top_k_values]

@@ -4,10 +4,10 @@ All metrics are computed from numerator/denominator pairs so that scores can
 be aggregated over a corpus by summing the pairs across documents, the way the
 shared-task scorer does. ``document_stats`` gives one document's pairs as a
 float64 (metric, 4) array; any set of documents is then scored by summing
-their rows and reporting the total (``CorpusStats``), so a document scored
-once can be reused in every corpus or subset that contains it. Degenerate
-denominators (all-singleton MUC, an empty side) score zero and are flagged
-rather than silently dropped.
+their rows (``MetricReport.from_totals`` reports a total), so a document
+scored once can be reused in every corpus or subset that contains it.
+Degenerate denominators (all-singleton MUC, an empty side) score zero and
+are flagged rather than silently dropped.
 
 MUC recall counts, per key cluster, the links recoverable from the response
 partition of that cluster: |K| minus the number of parts K is split into,
@@ -19,7 +19,7 @@ phi4(K, R) = 2|K n R| / (|K| + |R|), then divides by the cluster counts; the
 alignment (``hungarian_max``) is an exact assignment solver in pure Python.
 All three read one table of |K n R| counts per document, built in one pass
 over the mentions both sides share; each side's clusters must be disjoint.
-``avg_f1_totals`` scores many summed totals at once.
+``avg_f1_totals`` scores many summed totals at once, as a report does.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,14 +40,6 @@ class PRF:
     recall: float
     f1: float
     degenerate: bool = False
-
-    @staticmethod
-    def from_stats(p_num, p_den, r_num, r_den) -> "PRF":
-        degenerate = p_den == 0 or r_den == 0
-        p = p_num / p_den if p_den > 0 else 0.0
-        r = r_num / r_den if r_den > 0 else 0.0
-        f = 2 * p * r / (p + r) if p + r > 0 else 0.0
-        return PRF(precision=p, recall=r, f1=f, degenerate=degenerate)
 
 
 class _Sides:
@@ -252,9 +244,17 @@ class MetricReport:
     avg_f1: float
     flags: list[str] = field(default_factory=list)
 
+    @classmethod
+    def from_totals(cls, totals: np.ndarray) -> "MetricReport":
+        """The report of one (metric, 4) array of summed ``document_stats`` rows."""
+        rows = zip(_STATS_FNS, *(a.tolist() for a in _prf(totals)), totals[:, 1::2].tolist())
+        prfs = {name: PRF(p, r, f, degenerate=0 in denominators) for name, p, r, f, denominators in rows}
+        flags = [f"{name}:degenerate" for name in sorted(prfs) if prfs[name].degenerate]
+        return cls(**prfs, avg_f1=avg_f1_totals(totals).item(), flags=flags)
+
     def to_dict(self) -> dict:
         out = {}
-        for name in ("muc", "b_cubed", "ceaf_phi4", "mention", "exact_cluster"):
+        for name in _STATS_FNS:
             prf: PRF = getattr(self, name)
             out[name] = {"precision": prf.precision, "recall": prf.recall, "f1": prf.f1}
         out["avg_f1"] = self.avg_f1
@@ -262,55 +262,25 @@ class MetricReport:
         return out
 
 
-def avg_f1(muc_prf: PRF, b_cubed_prf: PRF, ceaf_prf: PRF) -> float:
-    """Arithmetic mean of the three coreference F1 scores (the headline number)."""
-    return (muc_prf.f1 + b_cubed_prf.f1 + ceaf_prf.f1) / 3.0
-
-
-def avg_f1_totals(totals: np.ndarray) -> np.ndarray:
-    """avg F1 of every (metric, 4) block of summed counts in a (..., metric, 4) array.
-
-    The arithmetic of PRF.from_stats and avg_f1, as array operations, so each
-    value equals ``CorpusStats(block).report().avg_f1``; only the muc, b_cubed
-    and ceaf_phi4 rows are read.
-    """
-    num, den = totals[..., :3, 0::2], totals[..., :3, 1::2]  # (precision, recall) per metric
+def _prf(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(..., metric) precision, recall and F1 of (..., metric, 4) summed counts; 0 over 0 is 0."""
+    num, den = totals[..., 0::2], totals[..., 1::2]  # (precision, recall) per metric
     pr = np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
     p, r = pr[..., 0], pr[..., 1]
     f = np.divide(2 * p * r, p + r, out=np.zeros(p.shape), where=p + r > 0)
+    return p, r, f
+
+
+def avg_f1_totals(totals: np.ndarray) -> np.ndarray:
+    """avg F1, the mean of the muc, b_cubed and ceaf_phi4 F1s, of every
+    (metric, 4) block of summed counts in a (..., metric, 4) array."""
+    _, _, f = _prf(totals[..., :3, :])
     return (f[..., 0] + f[..., 1] + f[..., 2]) / 3.0
-
-
-class CorpusStats:
-    """Accumulates per-document numerators/denominators for corpus-level scores.
-
-    ``totals`` is a (metric, 4) array of ``document_stats`` rows summed in the
-    order the documents were added; pass one to report an existing sum.
-    """
-
-    def __init__(self, totals: Optional[np.ndarray] = None):
-        self.totals = np.zeros((len(_STATS_FNS), 4)) if totals is None else totals
-
-    def add(self, key: Clustering, response: Clustering) -> None:
-        self.totals += document_stats(key, response)
-
-    def report(self) -> MetricReport:
-        prfs = {name: PRF.from_stats(*row) for name, row in zip(_STATS_FNS, self.totals.tolist())}
-        flags = [f"{name}:degenerate" for name in sorted(prfs) if prfs[name].degenerate]
-        return MetricReport(
-            muc=prfs["muc"],
-            b_cubed=prfs["b_cubed"],
-            ceaf_phi4=prfs["ceaf_phi4"],
-            mention=prfs["mention"],
-            exact_cluster=prfs["exact_cluster"],
-            avg_f1=avg_f1(prfs["muc"], prfs["b_cubed"], prfs["ceaf_phi4"]),
-            flags=flags,
-        )
 
 
 def score_corpus(pairs: Iterable[tuple[Clustering, Clustering]]) -> MetricReport:
     """Corpus-level report; numerators/denominators are summed across documents."""
-    stats = CorpusStats()
+    totals = np.zeros((len(_STATS_FNS), 4))
     for key, response in pairs:
-        stats.add(key, response)
-    return stats.report()
+        totals += document_stats(key, response)
+    return MetricReport.from_totals(totals)

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .documents import Document, Span
+from .documents import Document, Span, check_unique_ids
 from .encoder import (
     EncoderConfig,
     FreezeMask,
@@ -380,14 +380,6 @@ def select_checkpoint(scores: Sequence[float], patience: int) -> tuple[int, int]
     return best_i, len(scores) - 1
 
 
-def _check_unique_ids(docs: Sequence[Document]) -> None:
-    seen = set()
-    for doc in docs:
-        if doc.doc_id in seen:
-            raise ValueError(f"repeated doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-
-
 def evaluate_docs(
     docs: Sequence[Document | DocumentPlan],
     params: ParamStore,
@@ -397,7 +389,7 @@ def evaluate_docs(
     """Corpus-level metric report plus per-document predicted clusters, keyed by
     id; each document may be given as its plan."""
     plans = [plan_document(doc, encoder_cfg, engine_cfg) for doc in docs]
-    _check_unique_ids([plan.doc for plan in plans])
+    check_unique_ids(plan.doc for plan in plans)
     predictions = {p.doc.doc_id: resolve_document(p, params, encoder_cfg, engine_cfg) for p in plans}
     report = score_corpus((p.doc.clusters, predictions[p.doc.doc_id]) for p in plans)
     return report, predictions
@@ -419,14 +411,17 @@ def train(
 
     One optimizer step per document. The returned checkpoint holds the best
     parameters; the history holds every epoch (with per-document predictions
-    when ``cache_predictions`` is set, as post-hoc selection experiments need).
+    when ``cache_predictions`` is set, as post-hoc selection experiments need;
+    ``extra_eval_docs`` are predicted only then, and are an error without it).
     """
     config.validate()
     if not train_docs:
         raise ValueError("empty training set")
+    if extra_eval_docs is not None and not cache_predictions:
+        raise ValueError("extra_eval_docs are only evaluated with cache_predictions=True")
     # evaluation keys predictions by doc_id: reject a repeat before the first epoch
-    _check_unique_ids(dev_docs)
-    _check_unique_ids(extra_eval_docs or ())
+    check_unique_ids(dev_docs)
+    check_unique_ids(extra_eval_docs or ())
     params = init_params.copy()
     apply_freeze(params, encoder_cfg, config.freeze)
     optimizer = AdamOptimizer(params, config)
@@ -437,7 +432,7 @@ def train(
         return [plan_document(doc, encoder_cfg, engine_cfg) for doc in docs]
 
     train_plans, dev_plans = plan_all(train_docs), plan_all(dev_docs)
-    extra_plans = plan_all(extra_eval_docs) if cache_predictions and extra_eval_docs is not None else None
+    extra_plans = plan_all(extra_eval_docs) if extra_eval_docs is not None else None
 
     # every training step of this call reuses one set of pair-row buffers
     buffers = RowBuffers()

@@ -65,7 +65,8 @@ def oracle_muc_side(clusters, other):
     return num, den
 
 
-def _prf(pn, pd, rn, rd):
+def oracle_prf(pn, pd, rn, rd):
+    """Precision, recall and F1 of summed counts, in scalar Python."""
     p = pn / pd if pd else 0.0
     r = rn / rd if rd else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0
@@ -75,7 +76,7 @@ def _prf(pn, pd, rn, rd):
 def oracle_muc(key, response):
     rn, rd = oracle_muc_side(key, response)
     pn, pd = oracle_muc_side(response, key)
-    return _prf(pn, pd, rn, rd)
+    return oracle_prf(pn, pd, rn, rd)
 
 
 def oracle_b_cubed_side(clusters, other):
@@ -93,7 +94,7 @@ def oracle_b_cubed_side(clusters, other):
 def oracle_b_cubed(key, response):
     rn, rd = oracle_b_cubed_side(key, response)
     pn, pd = oracle_b_cubed_side(response, key)
-    return _prf(pn, pd, rn, rd)
+    return oracle_prf(pn, pd, rn, rd)
 
 
 def phi4(a, b):
@@ -115,7 +116,7 @@ def oracle_ceaf(key, response):
     for perm in itertools.permutations(range(len(large)), len(small)):
         total = sum(phi4(small[i], large[j]) for i, j in enumerate(perm))
         best = max(best, total)
-    return _prf(best, len(response), best, len(key))
+    return oracle_prf(best, len(response), best, len(key))
 
 
 def oracle_assignment_total(matrix):

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from corefkit import (
     Document,
     EncoderConfig,
     EngineConfig,
+    FreezeMask,
     SchemeConfig,
     TrainConfig,
     load_checkpoint,
@@ -18,7 +21,7 @@ from corefkit import (
     write_conll,
     write_jsonl,
 )
-from corefkit.cli import load_docs, main
+from corefkit.cli import EffectiveConfig, load_docs, main
 from corefkit.harness import CorpusSplit, layer_freezing_sweep
 from corefkit.training import train
 from stores import v1_checkpoint, with_version
@@ -108,7 +111,7 @@ class TestConvert:
             "--to", "jsonl", "--to", "conll", "--out-file", str(out_file),
         )
         assert code == 0
-        assert out_file.read_bytes() == open(corpus_files["conll"], "rb").read()
+        assert out_file.read_bytes() == Path(corpus_files["conll"]).read_bytes()
 
     def test_stdout_output(self, capsys, corpus_files):
         code, out, _ = run_cli(capsys, "convert", corpus_files["train"], "--to", "conll")
@@ -183,6 +186,105 @@ class TestConfigFile:
         cfg.write_text("[nope]\na = 1\n")
         code, _, err = run_cli(capsys, "synth", "--config", str(cfg), "--out-file", "x.jsonl")
         assert code == 1 and "unknown config section" in err
+
+
+CONFIG_CLASSES = {"encoder": EncoderConfig, "engine": EngineConfig, "train": TrainConfig, "synth": SchemeConfig}
+
+# one spelling of every config field: --set text, parsed value, manifest entry
+FIELD_SPELLINGS = {
+    "encoder.num_layers": ("3", 3, 3),
+    "encoder.hidden_dim": ("16", 16, 16),
+    "encoder.hash_vocab_size": (" 64", 64, 64),
+    "encoder.max_position": ("128", 128, 128),
+    "engine.prune_ratio": ("0.25", 0.25, 0.25),
+    "engine.max_span_width": ("4", 4, 4),
+    "engine.pruning_mode": ("reformulated", "reformulated", "reformulated"),
+    "engine.gold_mentions": ("On", True, True),
+    "engine.max_segment_tokens": ("32", 32, 32),
+    "engine.width_embedding_dim": ("2", 2, 2),
+    "engine.scorer_hidden_dim": ("8", 8, 8),
+    "engine.emit_singletons": ("no", False, False),
+    "train.max_epochs": ("12", 12, 12),
+    "train.patience": ("2", 2, 2),
+    "train.lr_task": ("1e-3", 1e-3, 1e-3),
+    "train.lr_encoder": ("2e-5", 2e-5, 2e-5),
+    "train.clip_norm": ("5", 5.0, 5.0),
+    "train.seed": ("9", 9, 9),
+    "train.objective": ("antecedent_only", "antecedent_only", "antecedent_only"),
+    "train.freeze": ("1", FreezeMask(1), 1),
+    "train.weight_decay_encoder": ("0", 0.0, 0.0),
+    "synth.annotate_singletons": ("false", False, False),
+    "synth.allowed_entity_types": (" person, org ", frozenset({"person", "org"}), ["org", "person"]),
+    "synth.vocab_size": ("50", 50, 50),
+    "synth.num_docs": ("2", 2, 2),
+    "synth.sentences_per_doc": ("2, 4", (2, 4), [2, 4]),
+    "synth.entities_per_doc": ("1,3", (1, 3), [1, 3]),
+    "synth.mentions_per_entity": ("2,2", (2, 2), [2, 2]),
+    "synth.seed": ("4", 4, 4),
+}
+
+
+def synth_manifest_config(capsys, tmp_path, *sets):
+    """The manifest's config of a one-document ``synth`` run with ``sets``, or its error line."""
+    overrides = [arg for text in ("synth.num_docs=1", *sets) for arg in ("--set", text)]
+    code, _, err = run_cli(capsys, "synth", "--out-file", str(tmp_path / "s.jsonl"),
+                           "--out", str(tmp_path / "run"), *overrides)
+    if code:
+        return err
+    return json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]
+
+
+class TestConfigValues:
+    def test_every_field_has_a_spelling(self):
+        fields = {f"{section}.{f.name}" for section, cls in CONFIG_CLASSES.items() for f in dataclasses.fields(cls)}
+        assert fields == set(FIELD_SPELLINGS)
+
+    @pytest.mark.parametrize("field", sorted(FIELD_SPELLINGS))
+    def test_field_parsed_from_its_type(self, capsys, tmp_path, field):
+        text, value, entry = FIELD_SPELLINGS[field]
+        section, key = field.split(".")
+        config = EffectiveConfig()
+        config.apply_set([f"{field}={text}"])
+        parsed = config.values[section][key]
+        assert parsed == value and type(parsed) is type(value)
+        assert getattr(config.build(section), key) == value
+        assert synth_manifest_config(capsys, tmp_path, f"{field}={text}")[section][key] == entry
+
+    @pytest.mark.parametrize("assignment, message", [
+        ("synth.sentences_per_doc=1,2,3", "too many values to unpack (expected 2)"),
+        ("synth.sentences_per_doc=5", "not enough values to unpack (expected 2, got 1)"),
+        ("engine.emit_singletons=maybe", "expected a boolean, got 'maybe'"),
+        ("engine.emit_singletons=", "expected a boolean, got ''"),
+        ("engine.emit_singletons=all", "expected a boolean, got 'all'"),
+        ("engine.gold_mentions=none", "expected a boolean, got 'none'"),
+        ("train.freeze=x", "invalid literal for int() with base 10: 'x'"),
+        ("train.freeze=", "invalid literal for int() with base 10: ''"),
+        ("encoder.num_layers=2.5", "invalid literal for int() with base 10: '2.5'"),
+        ("synth.bogus=1", "unknown key synth.bogus"),
+    ])
+    def test_bad_spelling_rejected(self, capsys, tmp_path, assignment, message):
+        assert synth_manifest_config(capsys, tmp_path, assignment) == f"error:config: {message}\n"
+
+    @pytest.mark.parametrize("assignment, entry", [
+        ("synth.allowed_entity_types=", None),
+        ("synth.allowed_entity_types=ALL", None),
+        ("synth.allowed_entity_types=None", None),
+        ("synth.allowed_entity_types=,", []),
+        ("train.freeze=None", None),
+        ("train.freeze= 2", 2),
+        ("engine.emit_singletons= NONE ", None),
+        ("engine.gold_mentions=YES", True),
+        ("engine.pruning_mode= original", " original"),
+    ])
+    def test_spelling_gives_manifest_entry(self, capsys, tmp_path, assignment, entry):
+        field, _ = assignment.split("=", 1)
+        section, key = field.split(".")
+        assert synth_manifest_config(capsys, tmp_path, assignment)[section][key] == entry
+
+    def test_string_values_keep_their_spaces(self, capsys, corpus_files, tmp_path):
+        code, _, err = run_cli(capsys, "train", "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+                               "--out", str(tmp_path / "run"), "--set", "engine.pruning_mode= original")
+        assert code == 1 and err == "error:config: [engine] unknown pruning_mode ' original'\n"
 
 
 class TestTrainResolve:
@@ -715,7 +817,7 @@ class TestParser:
     def test_command_flags_are_parsed(self, capsys, corpus_files):
         code, out, _ = run_cli(capsys, "convert", corpus_files["all"], "--from-format", "jsonl",
                                "--to", "jsonl")
-        assert code == 0 and out == open(corpus_files["all"]).read()
+        assert code == 0 and out == Path(corpus_files["all"]).read_text()
         with pytest.raises(SystemExit) as exit_info:
             main(["resolve", "model.ckpt", "in.jsonl", "--to", "xml"])
         assert exit_info.value.code == 2

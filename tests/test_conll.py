@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from corefkit import (
@@ -113,6 +115,27 @@ class TestRoundTrip:
         crossing = Document("x", sentence, [((0, 0), (7, 7)), cluster])
         with pytest.raises(DocumentError, match=r"doc 'x': cluster 2 has crossing mentions \(3, 5\) and \(4, 6\)"):
             write_conll([ok, crossing])
+
+    @pytest.mark.parametrize("doc_id, sentence, what", [
+        ("a b", ["x", "y", "z"], "doc id"),  # the doc id column would read as the token
+        ("a", ["New York", "z"], "token"),  # would read back as New
+        ("a", ["", "z"], "token"),  # the doc id would read as the token
+        ("a", ["x\ty"], "token"),
+        ("a\u00a0b", ["x"], "doc id"),  # unicode whitespace splits a column too
+        ("", ["x"], "doc id"),
+        ("a;b", ["x"], "doc id"),  # would read back as a
+        ("a)b", ["x"], "doc id"),  # would read back as a
+        ("#x", ["x"], "doc id"),  # every row would read as a comment
+    ])
+    def test_ids_and_tokens_that_read_back_otherwise_rejected(self, doc_id, sentence, what):
+        """The document is rejected by name, before anything is written."""
+        doc = Document(doc_id, [sentence], [((0, 0),)])
+        match = "token" if what == "token" else "CoNLL ids"
+        with pytest.raises(DocumentError, match="^" + re.escape(f"doc {doc_id!r}: {match}")):
+            write_conll([Document("ok", [["w"]], []), doc])
+
+    def test_unusual_ids_and_tokens_round_trip(self):
+        self.assert_round_trip(Document("a(b#-|", [["(1)", "#", "-", "x|y", "é"]], [((0, 1),)]))
 
     def test_crossing_mentions_of_two_clusters_round_trip(self):
         self.assert_round_trip(Document("d", [[f"w{i}" for i in range(8)]], [((3, 5),), ((4, 6),)]))

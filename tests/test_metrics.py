@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corefkit import PRF, avg_f1, hungarian_max, score_corpus
-from corefkit.metrics import CorpusStats, avg_f1_totals, document_stats
+from corefkit import MetricReport, hungarian_max, score_corpus
+from corefkit.metrics import avg_f1_totals, document_stats
 from oracles import (
     oracle_assignment_total,
     oracle_b_cubed,
     oracle_ceaf,
     oracle_muc,
+    oracle_prf,
     random_clustering,
 )
 
@@ -33,7 +34,8 @@ def stats_of(metric, key, response):
 
 
 def prf_of(metric, key, response):
-    return PRF.from_stats(*stats_of(metric, key, response))
+    """One metric's scores in the report of a one-document corpus."""
+    return getattr(score_corpus([(key, response)]), metric)
 
 
 def singletons(mentions):
@@ -196,7 +198,7 @@ class TestDocumentStats:
                 row = document_stats(key, response)
                 assert row.dtype == np.float64 and row.shape == (5, 4)
                 total = total + row
-            assert score_corpus(pairs) == CorpusStats(total).report()
+            assert score_corpus(pairs) == MetricReport.from_totals(total)
 
 
 clusterings = st.lists(
@@ -254,12 +256,6 @@ class TestProperties:
         assert base == pytest.approx(shuffled, abs=1e-15)
 
 
-def test_avg_f1_values():
-    one = PRF(1, 1, 1)
-    assert avg_f1(one, one, one) == 1.0
-    assert avg_f1(PRF(0, 0, 0.6), PRF(0, 0, 0.5), PRF(0, 0, 0.4)) == pytest.approx(0.5)
-
-
 # derandomized, no example database: Tier-1 stays reproducible
 FEW = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -273,7 +269,17 @@ class TestArrayScoring:
     @given(st.lists(st.lists(counts, min_size=20, max_size=20), min_size=1, max_size=6))
     def test_avg_f1_totals_equals_reports(self, blocks):
         totals = np.array(blocks).reshape(-1, 5, 4)
-        expected = [CorpusStats(block).report().avg_f1 for block in totals]
+        expected = []
+        for block in totals.tolist():
+            # the scalar reference, bit for bit
+            prfs = [oracle_prf(*row) for row in block]
+            report = MetricReport.from_totals(np.array(block))
+            for name, prf, row in zip(METRICS, prfs, block):
+                got = getattr(report, name)
+                assert (got.precision, got.recall, got.f1) == prf
+                assert got.degenerate == (row[1] == 0 or row[3] == 0)
+            expected.append((prfs[0][2] + prfs[1][2] + prfs[2][2]) / 3.0)
+            assert report.avg_f1 == expected[-1]
         assert avg_f1_totals(totals).tolist() == expected
         assert avg_f1_totals(totals[None]).tolist() == [expected]
         assert avg_f1_totals(totals[0]).tolist() == expected[0]
@@ -286,8 +292,9 @@ class TestArrayScoring:
     def test_document_stats_rows_match_oracles(self, key, response):
         key, response = dedupe(key), dedupe(response)
         rows = document_stats(key, response).tolist()
-        for stats, oracle in zip(rows, (oracle_muc, oracle_b_cubed, oracle_ceaf)):
-            prf = PRF.from_stats(*stats)
+        report = score_corpus([(key, response)])
+        for name, oracle in zip(METRICS, (oracle_muc, oracle_b_cubed, oracle_ceaf)):
+            prf = getattr(report, name)
             assert (prf.precision, prf.recall, prf.f1) == pytest.approx(oracle(key, response), abs=1e-12)
         # the mention and exact-cluster rows count what the two sides share
         for key_set, resp_set, row in (

@@ -422,6 +422,17 @@ class TestTrainLoop:
             train(docs[:2], dev, init_params(ENC, ENG, seed=0), ENC, ENG,
                   TrainConfig(max_epochs=1, patience=1), extra_eval_docs=extra, cache_predictions=True)
 
+    def test_extra_eval_docs_need_cached_predictions(self, monkeypatch):
+        docs = small_corpus()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr("corefkit.training.document_loss", fail)
+        with pytest.raises(ValueError, match="cache_predictions"):
+            train(docs[:2], docs[2:4], init_params(ENC, ENG, seed=0), ENC, ENG,
+                  TrainConfig(max_epochs=1, patience=1), extra_eval_docs=docs[4:5])
+
     def test_empty_train_set_rejected(self):
         params = init_params(ENC, ENG, seed=0)
         with pytest.raises(ValueError, match="empty"):
