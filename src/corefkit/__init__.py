@@ -25,7 +25,7 @@ from .numeric import (
     load_checkpoint,
     save_checkpoint,
 )
-from .encoder import EncoderConfig, FreezeMask, apply_freeze
+from .encoder import EncoderConfig, apply_freeze
 from .engine import (
     DUMMY_SCORE,
     EngineConfig,

@@ -29,12 +29,11 @@ from typing import Optional, Sequence
 from .bundled import load_bundled_doc
 from .conll import ConllParseError, parse_conll, write_conll
 from .documents import Document, DocumentError, SegmentationError, check_unique_ids
-from .encoder import EncoderConfig, FreezeMask
+from .encoder import EncoderConfig
 from .engine import EngineConfig, init_params, param_layout, resolve_document
 from .harness import (
     CorpusSplit,
     DevAllocSpec,
-    MissingPredictionsError,
     dev_allocation_experiment,
     forgetting_eval,
     layer_freezing_sweep,
@@ -65,7 +64,6 @@ _ERROR_CATEGORIES = (
     (JsonlParseError, "parse"),
     (DocumentError, "parse"),
     (SegmentationError, "parse"),
-    (MissingPredictionsError, "config"),
     (ShapeMismatchError, "shape"),
     (NumericError, "numeric"),
     (OSError, "io"),
@@ -107,8 +105,6 @@ def _parse(kind, text: str):
         if word == "none" or (typing.get_origin(args[0]) is frozenset and word in ("", "all")):
             return None
         return _parse(args[0], text)
-    if kind is FreezeMask:
-        return FreezeMask(_parse(Optional[int], text))
     if kind is bool:
         if word not in _BOOLEANS:
             raise CliError("config", f"expected a boolean, got {text!r}")
@@ -164,15 +160,6 @@ class EffectiveConfig:
             return dataclasses.replace(base, **self.values[section]).validate()
         except (TypeError, ValueError) as exc:
             raise CliError("config", f"[{section}] {exc}") from exc
-
-
-def _json_value(value):
-    """A set as its sorted list, a FreezeMask as its layer count: the config values json cannot write."""
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, FreezeMask):
-        return value.trainable_top_layers
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _effective_config(args) -> EffectiveConfig:
@@ -273,7 +260,8 @@ class RunDir:
             "outputs": sorted(set(self.outputs)),
         }
         self.path.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_value)
+        # a set, the one config value json cannot write, goes in as its sorted list
+        text = json.dumps(manifest, indent=2, sort_keys=True, default=sorted)
         (self.path / "manifest.json").write_text(text)
 
 

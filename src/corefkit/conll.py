@@ -133,7 +133,7 @@ def _apply_coref_column(column, token_index, lineno, doc_id, open_spans, cluster
             )
         opens, cid, closes = m.group(1), int(m.group(2)), m.group(3)
         if opens and closes:
-            _add_mention(clusters, cid, (token_index, token_index), doc_id, lineno)
+            clusters.setdefault(cid, []).append((token_index, token_index))
         elif opens:
             open_spans.setdefault(cid, []).append((token_index, lineno))
         elif closes:
@@ -143,22 +143,11 @@ def _apply_coref_column(column, token_index, lineno, doc_id, open_spans, cluster
                     f"'{cid})' has no matching '({cid}'", doc_id=doc_id, line=lineno
                 )
             start, _ = stack.pop()
-            _add_mention(clusters, cid, (start, token_index), doc_id, lineno)
+            clusters.setdefault(cid, []).append((start, token_index))
         else:  # bare id: not part of the bracket grammar
             raise ConllParseError(
                 f"malformed coreference marker {marker!r}", doc_id=doc_id, line=lineno
             )
-
-
-def _add_mention(clusters, cid, span, doc_id, lineno):
-    for other_cid, mentions in clusters.items():
-        if span in mentions:
-            raise ConllParseError(
-                f"mention {span} assigned to clusters {other_cid} and {cid}",
-                doc_id=doc_id,
-                line=lineno,
-            )
-    clusters.setdefault(cid, []).append(span)
 
 
 def write_conll(docs: Sequence[Document]) -> str:
@@ -169,7 +158,8 @@ def write_conll(docs: Sequence[Document]) -> str:
     innermost-first rule no marker order expresses them (the first close
     would end the later start), so such a document raises DocumentError,
     naming the cluster and both spans, before anything is written. So does
-    an id or token that would read back as other text (docs/formats.md).
+    an id or token that would read back as other text, and an empty
+    sentence, which would read back as no sentence (docs/formats.md).
 
     Cluster ids are assigned from the canonical cluster order (1-based). At each
     token the column lists closing brackets first (innermost-first), then
@@ -185,6 +175,9 @@ def write_conll(docs: Sequence[Document]) -> str:
         for token in doc.tokens:
             if token.split() != [token]:
                 raise DocumentError(f"doc {doc.doc_id!r}: token {token!r} is empty or holds whitespace")
+        for i, sentence in enumerate(doc.sentences):
+            if not sentence:
+                raise DocumentError(f"doc {doc.doc_id!r}: sentence {i} is empty")
         for cid, cluster in enumerate(doc.clusters, start=1):
             crossing = _crossing_pair(cluster)
             if crossing is not None:

@@ -40,22 +40,6 @@ class EncoderConfig:
         return self
 
 
-@dataclass(frozen=True)
-class FreezeMask:
-    """Number of top layers left trainable; None means nothing is frozen."""
-
-    trainable_top_layers: Optional[int] = None
-
-    def resolve(self, num_layers: int) -> int:
-        if self.trainable_top_layers is None:
-            return num_layers
-        if not (0 <= self.trainable_top_layers <= num_layers):
-            raise ValueError(
-                f"trainable_top_layers {self.trainable_top_layers} outside [0, {num_layers}]"
-            )
-        return self.trainable_top_layers
-
-
 def token_id(token: str, hash_vocab_size: int) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") % hash_vocab_size
@@ -85,9 +69,12 @@ def encoder_layout(cfg: EncoderConfig) -> list:
     return rows
 
 
-def apply_freeze(params: ParamStore, cfg: EncoderConfig, mask: FreezeMask) -> None:
-    """Set frozen flags on encoder tensors; task tensors are never touched."""
-    top_k = mask.resolve(cfg.num_layers)
+def apply_freeze(params: ParamStore, cfg: EncoderConfig, trainable_top_layers: Optional[int]) -> None:
+    """Freeze all but the top ``trainable_top_layers`` encoder layers (None:
+    freeze nothing); task tensors are never touched."""
+    top_k = cfg.num_layers if trainable_top_layers is None else trainable_top_layers
+    if not (0 <= top_k <= cfg.num_layers):
+        raise ValueError(f"trainable_top_layers {top_k} outside [0, {cfg.num_layers}]")
     first_trainable = cfg.num_layers - top_k
     embed_frozen = top_k < cfg.num_layers
     params.set_frozen("embed.token", embed_frozen)
@@ -98,20 +85,15 @@ def apply_freeze(params: ParamStore, cfg: EncoderConfig, mask: FreezeMask) -> No
             params.set_frozen(f"enc.{i}.{suffix}", frozen)
 
 
-def embed_tokens_forward(params: ParamStore, cfg: EncoderConfig, tokens):
-    """Hashed token embedding plus position embedding; (n, d) output.
-
-    ``tokens`` are strings, or their ``token_ids`` as an array.
-    """
-    if len(tokens) == 0:
+def embed_tokens_forward(params: ParamStore, cfg: EncoderConfig, ids: np.ndarray) -> np.ndarray:
+    """Hashed token embedding plus position embedding of ``token_ids``; (n, d) output."""
+    if len(ids) == 0:
         raise NumericError("cannot embed an empty segment")
-    if len(tokens) > cfg.max_position:
+    if len(ids) > cfg.max_position:
         raise NumericError(
-            f"segment length {len(tokens)} exceeds max_position {cfg.max_position}"
+            f"segment length {len(ids)} exceeds max_position {cfg.max_position}"
         )
-    ids = tokens if isinstance(tokens, np.ndarray) else token_ids(tokens, cfg.hash_vocab_size)
-    x = params.value("embed.token")[ids] + params.value("embed.pos")[: len(ids)]
-    return x, ids
+    return params.value("embed.token")[ids] + params.value("embed.pos")[: len(ids)]
 
 
 def embed_tokens_backward(params: ParamStore, dx: np.ndarray, ids: np.ndarray) -> None:

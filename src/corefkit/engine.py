@@ -421,7 +421,7 @@ def segment_forward(
     None when the segment has no candidates. Training and inference both
     call this.
     """
-    x0, ids = embed_tokens_forward(params, encoder_cfg, plan.ids)
+    x0 = embed_tokens_forward(params, encoder_cfg, plan.ids)
     h, enc_caches = encode_forward(params, encoder_cfg, x0)
     spans = plan.spans
     if not spans:
@@ -434,7 +434,7 @@ def segment_forward(
         if not np.isfinite(sm).all():
             raise NumericError(f"non-finite mention score in segment at token {plan.segment.token_offset}")
         kept = prune_spans(plan.bounds, sm, engine_cfg.prune_ratio, len(plan.segment), engine_cfg.pruning_mode)
-    return SegmentForward(spans, xs, sm, kept, ids, enc_caches, span_cache, sm_cache)
+    return SegmentForward(spans, xs, sm, kept, plan.ids, enc_caches, span_cache, sm_cache)
 
 
 def resolve_document(

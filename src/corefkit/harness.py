@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .documents import Document
-from .encoder import EncoderConfig, FreezeMask
+from .encoder import EncoderConfig
 from .engine import EngineConfig, init_params
 from .metrics import avg_f1_totals, coref_stats
 from .numeric import ParamStore
@@ -239,16 +239,10 @@ def forgetting_eval(
     subsets = nested_subsets(target_split.train, sizes, config.seed)
 
     def run(size: int) -> dict:
-        if size == 0:
-            params = source_params
-        else:
-            result = continued_train(
-                source_params, subsets[size], target_split.dev,
-                encoder_cfg, target_engine_cfg, config,
-            )
-            params = result.checkpoint.params
-        target_report, _ = evaluate_docs(target_split.test, params, encoder_cfg, target_engine_cfg)
-        source_report, _ = evaluate_docs(source_test, params, encoder_cfg, source_engine_cfg)
+        target_report, best = _train_and_test(
+            source_params, subsets[size], target_split, encoder_cfg, target_engine_cfg, config
+        )
+        source_report, _ = evaluate_docs(source_test, best.params, encoder_cfg, source_engine_cfg)
         return {
             "target_size": int(size),
             "target_avg_f1": target_report.avg_f1,
@@ -272,7 +266,7 @@ def layer_freezing_sweep(
             raise ValueError(f"top_k {k} outside [0, {encoder_cfg.num_layers}]")
 
     def run(top_k: int) -> dict:
-        run_config = dataclasses.replace(config, freeze=FreezeMask(top_k))
+        run_config = dataclasses.replace(config, freeze=top_k)
         report, best = _train_and_test(source_params, split.train, split, encoder_cfg, engine_cfg, run_config)
         return {
             "top_k": top_k,

@@ -81,26 +81,19 @@ def _b_cubed_side(clusters: list[frozenset], squares: list[int]) -> tuple[float,
     return float(num), float(sum(map(len, clusters)))
 
 
-def hungarian_max(scores) -> list[tuple[int, int]]:
+def hungarian_max(scores: list[list[float]]) -> list[tuple[int, int]]:
     """Row-to-column one-to-one assignment maximizing the total score.
 
-    A rectangular matrix (a list of row lists, or anything numpy reads as
-    one) assigns min(rows, cols) pairs, listed in row order; a matrix without
-    cells gives ``[]``, and a NaN or infinite score raises ValueError.
+    A rectangular matrix, as a list of row lists, assigns min(rows, cols)
+    pairs, listed in row order; a matrix without cells gives ``[]``, and a
+    NaN or infinite score raises ValueError.
 
     Shortest augmenting paths with row and column potentials (Jonker and
     Volgenant), on lists, with rows <= columns: the row duals start at each
     row's best score, a row whose best column is free takes it, and only the
     rows that lose a contested column search for a path.
     """
-    if not (isinstance(scores, list) and scores and isinstance(scores[0], list)):
-        array = np.asarray(scores, dtype=float)
-        if array.size == 0:
-            return []
-        if array.ndim != 2:
-            raise ValueError(f"hungarian_max: expected a 2-d matrix, got {array.ndim} dimensions")
-        scores = array.tolist()
-    if not scores[0]:
+    if not scores or not scores[0]:
         return []
     w = scores if len(scores) <= len(scores[0]) else list(zip(*scores))
     # any NaN or infinity makes the sum non-finite; a finite sum can still overflow

@@ -46,6 +46,8 @@ class SchemeConfig:
             if not (1 <= lo <= hi):
                 raise ValueError(f"{name} range ({lo}, {hi}) is empty or non-positive")
         if self.allowed_entity_types is not None:
+            if not self.allowed_entity_types:
+                raise ValueError("allowed_entity_types is empty; use none for no restriction")
             unknown = set(self.allowed_entity_types) - set(ENTITY_TYPES)
             if unknown:
                 raise ValueError(f"unknown entity types: {sorted(unknown)}")

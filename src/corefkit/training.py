@@ -34,7 +34,7 @@ segment reuses the memory of the last; a call without one uses a set of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -43,7 +43,6 @@ import numpy as np
 from .documents import Document, Span, check_unique_ids
 from .encoder import (
     EncoderConfig,
-    FreezeMask,
     apply_freeze,
     embed_tokens_backward,
     encode_backward,
@@ -81,7 +80,7 @@ class TrainConfig:
     clip_norm: float = 10.0
     seed: int = 0
     objective: str = OBJECTIVE_JOINT
-    freeze: FreezeMask = field(default_factory=FreezeMask)
+    freeze: Optional[int] = None  # trainable top encoder layers; None trains all
     weight_decay_encoder: float = 0.01
 
     def validate(self) -> "TrainConfig":
@@ -220,9 +219,7 @@ def _segment_loss(
     logits[steps_ix, sizes] = DUMMY_SCORE
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
-    bad_norm = np.abs(p.sum(axis=1) - 1.0) > 1e-12
     step_loss = -np.log(p[steps_ix, np.where(targets < 0, sizes, targets)])
-    bad = bad_norm | ~np.isfinite(step_loss)
     # softmax cross-entropy over clusters + dummy: d s_k = p_k - [k == target]
     dscores = p[pair_cell]
     merging = targets >= 0
@@ -239,26 +236,22 @@ def _segment_loss(
         is_mention = np.array([spans[row] in gold for row in rows], dtype=bool)
         s = sigmoid(sm[rows])
         mention_loss = -np.log(np.where(is_mention, s, 1.0 - s))
-        bad |= ~np.isfinite(mention_loss[: len(kept)])
         # each step's pair term, then its mention term, as the walk meets them
         terms = np.concatenate(
             [np.column_stack([step_loss, mention_loss[: len(kept)]]).ravel(), mention_loss[len(kept) :]]
         )
         mention_grad = (rows, np.where(is_mention, s - 1.0, s))
 
-    # errors name the first bad span in walk order
+    # errors name the span of the first non-finite term in walk order
+    bad = ~np.isfinite(terms)
     if bad.any():
-        i = int(np.argmax(bad))
-        span = spans[fwd.kept[i]]
-        if bad_norm[i]:
-            raise NumericError(f"softmax not normalized at span {span}")
-        if not np.isfinite(step_loss[i]):
-            raise NumericError(f"non-finite loss at span {span}")
-        raise NumericError(f"non-finite mention loss at span {span}")
-    if mention_grad is not None and not np.isfinite(mention_loss).all():
-        # only a dropped gold mention's term is left to be non-finite
-        bad_row = mention_grad[0][np.argmax(~np.isfinite(mention_loss))]
-        raise NumericError(f"non-finite mention loss at span {spans[bad_row]}")
+        t = int(np.argmax(bad))
+        if mention_grad is None:
+            raise NumericError(f"non-finite loss at span {spans[kept[t]]}")
+        # kept span i's terms are 2i and 2i + 1, then one per dropped gold mention
+        i = t // 2 if t < 2 * len(kept) else t - len(kept)
+        kind = "loss" if t < 2 * len(kept) and t % 2 == 0 else "mention loss"
+        raise NumericError(f"non-finite {kind} at span {spans[rows[i]]}")
 
     if backward:
         _segment_backward(

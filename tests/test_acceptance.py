@@ -251,7 +251,6 @@ def test_06_catastrophic_forgetting(transfer_setup):
 
 
 def test_07_freeze_contract():
-    from corefkit.encoder import FreezeMask
 
     start = time.perf_counter()
     enc = EncoderConfig(num_layers=3, hidden_dim=16, hash_vocab_size=512, max_position=64)
@@ -270,7 +269,7 @@ def test_07_freeze_contract():
             for d in split_dev
         ]))
 
-    frozen_cfg = TrainConfig(max_epochs=15, patience=15, seed=0, freeze=FreezeMask(0))
+    frozen_cfg = TrainConfig(max_epochs=15, patience=15, seed=0, freeze=0)
     frozen_run = train(split_train, split_dev, init, enc, eng, frozen_cfg)
     encoder_identical = all(
         np.array_equal(frozen_run.checkpoint.params.value(n), p.value)
@@ -280,7 +279,7 @@ def test_07_freeze_contract():
     loss_after = dev_loss(frozen_run.checkpoint.params)
 
     base_cfg = TrainConfig(max_epochs=4, patience=4, seed=0)
-    full_cfg = dataclasses.replace(base_cfg, freeze=FreezeMask(enc.num_layers))
+    full_cfg = dataclasses.replace(base_cfg, freeze=enc.num_layers)
     run_a = train(split_train, split_dev, init, enc, eng, base_cfg)
     run_b = train(split_train, split_dev, init, enc, eng, full_cfg)
     bit_identical = all(

@@ -9,7 +9,6 @@ from corefkit import (
     Document,
     EncoderConfig,
     EngineConfig,
-    FreezeMask,
     SchemeConfig,
     TrainConfig,
     load_checkpoint,
@@ -211,7 +210,7 @@ FIELD_SPELLINGS = {
     "train.clip_norm": ("5", 5.0, 5.0),
     "train.seed": ("9", 9, 9),
     "train.objective": ("antecedent_only", "antecedent_only", "antecedent_only"),
-    "train.freeze": ("1", FreezeMask(1), 1),
+    "train.freeze": ("1", 1, 1),
     "train.weight_decay_encoder": ("0", 0.0, 0.0),
     "synth.annotate_singletons": ("false", False, False),
     "synth.allowed_entity_types": (" person, org ", frozenset({"person", "org"}), ["org", "person"]),
@@ -261,6 +260,7 @@ class TestConfigValues:
         ("train.freeze=", "invalid literal for int() with base 10: ''"),
         ("encoder.num_layers=2.5", "invalid literal for int() with base 10: '2.5'"),
         ("synth.bogus=1", "unknown key synth.bogus"),
+        ("synth.allowed_entity_types=,", "[synth] allowed_entity_types is empty; use none for no restriction"),
     ])
     def test_bad_spelling_rejected(self, capsys, tmp_path, assignment, message):
         assert synth_manifest_config(capsys, tmp_path, assignment) == f"error:config: {message}\n"
@@ -269,7 +269,6 @@ class TestConfigValues:
         ("synth.allowed_entity_types=", None),
         ("synth.allowed_entity_types=ALL", None),
         ("synth.allowed_entity_types=None", None),
-        ("synth.allowed_entity_types=,", []),
         ("train.freeze=None", None),
         ("train.freeze= 2", 2),
         ("engine.emit_singletons= NONE ", None),

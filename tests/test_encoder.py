@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corefkit import EncoderConfig, EngineConfig, FreezeMask, TrainConfig, apply_freeze, init_params
+from corefkit import EncoderConfig, EngineConfig, TrainConfig, apply_freeze, init_params
 from corefkit.encoder import (
     embed_tokens_backward,
     embed_tokens_forward,
@@ -9,6 +9,7 @@ from corefkit.encoder import (
     encode_forward,
     encoder_layout,
     token_id,
+    token_ids,
 )
 from corefkit.numeric import ENCODER_GROUP, AdamOptimizer, NumericError, ParamStore, grad_check
 from oracles import reference_encode_backward, reference_encode_forward
@@ -33,12 +34,14 @@ def cfg():
 class TestEmbedding:
     def test_output_shape(self, cfg):
         params = fresh_params(cfg)
-        x, _ = embed_tokens_forward(params, cfg, ["a", "b", "c"])
+        ids = token_ids(["a", "b", "c"], cfg.hash_vocab_size)
+        x = embed_tokens_forward(params, cfg, ids)
         assert x.shape == (3, cfg.hidden_dim)
 
     def test_same_token_two_positions(self, cfg):
         params = fresh_params(cfg)
-        x, _ = embed_tokens_forward(params, cfg, ["dog", "saw", "dog"])
+        ids = token_ids(["dog", "saw", "dog"], cfg.hash_vocab_size)
+        x = embed_tokens_forward(params, cfg, ids)
         lex = params.value("embed.token")[token_id("dog", cfg.hash_vocab_size)]
         pos = params.value("embed.pos")
         np.testing.assert_allclose(x[0] - pos[0], lex)
@@ -56,17 +59,18 @@ class TestEmbedding:
     def test_too_long_segment(self, cfg):
         params = fresh_params(cfg)
         with pytest.raises(NumericError, match="max_position"):
-            embed_tokens_forward(params, cfg, ["t"] * (cfg.max_position + 1))
+            embed_tokens_forward(params, cfg, token_ids(["t"] * (cfg.max_position + 1), cfg.hash_vocab_size))
 
     def test_empty_segment(self, cfg):
         with pytest.raises(NumericError, match="empty"):
-            embed_tokens_forward(fresh_params(cfg), cfg, [])
+            embed_tokens_forward(fresh_params(cfg), cfg, token_ids([], cfg.hash_vocab_size))
 
 
 class TestEncode:
     def test_shape_preserved(self, cfg):
         params = fresh_params(cfg)
-        x, _ = embed_tokens_forward(params, cfg, ["a", "b", "c", "d", "e"])
+        ids = token_ids(["a", "b", "c", "d", "e"], cfg.hash_vocab_size)
+        x = embed_tokens_forward(params, cfg, ids)
         h, _ = encode_forward(params, cfg, x)
         assert h.shape == (5, cfg.hidden_dim)
 
@@ -74,7 +78,8 @@ class TestEncode:
         params = fresh_params(cfg)
 
         def encode():
-            x, _ = embed_tokens_forward(params, cfg, ["x", "y"])
+            ids = token_ids(["x", "y"], cfg.hash_vocab_size)
+            x = embed_tokens_forward(params, cfg, ids)
             return encode_forward(params, cfg, x)[0]
 
         np.testing.assert_array_equal(encode(), encode())
@@ -83,7 +88,8 @@ class TestEncode:
         cfg = EncoderConfig(num_layers=1, hidden_dim=4, hash_vocab_size=16, max_position=8)
         params = fresh_params(cfg)
         params["enc.0.W"].value[...] = 0.0
-        x, _ = embed_tokens_forward(params, cfg, ["a", "b", "c"])
+        ids = token_ids(["a", "b", "c"], cfg.hash_vocab_size)
+        x = embed_tokens_forward(params, cfg, ids)
         h, _ = encode_forward(params, cfg, x)
         gate = float(params.value("enc.0.gate")[0])
         # uniform window weights at init: mixing term is the windowed mean
@@ -104,7 +110,8 @@ class TestEncode:
         target = rng.normal(size=(4, cfg.hidden_dim))
 
         def loss(backward):
-            x, ids = embed_tokens_forward(params, cfg, tokens)
+            ids = token_ids(tokens, cfg.hash_vocab_size)
+            x = embed_tokens_forward(params, cfg, ids)
             h, caches = encode_forward(params, cfg, x)
             value = float(np.sum(h * target))
             if backward:
@@ -141,46 +148,47 @@ class TestWindowMixMatchesShiftReference:
 class TestFreezing:
     def test_mask_zero_freezes_everything(self, cfg):
         params = fresh_params(cfg)
-        apply_freeze(params, cfg, FreezeMask(0))
+        apply_freeze(params, cfg, 0)
         assert all(encoder_flags(params))
 
     def test_mask_full_frees_everything(self, cfg):
         params = fresh_params(cfg)
-        apply_freeze(params, cfg, FreezeMask(cfg.num_layers))
+        apply_freeze(params, cfg, cfg.num_layers)
         assert not any(encoder_flags(params))
 
     def test_default_mask_frees_everything(self, cfg):
         params = fresh_params(cfg)
-        apply_freeze(params, cfg, FreezeMask())
+        apply_freeze(params, cfg, None)
         assert not any(encoder_flags(params))
 
     def test_partial_mask_layers(self, cfg):
         params = fresh_params(cfg)
-        apply_freeze(params, cfg, FreezeMask(1))
+        apply_freeze(params, cfg, 1)
         assert params["enc.0.W"].frozen and params["enc.1.W"].frozen
         assert not params["enc.2.W"].frozen
         assert params["embed.token"].frozen  # embeddings frozen unless k == L
 
     def test_out_of_range_mask(self, cfg):
         with pytest.raises(ValueError, match="outside"):
-            apply_freeze(fresh_params(cfg), cfg, FreezeMask(cfg.num_layers + 1))
+            apply_freeze(fresh_params(cfg), cfg, cfg.num_layers + 1)
 
     def test_trainable_count_strictly_increases(self, cfg):
         params = fresh_params(cfg)
         counts = []
         for k in range(cfg.num_layers + 1):
-            apply_freeze(params, cfg, FreezeMask(k))
+            apply_freeze(params, cfg, k)
             counts.append(sum(p.value.size for _, p in params.items() if not p.frozen))
         assert counts == sorted(counts) and len(set(counts)) == len(counts)
 
     def test_only_top_layers_change_after_step(self, cfg):
         params = fresh_params(cfg, seed=3)
-        apply_freeze(params, cfg, FreezeMask(1))
+        apply_freeze(params, cfg, 1)
         before = {n: params.value(n).copy() for n in params.names()}
         tokens = ["a", "b", "c"]
         target = np.ones((3, cfg.hidden_dim))
 
-        x, ids = embed_tokens_forward(params, cfg, tokens)
+        ids = token_ids(tokens, cfg.hash_vocab_size)
+        x = embed_tokens_forward(params, cfg, ids)
         h, caches = encode_forward(params, cfg, x)
         dx = encode_backward(params, target, caches)
         embed_tokens_backward(params, dx, ids)

@@ -14,7 +14,7 @@ from corefkit import (
     synth_corpus,
     width_bucket,
 )
-from corefkit.encoder import embed_tokens_forward, encode_forward
+from corefkit.encoder import embed_tokens_forward, encode_forward, token_ids
 from corefkit.engine import (
     EngineState,
     ffn_backward,
@@ -146,7 +146,7 @@ class TestArrayStepsMatchLoopReferences:
 
 
 def encode_tokens(params, enc, tokens):
-    x, _ = embed_tokens_forward(params, enc, tokens)
+    x = embed_tokens_forward(params, enc, token_ids(tokens, enc.hash_vocab_size))
     h, _ = encode_forward(params, enc, x)
     return h
 

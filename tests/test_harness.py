@@ -15,7 +15,6 @@ from corefkit import (
     synth_corpus,
     train,
 )
-from corefkit.encoder import FreezeMask
 from corefkit.harness import (
     CorpusSplit,
     DevAllocSpec,
@@ -365,9 +364,9 @@ class TestForgetting:
         source_test = docs[:3]
         target = split_of(docs[3:], 6, 2, 3)
         rows = forgetting_eval(
-            source_params, source_test, target, [2, 4], ENC, ENG, ENG, FAST
+            source_params, source_test, target, [0, 2, 4], ENC, ENG, ENG, FAST
         )
-        curve = learning_curve(target, (2, 4), ENC, ENG, FAST, source_params=source_params)
+        curve = learning_curve(target, (0, 2, 4), ENC, ENG, FAST, source_params=source_params)
         assert [r["target_avg_f1"] for r in rows] == [r["avg_f1"] for r in curve]
 
 
@@ -377,7 +376,7 @@ class TestFreezingSweep:
         split = split_of(docs, 5, 2, 3)
         init = init_params(ENC, ENG, seed=4)
         cfg = TrainConfig(max_epochs=3, patience=3, seed=0)
-        run_cfg = dataclasses.replace(cfg, freeze=FreezeMask(0))
+        run_cfg = dataclasses.replace(cfg, freeze=0)
         result = train(split.train, split.dev, init, ENC, ENG, run_cfg)
         for name, p in init.items():
             if p.group == ENCODER_GROUP:
@@ -397,7 +396,7 @@ class TestFreezingSweep:
         unfrozen = train(split.train, split.dev, init, ENC, ENG, cfg)
         masked = train(
             split.train, split.dev, init, ENC, ENG,
-            dataclasses.replace(cfg, freeze=FreezeMask(ENC.num_layers)),
+            dataclasses.replace(cfg, freeze=ENC.num_layers),
         )
         assert [(r.train_loss, r.dev_avg_f1) for r in unfrozen.history] == [
             (r.train_loss, r.dev_avg_f1) for r in masked.history

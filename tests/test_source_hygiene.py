@@ -1,0 +1,83 @@
+"""Source hygiene of ``src/corefkit``, read from its syntax trees.
+
+No module imports a name that it does not use, and every top-level function
+or class is used by other code of the package or by the benchmark under
+``bench/``: nothing stays that only its own test calls. ``__init__.py`` only
+re-exports names, so neither its imports nor its names count as uses.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = {
+    path.name: ast.parse(path.read_text(), str(path))
+    for path in sorted((ROOT / "src" / "corefkit").glob("*.py"))
+    if path.name != "__init__.py"
+}
+
+
+def used_names(node, attributes: bool) -> set:
+    """The names that the code under ``node`` reads: bare names, the names in
+    string annotations such as ``-> "Document"``, and with ``attributes`` the
+    attribute names (``module.name``)."""
+    names = set()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name):
+            names.add(part.id)
+        elif attributes and isinstance(part, ast.Attribute):
+            names.add(part.attr)
+        for annotation in (getattr(part, "annotation", None), getattr(part, "returns", None)):
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                names |= used_names(ast.parse(annotation.value, mode="eval"), attributes)
+    return names
+
+
+def bench_names() -> set:
+    """Names the benchmark uses: in its code, and in its strings, which is
+    how its tracer names the functions it wraps (``"AdamOptimizer.step"``)."""
+    names = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names |= used_names(tree, attributes=True)
+        names |= {
+            word for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for word in node.value.split(".")
+        }
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_unused_imports(module):
+    tree = MODULES[module]
+    used = used_names(tree, attributes=False)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        else:
+            continue
+        unused += [f"{name} (line {node.lineno})" for name in bound if name not in used]
+    assert not unused, f"{module} imports names it does not use: {unused}"
+
+
+def test_every_top_level_definition_is_used():
+    # the names each top-level statement of the package reads
+    statements = [
+        (node, used_names(node, attributes=True)) for tree in MODULES.values() for node in tree.body
+    ]
+    from_bench = bench_names()
+    unused = [
+        f"{module}: {node.name}"
+        for module, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in from_bench
+        and not any(node.name in names for other, names in statements if other is not node)
+    ]
+    assert not unused, f"used only by tests, or by nothing: {unused}"

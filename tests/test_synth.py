@@ -67,3 +67,6 @@ def test_invalid_config_rejected():
         SchemeConfig(entities_per_doc=(3, 2)).validate()
     with pytest.raises(ValueError):
         SchemeConfig(allowed_entity_types=frozenset({"martian"})).validate()
+    # an empty set would drop every cluster; None is the unrestricted scheme
+    with pytest.raises(ValueError, match="allowed_entity_types is empty; use none for no restriction"):
+        SchemeConfig(allowed_entity_types=frozenset()).validate()

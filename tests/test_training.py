@@ -22,7 +22,6 @@ from corefkit import (
     synth_corpus,
     train,
 )
-from corefkit.encoder import FreezeMask
 from corefkit.engine import (
     EngineState,
     RowBuffers,
@@ -318,6 +317,30 @@ class TestWalkGuards:
         ):
             document_loss(doc, params, ENC, eng, "joint_singleton")
 
+    def test_dropped_gold_mention_names_its_span(self):
+        """Every kept span's terms are finite; a gold mention that pruning
+        dropped has an infinite detection term, and the error names it."""
+        eng = dataclasses.replace(ENG, pruning_mode="original", max_segment_tokens=16)
+        params = init_params(ENC, eng, seed=3)
+        # the mention score reads the width embedding alone: 0 for one-token
+        # spans, about -7.6e3 for wider ones, whose sigmoid is then 0.0
+        d = ENC.hidden_dim
+        params["score.mention.W1"].value[...] = 0.0
+        params["score.mention.W1"].value[0, 3 * d] = 1.0
+        params["span.width_emb"].value[:, 0] = 1.0
+        params["span.width_emb"].value[0, 0] = 0.0
+        params["score.mention.w2"].value[...] = 0.0
+        params["score.mention.w2"].value[0] = -1e4
+        doc = Document("d", [[f"t{i}" for i in range(8)]], [((0, 0), (2, 3))])
+        first = segment_forward(plan_document(doc, ENC, eng).segments[0], params, ENC, eng)
+        # pruning keeps one-token spans only, so the two-token mention is dropped
+        assert all(first.spans[row][0] == first.spans[row][1] for row in first.kept)
+        assert (2, 3) not in [first.spans[row] for row in first.kept]
+        with np.errstate(over="ignore", divide="ignore"), pytest.raises(
+            NumericError, match=re.escape("non-finite mention loss at span (2, 3)")
+        ):
+            document_loss(doc, params, ENC, eng, "joint_singleton")
+
 
 class TestSelectCheckpoint:
     def test_patience_semantics(self):
@@ -557,7 +580,7 @@ class TestContinuedTrain:
     def test_frozen_tensors_bit_equal_after_continued_training(self):
         docs = small_corpus()
         params = init_params(ENC, ENG, seed=4)
-        cfg = TrainConfig(max_epochs=2, patience=2, freeze=FreezeMask(0), seed=0)
+        cfg = TrainConfig(max_epochs=2, patience=2, freeze=0, seed=0)
         result = continued_train(params, docs[:3], docs[3:4], ENC, ENG, cfg)
         for name, p in params.items():
             if p.group == ENCODER_GROUP:
