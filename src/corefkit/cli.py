@@ -191,19 +191,21 @@ def _format_of(path: str, explicit: Optional[str] = None) -> str:
     raise CliError("config", f"cannot infer format of {path}; use --format")
 
 
+def _codec(fmt: str):
+    """(parser, writer) of a format name, read on each call from this module,
+    where ``bench/tracing.py`` rebinds ``parse_jsonl`` and ``write_jsonl``."""
+    return {"conll": (parse_conll, write_conll), "jsonl": (parse_jsonl, write_jsonl)}[fmt]
+
+
 def load_docs(path: str, fmt: Optional[str] = None) -> list[Document]:
     text = Path(path).read_text()
-    docs = parse_conll(text) if _format_of(path, fmt) == "conll" else parse_jsonl(text)
+    docs = _codec(_format_of(path, fmt))[0](text)
     check_unique_ids(docs, f"{path}: ")
     return docs
 
 
 def render_docs(docs: Sequence[Document], fmt: str) -> str:
-    if fmt == "conll":
-        return write_conll(list(docs))
-    if fmt == "jsonl":
-        return write_jsonl(list(docs))
-    raise CliError("config", f"unknown format {fmt!r}")
+    return _codec(fmt)[1](list(docs))
 
 
 def _emit(path: Optional[str], text: str) -> None:
@@ -372,8 +374,7 @@ def _report(run: RunDir, name: str, rows: list[dict], line: str) -> None:
 def cmd_convert(args, config, run):
     docs = load_docs(args.input, args.from_format)
     for fmt in args.to:
-        text = render_docs(docs, fmt)
-        docs = parse_conll(text) if fmt == "conll" else parse_jsonl(text)
+        docs = _codec(fmt)[0](render_docs(docs, fmt))
     _emit(args.out_file, render_docs(docs, args.to[-1]))
     print(f"converted {len(docs)} documents to {args.to[-1]}", file=sys.stderr)
 

@@ -29,8 +29,6 @@ class ConllParseError(ValueError):
             ctx.append(f"line {line}")
         prefix = " ".join(ctx)
         super().__init__(f"{prefix}: {message}" if prefix else message)
-        self.doc_id = doc_id
-        self.line = line
 
 
 _BEGIN_RE = re.compile(r"#begin document\s*(?:\((?P<paren>[^)]*)\)|(?P<bare>\S.*))?")
@@ -74,7 +72,7 @@ def parse_conll(text: str) -> list[Document]:
         try:
             doc.validate()
         except DocumentError as exc:
-            raise ConllParseError(str(exc), doc_id=doc.doc_id, line=lineno) from exc
+            raise ConllParseError(str(exc), line=lineno) from exc
         docs.append(doc)
         doc_id, sentences = None, []
         open_spans, clusters, token_index = {}, {}, 0

@@ -86,7 +86,7 @@ class Document:
         return self
 
     def replace_clusters(self, clusters: Iterable[Iterable[Span]]) -> "Document":
-        return dataclasses.replace(self, clusters=canonical_clusters(clusters))
+        return dataclasses.replace(self, clusters=clusters)
 
 
 @dataclass(frozen=True)

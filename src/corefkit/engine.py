@@ -171,8 +171,7 @@ def plan_document(
 
 def span_gather(bounds):
     """Starts, ends, token rows (padded with row 0 to the widest span), the
-    mask of real cells and width buckets of segment-local (start, end) bounds."""
-    bounds = np.asarray(bounds, dtype=np.intp).reshape(-1, 2)
+    mask of real cells and width buckets of (S, 2) segment-local bounds."""
     starts, ends = bounds[:, 0], bounds[:, 1]
     widths = ends - starts + 1
     rel = np.arange(widths.max(), dtype=np.intp)
@@ -258,22 +257,25 @@ def _rows(buffers: Optional[RowBuffers], name: str, rows: int, cols: int) -> np.
     return np.empty((rows, cols)) if buffers is None else buffers.take(name, rows, cols)
 
 
+def _scorer_tensors(params: ParamStore, scorer: str, input_dim: int):
+    """(W1, b1, w2, b2) of a scorer, b2 as a float; W1 must take input_dim columns."""
+    w1, b1, w2, b2 = (params.value(f"score.{scorer}.{name}") for name in ("W1", "b1", "w2", "b2"))
+    if w1.shape[1] != input_dim:
+        raise NumericError(f"{scorer} scorer: input dim {input_dim} != {w1.shape[1]}")
+    return w1, b1, w2, float(b2[0])
+
+
 def ffn_forward(params: ParamStore, scorer: str, x: np.ndarray, buffers: Optional[RowBuffers] = None):
     """Scalar score per row of x; x has shape (S, d_in), result (S,).
 
     With ``buffers``, the hidden rows (kept in the returned cache) are
     written into its "hidden" buffer.
     """
-    w1 = params.value(f"score.{scorer}.W1")
-    b1 = params.value(f"score.{scorer}.b1")
-    w2 = params.value(f"score.{scorer}.w2")
-    b2 = params.value(f"score.{scorer}.b2")
-    if x.shape[1] != w1.shape[1]:
-        raise NumericError(f"{scorer} scorer: input dim {x.shape[1]} != {w1.shape[1]}")
+    w1, b1, w2, b2 = _scorer_tensors(params, scorer, x.shape[1])
     hidden = np.matmul(x, w1.T, out=_rows(buffers, "hidden", len(x), len(b1)))
     hidden += b1
     np.tanh(hidden, out=hidden)
-    scores = hidden @ w2 + b2[0]
+    scores = hidden @ w2 + b2
     return scores, (scorer, x, hidden)
 
 
@@ -298,12 +300,6 @@ def ffn_backward(
     return np.matmul(dz, w1, out=_rows(buffers, "dx", len(dz), w1.shape[1]))
 
 
-def _scorer_tensors(params: ParamStore, scorer: str):
-    """(W1, b1, w2, b2) of a scorer, with the output bias as a float."""
-    values = [params.value(f"score.{scorer}.{name}") for name in ("W1", "b1", "w2", "b2")]
-    return (*values[:3], float(values[3][0]))
-
-
 def pair_features(x: np.ndarray, cmat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """[span; cluster; span*cluster] rows for one span against a (C, span_dim)
     cluster matrix; shared by s_a and alpha. Written into ``out`` when given."""
@@ -325,14 +321,13 @@ def prune_cap(prune_ratio: float, n_tokens: int) -> int:
     return int(math.ceil(prune_ratio * n_tokens))
 
 
-def prune_spans(spans, scores, prune_ratio: float, n_tokens: int, mode: str) -> list[int]:
+def prune_spans(bounds, scores, prune_ratio: float, n_tokens: int, mode: str) -> list[int]:
     """Indices of surviving spans, restored to document order.
 
-    ``spans`` are (start, end) pairs, or an (S, 2) array of them. Ties on the
-    score prefer the earlier start, then the shorter span.
+    ``bounds`` is the (S, 2) array of (start, end) and ``scores`` is (S,).
+    Ties on the score prefer the earlier start, then the shorter span.
     """
     cap = prune_cap(prune_ratio, n_tokens)
-    bounds, scores = np.asarray(spans, dtype=np.intp).reshape(-1, 2), np.asarray(scores)
     starts, ends = bounds[:, 0], bounds[:, 1]
     order = np.lexsort((ends - starts, starts, -scores))
     if mode == PRUNE_REFORMULATED:
@@ -454,35 +449,34 @@ def resolve_document(
     each segment with the retained engine state.
 
     The learned scorers compute what ``ffn_forward`` does, with their tensors
-    fetched once per document and the pair scorer's feature and hidden rows
-    written into buffers held across spans.
+    fetched and checked at the first scored span, and the pair scorer's
+    feature and hidden rows in ``RowBuffers`` views, taken per new cluster.
     """
     engine_cfg.validate()
     state = EngineState()
-    learned = {}  # scorer -> (W1, b1, w2, b2) of each learned scorer in use
-    if pair_score_fn is None:
-        learned["pair"] = pair_w1, pair_b1, pair_w2, pair_b2 = _scorer_tensors(params, "pair")
-        # contiguous, so the per-span product needs no transposed BLAS call
-        pair_w1t = np.ascontiguousarray(pair_w1.T)
-    if alpha_fn is None:
-        learned["merge"] = gate_w1, gate_b1, gate_w2, gate_b2 = _scorer_tensors(params, "merge")
-    feats = hidden = np.empty((0, 0))
+    buffers = RowBuffers()
+    feats = np.empty((0, 0))
     for seg_index, segment in enumerate(plan_document(doc, encoder_cfg, engine_cfg).segments):
         fwd = segment_forward(segment, params, encoder_cfg, engine_cfg)
         for row in fwd.kept if fwd is not None else ():
             span, x = fwd.spans[row], fwd.xs[row]
             live = len(state.clusters)
-            if live:
-                if live > len(feats):
-                    feats = np.empty((2 * live, 3 * x.shape[0]))
-                    for scorer, (w1, *_) in learned.items():
-                        if w1.shape[1] != feats.shape[1]:
-                            raise NumericError(f"{scorer} scorer: input dim {feats.shape[1]} != {w1.shape[1]}")
-                    hidden = np.empty((2 * live, len(pair_b1))) if "pair" in learned else hidden
-                # one feature row per live cluster, shared by s_a and the merge gate
-                f = pair_features(x, state.embeddings(), out=feats[:live])
+            if live == 1 and not len(feats):
+                # the first scored span: the scorers are read, and checked against its rows, once
                 if pair_score_fn is None:
-                    z = np.matmul(f, pair_w1t, out=hidden[:live])
+                    pair_w1, pair_b1, pair_w2, pair_b2 = _scorer_tensors(params, "pair", 3 * len(x))
+                    # contiguous, so the per-span product needs no transposed BLAS call
+                    pair_w1t = np.ascontiguousarray(pair_w1.T)
+                if alpha_fn is None:
+                    gate_w1, gate_b1, gate_w2, gate_b2 = _scorer_tensors(params, "merge", 3 * len(x))
+            if live:
+                if len(feats) != live:  # a cluster was created since the last scored span
+                    feats = buffers.take("feats", live, 3 * len(x))
+                    hidden = buffers.take("hidden", live, len(pair_b1)) if pair_score_fn is None else None
+                # one feature row per live cluster, shared by s_a and the merge gate
+                f = pair_features(x, state.embeddings(), out=feats)
+                if pair_score_fn is None:
+                    z = np.matmul(f, pair_w1t, out=hidden)
                     z += pair_b1
                     np.tanh(z, out=z)
                     sa = z @ pair_w2

@@ -118,10 +118,6 @@ def learning_curve(
     return [run(int(size)) for size in sizes]
 
 
-class MissingPredictionsError(ValueError):
-    pass
-
-
 def _stats_from_cached(
     history: Sequence[EpochRecord], docs: Sequence[Document], which: str, scored: dict
 ) -> np.ndarray:
@@ -138,13 +134,13 @@ def _stats_from_cached(
     for record in history:
         cached = record.dev_predictions if which == "dev" else record.extra_predictions
         if cached is None:
-            raise MissingPredictionsError(
+            raise ValueError(
                 f"epoch {record.epoch} has no cached {which} predictions; "
                 "train with cache_predictions=True"
             )
         missing = ids - set(cached)
         if missing:
-            raise MissingPredictionsError(f"missing cached predictions for {sorted(missing)}")
+            raise ValueError(f"missing cached predictions for {sorted(missing)}")
         per_epoch.append(cached)
     stats = np.zeros((len(docs), len(history), 3, 4))
     for d, doc in enumerate(docs):

@@ -16,7 +16,6 @@ from .documents import Document, DocumentError
 class JsonlParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 def parse_jsonl(text: str) -> list[Document]:

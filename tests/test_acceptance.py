@@ -347,8 +347,8 @@ def test_09_pruning_invariants():
         spans = [(i, i) for i in range(n)]
         scores = rng.normal(size=n)
         ratio = float(rng.uniform(0.1, 1.0))
-        original = prune_spans(spans, scores, ratio, n, "original")
-        reformulated = prune_spans(spans, scores, ratio, n, "reformulated")
+        original = prune_spans(np.array(spans), scores, ratio, n, "original")
+        reformulated = prune_spans(np.array(spans), scores, ratio, n, "reformulated")
         cap = prune_cap(ratio, n)
         ok = ok and set(reformulated) <= set(original)
         ok = ok and len(original) <= cap and len(reformulated) <= cap

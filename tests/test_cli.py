@@ -133,6 +133,13 @@ class TestConvert:
         assert err.startswith("error:parse: doc 'x': cluster 1 has crossing mentions (3, 5) and (4, 6)")
         assert not out_file.exists()
 
+    def test_conll_validation_error_names_the_document_once(self, capsys, tmp_path):
+        source = tmp_path / "dup.conll"
+        source.write_text("#begin document (d); part 000\nd 0 0 a (1)|(2)\n\n#end document\n")
+        code, out, err = run_cli(capsys, "convert", str(source), "--to", "jsonl")
+        assert (code, out) == (1, "")
+        assert err == "error:parse: line 4: d: mention (0, 0) appears in more than one place\n"
+
     def test_unknown_extension_rejected(self, capsys, tmp_path):
         bad = tmp_path / "data.txt"
         bad.write_text("")
@@ -646,9 +653,12 @@ class TestExperimentCommands:
         first = json.loads((out_dir / "predictions.jsonl").read_text().splitlines()[0])
         assert {"epoch", "split", "doc_id", "clusters"} <= set(first)
 
-    @pytest.mark.parametrize("command", ["train", "devalloc"])
+    @pytest.mark.parametrize("command", ["train", "devalloc", "train --cache-predictions"])
     def test_epochs_jsonl_holds_the_history(self, capsys, corpus_files, tmp_path, monkeypatch,
                                             command):
+        """epochs.jsonl and history.csv hold the run's history, and
+        predictions.jsonl, written when predictions are cached, its cached
+        predictions of each epoch."""
         results = []
 
         def recording_train(*args, **kwargs):
@@ -656,13 +666,14 @@ class TestExperimentCommands:
             return results[-1]
 
         monkeypatch.setattr("corefkit.cli.train", recording_train)
-        out_dir = tmp_path / command
+        out_dir = tmp_path / "run"
         extra = {
             "train": [],
+            "train --cache-predictions": ["--cache-predictions"],
             "devalloc": ["--test", corpus_files["test"], "--subset-sizes", "1,2", "--num-subsets", "4"],
         }[command]
         code, _, _ = run_cli(
-            capsys, command, "--train", corpus_files["train"], "--dev", corpus_files["dev"], *extra,
+            capsys, command.split()[0], "--train", corpus_files["train"], "--dev", corpus_files["dev"], *extra,
             "--out", str(out_dir), "--seed", "0", *SMALL_MODEL,
             "--set", "train.max_epochs=3", "--set", "train.patience=3", "--set", "train.clip_norm=1",
         )
@@ -681,6 +692,18 @@ class TestExperimentCommands:
             [str(r.epoch), str(r.train_loss), str(r.dev_avg_f1)] for r in history
         ]
         assert "epochs.jsonl" in json.loads((out_dir / "manifest.json").read_text())["outputs"]
+        # train caches no predictions without the flag, and writes no file
+        predictions = out_dir / "predictions.jsonl"
+        assert predictions.exists() == (command != "train")
+        written = predictions.read_text().splitlines() if predictions.exists() else []
+        assert [json.loads(line) for line in written] == [
+            {"epoch": r.epoch, "split": split, "doc_id": doc_id,
+             "clusters": [[list(m) for m in c] for c in clusters]}
+            for r in history
+            for split, cached in (("dev", r.dev_predictions), ("test", r.extra_predictions))
+            if cached is not None
+            for doc_id, clusters in sorted(cached.items())
+        ]
 
     @pytest.mark.parametrize("flag,value,detail", [
         ("--num-subsets", "0", "num_subsets 0 is below 1"),

@@ -65,12 +65,24 @@ class TestParse:
     def test_duplicate_mention_two_clusters(self):
         text = conll_text([[("a", "(1)|(2)"), ("b", "-")]])
         # Document.validate finds the repeat once the document is read
-        with pytest.raises(ConllParseError, match=r"line 5: .*mention \(0, 0\) appears in more than one place"):
+        # validate's message names the document; the parser adds the line alone
+        with pytest.raises(ConllParseError, match=r"^line 5: d: mention \(0, 0\) appears in more than one place$"):
             parse_conll(text)
 
     def test_malformed_marker(self):
         text = conll_text([[("a", "(x"), ("b", "-")]])
         with pytest.raises(ConllParseError, match="malformed"):
+            parse_conll(text)
+
+    def test_bare_id_marker(self):
+        # an id with no bracket is not part of the bracket grammar
+        text = conll_text([[("a", "(1)|1"), ("b", "-")]])
+        with pytest.raises(ConllParseError, match=r"^doc 'd' line 2: malformed coreference marker '1'$"):
+            parse_conll(text)
+
+    def test_end_outside_a_document(self):
+        text = conll_text([[("a", "-")]]) + "#end document\n"
+        with pytest.raises(ConllParseError, match=r"^line 5: '#end document' outside a document$"):
             parse_conll(text)
 
     def test_missing_end(self):

@@ -31,6 +31,19 @@ def cfg():
     return EncoderConfig(num_layers=3, hidden_dim=8, hash_vocab_size=64, max_position=16)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"num_layers": 0}, "num_layers must be >= 1"),
+    ({"hidden_dim": 3}, "hidden_dim must be >= 4"),
+    ({"hash_vocab_size": 1}, "hash_vocab_size and max_position must be positive"),
+    ({"max_position": 0}, "hash_vocab_size and max_position must be positive"),
+])
+def test_config_bounds_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        EncoderConfig(**kwargs).validate()
+    # one above each bound is accepted
+    EncoderConfig(**{key: value + 1 for key, value in kwargs.items()}).validate()
+
+
 class TestEmbedding:
     def test_output_shape(self, cfg):
         params = fresh_params(cfg)

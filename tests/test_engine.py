@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from corefkit import (
     EncoderConfig,
     EngineConfig,
     SchemeConfig,
+    document_loss,
     enumerate_spans,
     init_params,
     prune_spans,
@@ -36,6 +39,7 @@ from oracles import (
     reference_resolve,
     reference_width_buckets,
 )
+from stores import store_of
 
 
 @pytest.fixture
@@ -67,7 +71,7 @@ class TestParamLayout:
         described = [(name, shape, group) for name, shape, group, _ in param_layout(enc, eng)]
         assert described == [(name, p.value.shape, p.group) for name, p in params.items()]
 
-    @pytest.mark.parametrize("key", ["max_segment_tokens", "scorer_hidden_dim"])
+    @pytest.mark.parametrize("key", ["max_segment_tokens", "scorer_hidden_dim", "max_span_width"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_non_positive_sizes_rejected(self, key, value):
         eng = EngineConfig(**{key: value})
@@ -80,6 +84,17 @@ class TestParamLayout:
         eng = EngineConfig(width_embedding_dim=-1)
         with pytest.raises(ValueError, match="width_embedding_dim must be >= 0"):
             param_layout(EncoderConfig(), eng)
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5, float("nan")])
+    def test_prune_ratio_outside_the_unit_interval_rejected(self, ratio):
+        with pytest.raises(ValueError, match=re.escape("prune_ratio must be in (0, 1]")):
+            EngineConfig(prune_ratio=ratio).validate()
+
+    def test_smallest_sizes_accepted(self):
+        eng = EngineConfig(prune_ratio=1.0, max_span_width=1, max_segment_tokens=1,
+                           width_embedding_dim=0, scorer_hidden_dim=1).validate()
+        layout = {name: shape for name, shape, _, _ in param_layout(EncoderConfig(hidden_dim=4), eng)}
+        assert layout["score.pair.W1"] == (1, 3 * 3 * 4)
 
 
 class TestEnumerate:
@@ -141,7 +156,6 @@ class TestArrayStepsMatchLoopReferences:
             ratio = float(rng.uniform(0.05, 1.0))
             n = int(lengths.sum())
             expected = reference_prune_spans(spans, scores, ratio, n, mode)
-            assert prune_spans(spans, scores, ratio, n, mode) == expected
             assert prune_spans(np.array(spans), scores, ratio, n, mode) == expected
 
 
@@ -155,7 +169,7 @@ class TestSpanEmbedding:
     def test_single_token_span(self, model):
         params, enc, eng = model
         h = encode_tokens(params, enc, ["a", "b", "c"])
-        xs, _ = span_embeddings_forward(params, h, span_gather([(1, 1)]))
+        xs, _ = span_embeddings_forward(params, h, span_gather(np.array([(1, 1)])))
         d = enc.hidden_dim
         np.testing.assert_allclose(xs[0, :d], h[1])
         np.testing.assert_allclose(xs[0, d : 2 * d], h[1])
@@ -165,14 +179,14 @@ class TestSpanEmbedding:
         params, enc, eng = model
         params["span.attn_v"].value[...] = 0.0
         h = encode_tokens(params, enc, ["a", "b", "c", "d"])
-        xs, _ = span_embeddings_forward(params, h, span_gather([(0, 3)]))
+        xs, _ = span_embeddings_forward(params, h, span_gather(np.array([(0, 3)])))
         d = enc.hidden_dim
         np.testing.assert_allclose(xs[0, 2 * d : 3 * d], h.mean(axis=0), atol=1e-12)
 
     def test_width_feature_appended(self, model):
         params, enc, eng = model
         h = encode_tokens(params, enc, ["a", "b", "c"])
-        xs, _ = span_embeddings_forward(params, h, span_gather([(0, 1)]))
+        xs, _ = span_embeddings_forward(params, h, span_gather(np.array([(0, 1)])))
         d = enc.hidden_dim
         np.testing.assert_allclose(
             xs[0, 3 * d :], params.value("span.width_emb")[width_bucket(2)]
@@ -188,7 +202,7 @@ class TestSpanEmbedding:
         target = rng.normal(size=(len(spans), span_dim(enc, eng)))
 
         def loss(backward):
-            xs, cache = span_embeddings_forward(params, h0, span_gather(spans))
+            xs, cache = span_embeddings_forward(params, h0, span_gather(np.array(spans)))
             if backward:
                 span_embeddings_backward(params, target.copy(), cache)
             return float(np.sum(xs * target))
@@ -262,18 +276,18 @@ class TestPruning:
     def test_original_top_k(self):
         spans = [(i, i) for i in range(5)]
         scores = np.array([0.1, 0.9, -0.5, 0.8, 0.2])
-        kept = prune_spans(spans, scores, 0.4, 5, "original")
+        kept = prune_spans(np.array(spans), scores, 0.4, 5, "original")
         assert [spans[i] for i in kept] == [(1, 1), (3, 3)]
 
     def test_reformulated_drops_nonpositive(self):
         spans = [(i, i) for i in range(4)]
         scores = np.array([-0.1, -0.9, -0.5, -0.8])
-        assert prune_spans(spans, scores, 0.5, 4, "reformulated") == []
+        assert prune_spans(np.array(spans), scores, 0.5, 4, "reformulated") == []
 
     def test_tie_break_earlier_start_then_shorter(self):
         spans = [(2, 3), (2, 2), (0, 1)]
         scores = np.array([1.0, 1.0, 1.0])
-        kept = prune_spans(spans, scores, 0.5, 4, "original")
+        kept = prune_spans(np.array(spans), scores, 0.5, 4, "original")
         assert [spans[i] for i in kept] == [(0, 1), (2, 2)]
 
     def test_reformulated_subset_of_original(self):
@@ -283,15 +297,15 @@ class TestPruning:
             spans = [(i, i) for i in range(n)]
             scores = rng.normal(size=n)
             k = float(rng.uniform(0.1, 1.0))
-            orig = set(prune_spans(spans, scores, k, n, "original"))
-            ref = set(prune_spans(spans, scores, k, n, "reformulated"))
+            orig = set(prune_spans(np.array(spans), scores, k, n, "original"))
+            ref = set(prune_spans(np.array(spans), scores, k, n, "reformulated"))
             assert ref <= orig
             assert len(orig) <= prune_cap(k, n) and len(ref) <= prune_cap(k, n)
 
     def test_output_in_document_order(self):
         spans = [(0, 0), (1, 1), (2, 2), (3, 3)]
         scores = np.array([0.1, 0.9, 0.2, 0.8])
-        kept = prune_spans(spans, scores, 0.75, 4, "original")
+        kept = prune_spans(np.array(spans), scores, 0.75, 4, "original")
         assert kept == sorted(kept, key=lambda i: spans[i])
 
 
@@ -325,6 +339,28 @@ class TestResolve:
         doc = Document("d", [[f"t{i}" for i in range(10)]], [])
         with pytest.raises(NumericError, match="non-finite"):
             resolve_document(doc, params, enc, eng)
+
+    @pytest.mark.parametrize("scorer", ["pair", "merge"])
+    def test_scorer_width_checked_against_the_feature_rows(self, model, scorer):
+        """A store whose W1 is one column short of the walk's pair rows is
+        rejected by name when the first span is scored."""
+        params, enc, eng = model
+        import dataclasses
+
+        gold = dataclasses.replace(eng, gold_mentions=True)
+        short = store_of(*[
+            (name, p.value[:, :-1] if name == f"score.{scorer}.W1" else p.value, p.group)
+            for name, p in params.items()
+        ])
+        doc = Document("d", [["a", "b", "c"]], [((0, 0), (2, 2))])
+        width = 3 * span_dim(enc, eng)
+        with pytest.raises(NumericError, match=re.escape(f"{scorer} scorer: input dim {width} != {width - 1}")):
+            resolve_document(doc, short, enc, gold)
+        # a document with no span to score never reads the scorers
+        assert resolve_document(Document("e", [["a"]], [((0, 0),)]), short, enc, gold) == [((0, 0),)]
+        if scorer == "pair":
+            with pytest.raises(NumericError, match=re.escape(f"pair scorer: input dim {width} != {width - 1}")):
+                document_loss(doc, short, enc, gold, "joint_singleton")
 
     def test_gold_mentions_with_oracle_scorer(self, model, tiny_doc):
         params, enc, eng = model

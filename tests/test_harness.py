@@ -18,7 +18,6 @@ from corefkit import (
 from corefkit.harness import (
     CorpusSplit,
     DevAllocSpec,
-    MissingPredictionsError,
     dev_allocation_experiment,
     forgetting_eval,
     layer_freezing_sweep,
@@ -191,7 +190,7 @@ class TestDevAllocation:
 
     def test_missing_cache_rejected(self):
         history = [EpochRecord(epoch=1, train_loss=0.0, dev_avg_f1=0.0)]
-        with pytest.raises(MissingPredictionsError):
+        with pytest.raises(ValueError, match="epoch 1 has no cached dev predictions"):
             dev_allocation_experiment(
                 history, self.dev, self.test, DevAllocSpec(dev_subset_sizes=(1,)), patience=2
             )

@@ -26,6 +26,12 @@ def test_missing_field_reports_line():
         parse_jsonl('{"doc_id": "a"}\n')
 
 
+@pytest.mark.parametrize("record", ["[]", '"a"', "1", "null"])
+def test_record_that_is_no_object_reports_line(record):
+    with pytest.raises(JsonlParseError, match="^line 2: record is not an object$"):
+        parse_jsonl('{"doc_id": "a", "sentences": [["x"]]}\n' + record + "\n")
+
+
 def test_invalid_spans_rejected():
     with pytest.raises(JsonlParseError, match="out of range"):
         parse_jsonl('{"doc_id": "a", "sentences": [["x"]], "clusters": [[[0, 5]]]}\n')

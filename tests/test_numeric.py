@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -91,6 +92,19 @@ class TestGradCheck:
         params = quad_store()
         with pytest.raises(NumericError, match="zero everywhere"):
             grad_check(lambda backward: 1.0, params)
+
+    def test_non_finite_perturbation_names_the_scalar(self):
+        params = quad_store()
+        finite = quad_loss(params)
+        q = params.value("q")
+        original = q[2]
+
+        def loss(backward):
+            # finite at the stored values, infinite once q[2] moves
+            return finite(backward) if q[2] == original else float("inf")
+
+        with pytest.raises(NumericError, match=re.escape("non-finite loss while perturbing q[2]")):
+            grad_check(loss, params)
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"eps": 0.0}, "eps must be positive"),

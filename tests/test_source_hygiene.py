@@ -2,11 +2,13 @@
 
 No module imports a name that it does not use, and every top-level function
 or class is used by other code of the package or by the benchmark under
-``bench/``: nothing stays that only its own test calls. ``__init__.py`` only
+``bench/``: nothing stays that only its own test calls. Every exception class
+of the package is told apart from others by its code. ``__init__.py`` only
 re-exports names, so neither its imports nor its names count as uses.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -81,3 +83,32 @@ def test_every_top_level_definition_is_used():
         and not any(node.name in names for other, names in statements if other is not node)
     ]
     assert not unused, f"used only by tests, or by nothing: {unused}"
+
+
+def test_every_exception_class_is_told_apart():
+    """Package code names each exception class of the package somewhere other
+    than in a ``raise`` or as a base class: in an ``except``, an
+    ``isinstance`` or a table. A class that is only raised is its base
+    class with more surface."""
+    classes = {
+        node.name: node for tree in MODULES.values() for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+
+    def is_exception(name):
+        if name in classes:
+            return any(isinstance(b, ast.Name) and is_exception(b.id) for b in classes[name].bases)
+        kind = getattr(builtins, name, None)
+        return isinstance(kind, type) and issubclass(kind, BaseException)
+
+    # the names read under a raise or in a class's bases
+    skipped = {
+        id(name) for tree in MODULES.values() for node in ast.walk(tree)
+        for part in ([node] if isinstance(node, ast.Raise) else getattr(node, "bases", []))
+        for name in ast.walk(part)
+    }
+    told_apart = {
+        node.id for tree in MODULES.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and id(node) not in skipped
+    }
+    only_raised = sorted(name for name in classes if is_exception(name) and name not in told_apart)
+    assert not only_raised, f"exception classes that no code tells apart: {only_raised}"

@@ -70,3 +70,8 @@ def test_invalid_config_rejected():
     # an empty set would drop every cluster; None is the unrestricted scheme
     with pytest.raises(ValueError, match="allowed_entity_types is empty; use none for no restriction"):
         SchemeConfig(allowed_entity_types=frozenset()).validate()
+    with pytest.raises(ValueError, match="vocab_size must be >= 10"):
+        SchemeConfig(vocab_size=9).validate()
+    with pytest.raises(ValueError, match="num_docs must be >= 1"):
+        SchemeConfig(num_docs=0).validate()
+    SchemeConfig(vocab_size=10, num_docs=1).validate()

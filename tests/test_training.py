@@ -296,6 +296,21 @@ class TestWalkGuards:
         with pytest.raises(NumericError, match=re.escape(f"non-finite loss at span {first_scored}")):
             document_loss(growing_doc, params, ENC, eng, objective)
 
+    def test_nan_pair_weight_names_a_later_kept_span_as_loss(self):
+        """Under the joint objective with predicted mentions each kept span has
+        a pair term and a mention term; the NaN pair term of a later kept span
+        is named as its loss, not as a mention loss."""
+        eng = dataclasses.replace(ENG, pruning_mode="original", prune_ratio=1.0, max_span_width=1,
+                                  max_segment_tokens=16)
+        params = init_params(ENC, eng, seed=3)
+        params["score.pair.W1"].value[0, 0] = np.nan
+        doc = Document("d", [[f"t{i}" for i in range(8)]], [((0, 0), (5, 5))])
+        first = segment_forward(plan_document(doc, ENC, eng).segments[0], params, ENC, eng)
+        # every one-token span is kept; (0, 0) starts a cluster, and (1, 1) is scored against it
+        assert first.kept == list(range(8))
+        with pytest.raises(NumericError, match=re.escape("non-finite loss at span (1, 1)")):
+            document_loss(doc, params, ENC, eng, "joint_singleton")
+
     def test_saturated_mention_sigmoid_names_the_span(self):
         eng = dataclasses.replace(ENG, pruning_mode="original", max_segment_tokens=16)
         params = init_params(ENC, eng, seed=3)
@@ -420,10 +435,15 @@ class TestTrainLoop:
     @pytest.mark.parametrize("kwargs,message", [
         ({"max_epochs": 0, "patience": 0}, "max_epochs must be >= 1"),
         ({"patience": -3}, "patience must be >= 0"),
+        ({"max_epochs": 4, "patience": 5}, "patience must be <= max_epochs"),
     ])
     def test_epoch_bounds_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**kwargs).validate()
+
+    def test_unknown_objective_rejected(self):
+        with pytest.raises(ValueError, match="unknown objective 'joint'"):
+            TrainConfig(objective="joint").validate()
 
     def test_repeated_doc_id_rejected(self):
         docs = small_corpus()
