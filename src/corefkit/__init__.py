@@ -4,12 +4,11 @@ from .documents import (
     Document,
     DocumentError,
     Segment,
-    SegmentationError,
     Span,
     segment_document,
 )
-from .conll import ConllParseError, parse_conll, write_conll
-from .jsonl import JsonlParseError, parse_jsonl, write_jsonl
+from .conll import parse_conll, write_conll
+from .jsonl import parse_jsonl, write_jsonl
 from .synth import SchemeConfig, synth_corpus
 from .metrics import (
     PRF,

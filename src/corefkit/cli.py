@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .bundled import load_bundled_doc
-from .conll import ConllParseError, parse_conll, write_conll
-from .documents import Document, DocumentError, SegmentationError, check_unique_ids
+from .conll import parse_conll, write_conll
+from .documents import Document, DocumentError, check_unique_ids
 from .encoder import EncoderConfig
 from .engine import EngineConfig, init_params, param_layout, resolve_document
 from .harness import (
@@ -39,7 +39,7 @@ from .harness import (
     layer_freezing_sweep,
     learning_curve,
 )
-from .jsonl import JsonlParseError, parse_jsonl, write_jsonl
+from .jsonl import parse_jsonl, write_jsonl
 from .metrics import score_corpus
 from .numeric import NumericError, grad_check, load_checkpoint, save_checkpoint
 from .synth import SchemeConfig, synth_corpus
@@ -53,17 +53,10 @@ from .training import (
 )
 
 
-class CliError(Exception):
-    def __init__(self, category: str, detail: str):
-        super().__init__(detail)
-        self.category = category
-
-
+# the one exception type behind each error:<category>, first match first:
+# DocumentError and ShapeMismatchError are ValueErrors, so they precede it
 _ERROR_CATEGORIES = (
-    (ConllParseError, "parse"),
-    (JsonlParseError, "parse"),
     (DocumentError, "parse"),
-    (SegmentationError, "parse"),
     (ShapeMismatchError, "shape"),
     (NumericError, "numeric"),
     (OSError, "io"),
@@ -72,8 +65,6 @@ _ERROR_CATEGORIES = (
 
 
 def _categorize(exc: Exception) -> str:
-    if isinstance(exc, CliError):
-        return exc.category
     for klass, category in _ERROR_CATEGORIES:
         if isinstance(exc, klass):
             return category
@@ -107,7 +98,7 @@ def _parse(kind, text: str):
         return _parse(args[0], text)
     if kind is bool:
         if word not in _BOOLEANS:
-            raise CliError("config", f"expected a boolean, got {text!r}")
+            raise ValueError(f"expected a boolean, got {text!r}")
         return _BOOLEANS[word]
     if typing.get_origin(kind) is frozenset:
         return frozenset(t.strip() for t in text.split(",") if t.strip())
@@ -116,12 +107,12 @@ def _parse(kind, text: str):
         return lo, hi
     if kind in (int, float, str):
         return kind(text)
-    raise CliError("config", f"no parser for fields of type {kind}")
+    raise ValueError(f"no parser for fields of type {kind}")
 
 
 def _coerce(section: str, key: str, text: str):
     if key not in _FIELD_TYPES[section]:
-        raise CliError("config", f"unknown key {section}.{key}")
+        raise ValueError(f"unknown key {section}.{key}")
     return _parse(_FIELD_TYPES[section][key], text)
 
 
@@ -135,21 +126,21 @@ class EffectiveConfig:
         parser = configparser.ConfigParser()
         read = parser.read(path)
         if not read:
-            raise CliError("io", f"config file not found: {path}")
+            raise FileNotFoundError(f"config file not found: {path}")
         for section in parser.sections():
             if section not in _SECTIONS:
-                raise CliError("config", f"unknown config section [{section}]")
+                raise ValueError(f"unknown config section [{section}]")
             for key, text in parser.items(section):
                 self.values[section][key] = _coerce(section, key, text)
 
     def apply_set(self, assignments: Sequence[str]) -> None:
         for assignment in assignments:
             if "=" not in assignment or "." not in assignment.split("=", 1)[0]:
-                raise CliError("config", f"--set expects section.key=value, got {assignment!r}")
+                raise ValueError(f"--set expects section.key=value, got {assignment!r}")
             target, text = assignment.split("=", 1)
             section, key = target.split(".", 1)
             if section not in _SECTIONS:
-                raise CliError("config", f"unknown config section [{section}]")
+                raise ValueError(f"unknown config section [{section}]")
             self.values[section][key] = _coerce(section, key, text)
 
     def build(self, section: str, base=None):
@@ -159,7 +150,7 @@ class EffectiveConfig:
         try:
             return dataclasses.replace(base, **self.values[section]).validate()
         except (TypeError, ValueError) as exc:
-            raise CliError("config", f"[{section}] {exc}") from exc
+            raise ValueError(f"[{section}] {exc}") from exc
 
 
 def _effective_config(args) -> EffectiveConfig:
@@ -188,7 +179,7 @@ def _format_of(path: str, explicit: Optional[str] = None) -> str:
         return "conll"
     if suffix in (".jsonl", ".json"):
         return "jsonl"
-    raise CliError("config", f"cannot infer format of {path}; use --format")
+    raise ValueError(f"cannot infer format of {path}; use --format")
 
 
 def _codec(fmt: str):
@@ -325,12 +316,11 @@ def _load_run_model(config: EffectiveConfig, path: Optional[str] = None):
             encoder_cfg = EncoderConfig(**meta["encoder"])
             model_engine_cfg = EngineConfig(**meta["engine"])
         except (KeyError, TypeError) as exc:
-            raise CliError("shape", f"checkpoint {path} lacks model configuration: {exc}") from exc
+            raise ShapeMismatchError(f"checkpoint {path} lacks model configuration: {exc}") from exc
         for key, value in config.values["encoder"].items():
             if getattr(encoder_cfg, key) != value:
-                raise CliError(
-                    "config",
-                    f"[encoder] {key}={value} differs from the source model's {getattr(encoder_cfg, key)}",
+                raise ValueError(
+                    f"[encoder] {key}={value} differs from the source model's {getattr(encoder_cfg, key)}"
                 )
     engine_cfg = config.build("engine", base=model_engine_cfg)
     _check_segment_fits(encoder_cfg, engine_cfg)
@@ -392,7 +382,7 @@ def cmd_score(args, config, run):
     resp_docs = {d.doc_id: d for d in load_docs(args.response, args.format)}
     if set(key_docs) != set(resp_docs):
         missing = set(key_docs) ^ set(resp_docs)
-        raise CliError("config", f"document ids differ between key and response: {sorted(missing)[:5]}")
+        raise ValueError(f"document ids differ between key and response: {sorted(missing)[:5]}")
     report = score_corpus(
         (key_docs[doc_id].clusters, resp_docs[doc_id].clusters) for doc_id in sorted(key_docs)
     )
@@ -501,11 +491,11 @@ def cmd_freeze_sweep(args, config, run):
 
 def cmd_gradcheck(args, config, run):
     if not args.tolerance > 0.0:  # NaN too
-        raise CliError("config", f"tolerance must be positive, got {args.tolerance}")
+        raise ValueError(f"tolerance must be positive, got {args.tolerance}")
     _, encoder_cfg, _, engine_cfg, train_cfg = _load_run_model(config)
     docs = load_docs(args.doc) if args.doc else [load_bundled_doc()]
     if not docs:
-        raise CliError("config", f"no document in {args.doc}")
+        raise ValueError(f"no document in {args.doc}")
     objective = {"joint": "joint_singleton", "antecedent": "antecedent_only"}.get(
         args.objective, args.objective
     )
@@ -519,7 +509,7 @@ def cmd_gradcheck(args, config, run):
     )
     print(f"gradcheck objective={objective} doc={docs[0].doc_id} max_rel_err={err:.3e}")
     if err >= args.tolerance:
-        raise CliError("numeric", f"gradient check failed: {err:.3e} >= {args.tolerance}")
+        raise NumericError(f"gradient check failed: {err:.3e} >= {args.tolerance}")
     return train_cfg.seed
 
 

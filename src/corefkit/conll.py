@@ -20,15 +20,10 @@ from typing import Sequence
 from .documents import Document, DocumentError, Span
 
 
-class ConllParseError(ValueError):
-    def __init__(self, message: str, doc_id: str | None = None, line: int | None = None):
-        ctx = []
-        if doc_id is not None:
-            ctx.append(f"doc {doc_id!r}")
-        if line is not None:
-            ctx.append(f"line {line}")
-        prefix = " ".join(ctx)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+def _error(message: str, line: int, doc_id: str | None = None) -> DocumentError:
+    """``message`` headed by where it happened: ``doc 'd' line N: ...``, or ``line N: ...`` with no name."""
+    head = f"line {line}" if doc_id is None else f"doc {doc_id!r} line {line}"
+    return DocumentError(f"{head}: {message}")
 
 
 _BEGIN_RE = re.compile(r"#begin document\s*(?:\((?P<paren>[^)]*)\)|(?P<bare>\S.*))?")
@@ -58,11 +53,9 @@ def parse_conll(text: str) -> list[Document]:
         flush_sentence()
         for cid, stack in open_spans.items():
             if stack:
-                raise ConllParseError(
-                    f"unbalanced coreference bracket: '({cid}' opened at token "
-                    f"{stack[-1][0]} never closed",
-                    doc_id=doc_id,
-                    line=stack[-1][1],
+                raise _error(
+                    f"unbalanced coreference bracket: '({cid}' opened at token {stack[-1][0]} never closed",
+                    stack[-1][1], doc_id,
                 )
         doc = Document(
             doc_id=doc_id or f"doc{len(docs)}",
@@ -72,32 +65,32 @@ def parse_conll(text: str) -> list[Document]:
         try:
             doc.validate()
         except DocumentError as exc:
-            raise ConllParseError(str(exc), line=lineno) from exc
+            raise _error(str(exc), lineno) from exc
         docs.append(doc)
         doc_id, sentences = None, []
         open_spans, clusters, token_index = {}, {}, 0
 
-    in_doc = False
+    begin_line = None  # of the open document; None between documents
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if line.startswith("#begin document"):
-            if in_doc:
-                raise ConllParseError("nested '#begin document'", doc_id=doc_id, line=lineno)
+            if begin_line is not None:
+                raise _error("nested '#begin document'", lineno, doc_id)
             m = _BEGIN_RE.match(line)
             name = (m.group("paren") or m.group("bare") or "").strip() if m else ""
             name = name.split(";")[0].strip()
             doc_id = name or None
-            in_doc = True
+            begin_line = lineno
             continue
         if line.startswith("#end document"):
-            if not in_doc:
-                raise ConllParseError("'#end document' outside a document", line=lineno)
+            if begin_line is None:
+                raise _error("'#end document' outside a document", lineno)
             finish_document(lineno)
-            in_doc = False
+            begin_line = None
             continue
-        if not in_doc:
+        if begin_line is None:
             if line.strip():
-                raise ConllParseError("content outside '#begin document'", line=lineno)
+                raise _error("content outside '#begin document'", lineno)
             continue
         if not line.strip():
             flush_sentence()
@@ -106,9 +99,7 @@ def parse_conll(text: str) -> list[Document]:
             continue
         parts = line.split()
         if len(parts) < 2:
-            raise ConllParseError(
-                f"expected at least 2 columns, got {len(parts)}", doc_id=doc_id, line=lineno
-            )
+            raise _error(f"expected at least 2 columns, got {len(parts)}", lineno, doc_id)
         token = parts[3] if len(parts) >= 5 else parts[0]
         coref = parts[-1]
         sentence.append(token)
@@ -117,35 +108,27 @@ def parse_conll(text: str) -> list[Document]:
                 coref, token_index, lineno, doc_id, open_spans, clusters
             )
         token_index += 1
-    if in_doc:
-        raise ConllParseError("missing '#end document'", doc_id=doc_id)
+    if begin_line is not None:
+        raise _error("missing '#end document'", begin_line, doc_id)
     return docs
 
 
 def _apply_coref_column(column, token_index, lineno, doc_id, open_spans, clusters):
     for marker in column.split("|"):
         m = _MARKER_RE.match(marker)
-        if not m:
-            raise ConllParseError(
-                f"malformed coreference marker {marker!r}", doc_id=doc_id, line=lineno
-            )
+        if not m or not (m.group(1) or m.group(3)):  # a bare id is not part of the bracket grammar
+            raise _error(f"malformed coreference marker {marker!r}", lineno, doc_id)
         opens, cid, closes = m.group(1), int(m.group(2)), m.group(3)
         if opens and closes:
             clusters.setdefault(cid, []).append((token_index, token_index))
         elif opens:
             open_spans.setdefault(cid, []).append((token_index, lineno))
-        elif closes:
+        else:
             stack = open_spans.get(cid)
             if not stack:
-                raise ConllParseError(
-                    f"'{cid})' has no matching '({cid}'", doc_id=doc_id, line=lineno
-                )
+                raise _error(f"'{cid})' has no matching '({cid}'", lineno, doc_id)
             start, _ = stack.pop()
             clusters.setdefault(cid, []).append((start, token_index))
-        else:  # bare id: not part of the bracket grammar
-            raise ConllParseError(
-                f"malformed coreference marker {marker!r}", doc_id=doc_id, line=lineno
-            )
 
 
 def write_conll(docs: Sequence[Document]) -> str:

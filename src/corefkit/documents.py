@@ -99,10 +99,6 @@ class Segment:
         return len(self.tokens)
 
 
-class SegmentationError(ValueError):
-    pass
-
-
 def segment_document(doc: Document, max_len: int) -> list[Segment]:
     """Greedy sentence packing: append sentences while the segment stays <= max_len.
 
@@ -110,12 +106,12 @@ def segment_document(doc: Document, max_len: int) -> list[Segment]:
     Concatenating the returned segments reproduces the document token stream.
     """
     if max_len < 1:
-        raise SegmentationError(f"max_len must be >= 1, got {max_len}")
+        raise DocumentError(f"max_len must be >= 1, got {max_len}")
     segments: list[Segment] = []
     cur_tokens, cur_lengths, offset = [], [], 0
     for i, sent in enumerate(doc.sentences):
         if len(sent) > max_len:
-            raise SegmentationError(
+            raise DocumentError(
                 f"{doc.doc_id}: sentence {i} has {len(sent)} tokens, exceeds max_len {max_len}"
             )
         if cur_tokens and len(cur_tokens) + len(sent) > max_len:

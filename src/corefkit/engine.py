@@ -300,16 +300,15 @@ def ffn_backward(
     return np.matmul(dz, w1, out=_rows(buffers, "dx", len(dz), w1.shape[1]))
 
 
-def pair_features(x: np.ndarray, cmat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def pair_features(x: np.ndarray, cmat: np.ndarray, out: np.ndarray) -> np.ndarray:
     """[span; cluster; span*cluster] rows for one span against a (C, span_dim)
-    cluster matrix; shared by s_a and alpha. Written into ``out`` when given."""
+    cluster matrix, shared by s_a and alpha; written into ``out``, which is required."""
     # filled in place: np.broadcast_to + np.concatenate costs twice as much
     n = x.shape[0]
-    feats = np.empty((cmat.shape[0], 3 * n)) if out is None else out
-    feats[:, :n] = x
-    feats[:, n : 2 * n] = cmat
-    np.multiply(x, cmat, out=feats[:, 2 * n :])
-    return feats
+    out[:, :n] = x
+    out[:, n : 2 * n] = cmat
+    np.multiply(x, cmat, out=out[:, 2 * n :])
+    return out
 
 
 # ---------------------------------------------------------------------------

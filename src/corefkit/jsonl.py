@@ -13,11 +13,6 @@ from typing import Sequence
 from .documents import Document, DocumentError
 
 
-class JsonlParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-
-
 def parse_jsonl(text: str) -> list[Document]:
     docs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -26,9 +21,9 @@ def parse_jsonl(text: str) -> list[Document]:
         try:
             record = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise JsonlParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+            raise DocumentError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
         if not isinstance(record, dict):
-            raise JsonlParseError("record is not an object", lineno)
+            raise DocumentError(f"line {lineno}: record is not an object")
         try:
             doc = Document(
                 doc_id=str(record["doc_id"]),
@@ -40,11 +35,11 @@ def parse_jsonl(text: str) -> list[Document]:
                 metadata=record.get("metadata"),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise JsonlParseError(f"malformed record: {exc}", lineno) from exc
+            raise DocumentError(f"line {lineno}: malformed record: {exc}") from exc
         try:
             doc.validate()
         except DocumentError as exc:
-            raise JsonlParseError(str(exc), lineno) from exc
+            raise DocumentError(f"line {lineno}: {exc}") from exc
         docs.append(doc)
     return docs
 

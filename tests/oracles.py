@@ -31,7 +31,6 @@ from corefkit.engine import (
     PRUNE_REFORMULATED,
     ffn_backward,
     ffn_forward,
-    pair_features,
     plan_document,
     prune_cap,
     segment_forward,
@@ -201,6 +200,11 @@ def softmax(scores):
     shifted = scores - scores.max()
     e = np.exp(shifted)
     return e / e.sum()
+
+
+def pair_features(x, cmat):
+    """[span; cluster; span*cluster] rows, concatenated: the library fills a buffer it is given."""
+    return np.concatenate([np.broadcast_to(x, cmat.shape), cmat, x * cmat], axis=1)
 
 
 def pair_features_backward(dfeat, x, cmat):

@@ -23,7 +23,7 @@ from corefkit import (
 from corefkit.cli import EffectiveConfig, load_docs, main
 from corefkit.harness import CorpusSplit, layer_freezing_sweep
 from corefkit.training import train
-from stores import v1_checkpoint, with_version
+from stores import store_of, v1_checkpoint, with_version
 
 
 def run_cli(capsys, *argv):
@@ -625,6 +625,63 @@ class TestGradcheck:
         code, out, err = run_cli(capsys, "gradcheck", "--doc", str(empty), "--seed", "1", *SMALL_MODEL)
         assert code == 1 and out == ""
         assert err == f"error:config: no document in {empty}\n"
+
+
+def jsonl_records(*records):
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+# each line's case: the files it reads, its arguments (paths relative to the
+# run's directory) and its whole stderr; every one exits 1. bare.ckpt, a
+# checkpoint with no model meta, is always there.
+ERROR_LINES = {
+    "set-without-equals": ({}, ["convert", "in.jsonl", "--to", "conll", "--set", "train.seed"],
+                           "error:config: --set expects section.key=value, got 'train.seed'"),
+    "unknown-suffix": ({"data.txt": ""}, ["convert", "data.txt", "--to", "jsonl"],
+                       "error:config: cannot infer format of data.txt; use --format"),
+    "model-without-meta": ({}, ["resolve", "bare.ckpt", "in.jsonl"],
+                           "error:shape: checkpoint bare.ckpt lacks model configuration: 'encoder'"),
+    "ids-differ": (
+        {"key.jsonl": jsonl_records(*({"doc_id": i, "sentences": [["x"]]} for i in "ab")),
+         "response.jsonl": jsonl_records(*({"doc_id": i, "sentences": [["x"]]} for i in "ac"))},
+        ["score", "key.jsonl", "response.jsonl"],
+        "error:config: document ids differ between key and response: ['b', 'c']",
+    ),
+    "gradient-check-failed": ({}, ["gradcheck", "--tolerance", "1e-300", "--seed", "1", *SMALL_MODEL],
+                              "error:numeric: gradient check failed: 3.605e-08 >= 1e-300"),
+    "invalid-json": ({"bad.jsonl": "{broken\n"}, ["convert", "bad.jsonl", "--to", "conll"],
+                     "error:parse: line 1: invalid JSON: Expecting property name enclosed in double quotes"),
+    "malformed-record": ({"bad.jsonl": '{"doc_id": "a"}\n'}, ["convert", "bad.jsonl", "--to", "conll"],
+                         "error:parse: line 1: malformed record: 'sentences'"),
+    "nested-begin": ({"bad.conll": "#begin document (a)\n#begin document (b)\n"},
+                     ["convert", "bad.conll", "--to", "jsonl"],
+                     "error:parse: doc 'a' line 2: nested '#begin document'"),
+    "outside-a-document": ({"bad.conll": "x -\n"}, ["convert", "bad.conll", "--to", "jsonl"],
+                           "error:parse: line 1: content outside '#begin document'"),
+    "one-column": ({"bad.conll": "#begin document (a)\nx\n#end document\n"},
+                   ["convert", "bad.conll", "--to", "jsonl"],
+                   "error:parse: doc 'a' line 2: expected at least 2 columns, got 1"),
+    "close-without-open": ({"bad.conll": "#begin document (a)\nx 1)\n#end document\n"},
+                           ["convert", "bad.conll", "--to", "jsonl"],
+                           "error:parse: doc 'a' line 2: '1)' has no matching '(1'"),
+    "sentence-over-segment": (
+        {"l.jsonl": jsonl_records({"doc_id": "l", "sentences": [[f"w{i}" for i in range(20)]]})},
+        ["gradcheck", "--doc", "l.jsonl", "--seed", "1", *SMALL_MODEL, "--set", "engine.max_segment_tokens=8"],
+        "error:parse: l: sentence 0 has 20 tokens, exceeds max_len 8",
+    ),
+}
+
+
+class TestErrorLines:
+    @pytest.mark.parametrize("case", sorted(ERROR_LINES))
+    def test_error_line(self, capsys, tmp_path, monkeypatch, case):
+        files, argv, stderr = ERROR_LINES[case]
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text)
+        save_checkpoint("bare.ckpt", store_of(("w", [1.0], "task")), meta={"epoch": 1})
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, stderr + "\n")
 
 
 class TestExperimentCommands:

@@ -3,7 +3,6 @@ import re
 import pytest
 
 from corefkit import (
-    ConllParseError,
     Document,
     DocumentError,
     SchemeConfig,
@@ -49,46 +48,50 @@ class TestParse:
 
     def test_unbalanced_open(self):
         text = conll_text([[("a", "(1"), ("b", "-"), ("c", "-")]])
-        with pytest.raises(ConllParseError, match="never closed"):
+        with pytest.raises(DocumentError, match="never closed"):
             parse_conll(text)
 
     def test_close_without_open(self):
         text = conll_text([[("a", "-"), ("b", "1)"), ("c", "-")]])
-        with pytest.raises(ConllParseError, match="no matching"):
+        with pytest.raises(DocumentError, match="no matching"):
             parse_conll(text)
 
     def test_crossing_sentence_boundary(self):
         text = conll_text([[("a", "(1"), ("b", "-")], [("c", "1)")]])
-        with pytest.raises(ConllParseError, match="crosses"):
+        with pytest.raises(DocumentError, match="crosses"):
             parse_conll(text)
 
     def test_duplicate_mention_two_clusters(self):
         text = conll_text([[("a", "(1)|(2)"), ("b", "-")]])
         # Document.validate finds the repeat once the document is read
         # validate's message names the document; the parser adds the line alone
-        with pytest.raises(ConllParseError, match=r"^line 5: d: mention \(0, 0\) appears in more than one place$"):
+        with pytest.raises(DocumentError, match=r"^line 5: d: mention \(0, 0\) appears in more than one place$"):
             parse_conll(text)
 
     def test_malformed_marker(self):
         text = conll_text([[("a", "(x"), ("b", "-")]])
-        with pytest.raises(ConllParseError, match="malformed"):
+        with pytest.raises(DocumentError, match="malformed"):
             parse_conll(text)
 
     def test_bare_id_marker(self):
         # an id with no bracket is not part of the bracket grammar
         text = conll_text([[("a", "(1)|1"), ("b", "-")]])
-        with pytest.raises(ConllParseError, match=r"^doc 'd' line 2: malformed coreference marker '1'$"):
+        with pytest.raises(DocumentError, match=r"^doc 'd' line 2: malformed coreference marker '1'$"):
             parse_conll(text)
 
     def test_end_outside_a_document(self):
         text = conll_text([[("a", "-")]]) + "#end document\n"
-        with pytest.raises(ConllParseError, match=r"^line 5: '#end document' outside a document$"):
+        with pytest.raises(DocumentError, match=r"^line 5: '#end document' outside a document$"):
             parse_conll(text)
 
     def test_missing_end(self):
-        text = "#begin document (d); part 000\nd 0 0 a -\n"
-        with pytest.raises(ConllParseError, match="missing"):
+        text = "#begin document (a); part 000\na 0 0 x -\n"
+        with pytest.raises(DocumentError, match=r"^doc 'a' line 1: missing '#end document'$"):
             parse_conll(text)
+
+    def test_missing_end_of_unnamed_document(self):
+        with pytest.raises(DocumentError, match=r"^line 1: missing '#end document'$"):
+            parse_conll("#begin document\nx -\n")
 
     def test_multiple_documents(self):
         text = conll_text([[("a", "-")]], "one") + conll_text([[("b", "(1)")]], "two")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corefkit import Document, DocumentError, SegmentationError, segment_document
+from corefkit import Document, DocumentError, segment_document
 
 
 def make_doc(sent_lengths, clusters=(), doc_id="d"):
@@ -52,7 +52,7 @@ class TestSegmentation:
 
     def test_oversized_sentence_rejected(self):
         doc = make_doc([600])
-        with pytest.raises(SegmentationError, match="exceeds"):
+        with pytest.raises(DocumentError, match="exceeds"):
             segment_document(doc, 512)
 
     @given(

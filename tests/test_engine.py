@@ -22,7 +22,6 @@ from corefkit.engine import (
     EngineState,
     ffn_backward,
     ffn_forward,
-    pair_features,
     param_layout,
     prune_cap,
     span_dim,
@@ -33,6 +32,7 @@ from corefkit.engine import (
 from corefkit.numeric import NumericError, grad_check, sigmoid
 from oracles import (
     merge_alpha,
+    pair_features,
     pair_scores,
     reference_enumerate_spans,
     reference_prune_spans,

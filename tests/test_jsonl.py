@@ -1,6 +1,6 @@
 import pytest
 
-from corefkit import Document, JsonlParseError, SchemeConfig, parse_conll, parse_jsonl, synth_corpus, write_conll, write_jsonl
+from corefkit import Document, DocumentError, SchemeConfig, parse_conll, parse_jsonl, synth_corpus, write_conll, write_jsonl
 from oracles import structurally_equal
 
 
@@ -17,23 +17,23 @@ def test_zero_clusters():
 
 
 def test_malformed_json_reports_line():
-    with pytest.raises(JsonlParseError, match="line 2"):
+    with pytest.raises(DocumentError, match="line 2"):
         parse_jsonl('{"doc_id": "a", "sentences": [["x"]]}\n{broken\n')
 
 
 def test_missing_field_reports_line():
-    with pytest.raises(JsonlParseError, match="line 1"):
+    with pytest.raises(DocumentError, match="line 1"):
         parse_jsonl('{"doc_id": "a"}\n')
 
 
 @pytest.mark.parametrize("record", ["[]", '"a"', "1", "null"])
 def test_record_that_is_no_object_reports_line(record):
-    with pytest.raises(JsonlParseError, match="^line 2: record is not an object$"):
+    with pytest.raises(DocumentError, match="^line 2: record is not an object$"):
         parse_jsonl('{"doc_id": "a", "sentences": [["x"]]}\n' + record + "\n")
 
 
 def test_invalid_spans_rejected():
-    with pytest.raises(JsonlParseError, match="out of range"):
+    with pytest.raises(DocumentError, match="out of range"):
         parse_jsonl('{"doc_id": "a", "sentences": [["x"]], "clusters": [[[0, 5]]]}\n')
 
 

@@ -3,7 +3,8 @@
 No module imports a name that it does not use, and every top-level function
 or class is used by other code of the package or by the benchmark under
 ``bench/``: nothing stays that only its own test calls. Every exception class
-of the package is told apart from others by its code. ``__init__.py`` only
+of the package is told apart from others by its code, and the CLI's category
+table holds each of them, one class per category. ``__init__.py`` only
 re-exports names, so neither its imports nor its names count as uses.
 """
 
@@ -12,6 +13,8 @@ import builtins
 from pathlib import Path
 
 import pytest
+
+from corefkit.cli import _ERROR_CATEGORIES
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = {
@@ -85,21 +88,22 @@ def test_every_top_level_definition_is_used():
     assert not unused, f"used only by tests, or by nothing: {unused}"
 
 
+CLASSES = {node.name: node for tree in MODULES.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def is_exception(name) -> bool:
+    """Whether ``name``, a class of the package or a builtin, is an exception class."""
+    if name in CLASSES:
+        return any(isinstance(b, ast.Name) and is_exception(b.id) for b in CLASSES[name].bases)
+    kind = getattr(builtins, name, None)
+    return isinstance(kind, type) and issubclass(kind, BaseException)
+
+
 def test_every_exception_class_is_told_apart():
     """Package code names each exception class of the package somewhere other
     than in a ``raise`` or as a base class: in an ``except``, an
     ``isinstance`` or a table. A class that is only raised is its base
     class with more surface."""
-    classes = {
-        node.name: node for tree in MODULES.values() for node in tree.body if isinstance(node, ast.ClassDef)
-    }
-
-    def is_exception(name):
-        if name in classes:
-            return any(isinstance(b, ast.Name) and is_exception(b.id) for b in classes[name].bases)
-        kind = getattr(builtins, name, None)
-        return isinstance(kind, type) and issubclass(kind, BaseException)
-
     # the names read under a raise or in a class's bases
     skipped = {
         id(name) for tree in MODULES.values() for node in ast.walk(tree)
@@ -110,5 +114,17 @@ def test_every_exception_class_is_told_apart():
         node.id for tree in MODULES.values() for node in ast.walk(tree)
         if isinstance(node, ast.Name) and id(node) not in skipped
     }
-    only_raised = sorted(name for name in classes if is_exception(name) and name not in told_apart)
+    only_raised = sorted(name for name in CLASSES if is_exception(name) and name not in told_apart)
     assert not only_raised, f"exception classes that no code tells apart: {only_raised}"
+
+
+def test_one_exception_class_per_error_category():
+    """The CLI's category table is the one place that names an error's
+    category: it lists every exception class of the package, and no
+    category twice, so each ``error:<category>`` has one type behind it."""
+    table = {klass.__name__ for klass, _ in _ERROR_CATEGORIES}
+    untabled = sorted(name for name in CLASSES if is_exception(name) and name not in table)
+    assert not untabled, f"exception classes missing from cli._ERROR_CATEGORIES: {untabled}"
+    categories = [category for _, category in _ERROR_CATEGORIES]
+    repeated = sorted({category for category in categories if categories.count(category) > 1})
+    assert not repeated, f"categories with more than one exception class: {repeated}"
