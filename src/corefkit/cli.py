@@ -103,8 +103,10 @@ def _parse(kind, text: str):
     if typing.get_origin(kind) is frozenset:
         return frozenset(t.strip() for t in text.split(",") if t.strip())
     if typing.get_origin(kind) is tuple:  # a (lo, hi) range
-        lo, hi = (_parse(args[0], part) for part in text.split(","))
-        return lo, hi
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"a range needs lo,hi, got {text!r}")
+        return tuple(_parse(args[0], part) for part in parts)
     if kind in (int, float, str):
         return kind(text)
     raise ValueError(f"no parser for fields of type {kind}")
@@ -113,7 +115,10 @@ def _parse(kind, text: str):
 def _coerce(section: str, key: str, text: str):
     if key not in _FIELD_TYPES[section]:
         raise ValueError(f"unknown key {section}.{key}")
-    return _parse(_FIELD_TYPES[section][key], text)
+    try:
+        return _parse(_FIELD_TYPES[section][key], text)
+    except ValueError as exc:
+        raise ValueError(f"{section}.{key}: {exc}") from exc
 
 
 class EffectiveConfig:
@@ -160,7 +165,10 @@ def _effective_config(args) -> EffectiveConfig:
     config.apply_set(args.set)
     seed = args.seed
     if seed is None and os.environ.get("COREF_SEED"):
-        seed = int(os.environ["COREF_SEED"])
+        try:
+            seed = int(os.environ["COREF_SEED"])
+        except ValueError as exc:
+            raise ValueError(f"COREF_SEED: {exc}") from exc
     if seed is not None:
         config.values["train"]["seed"] = config.values["synth"]["seed"] = seed
     return config

@@ -257,7 +257,7 @@ def _rows(buffers: Optional[RowBuffers], name: str, rows: int, cols: int) -> np.
     return np.empty((rows, cols)) if buffers is None else buffers.take(name, rows, cols)
 
 
-def _scorer_tensors(params: ParamStore, scorer: str, input_dim: int):
+def scorer_tensors(params: ParamStore, scorer: str, input_dim: int):
     """(W1, b1, w2, b2) of a scorer, b2 as a float; W1 must take input_dim columns."""
     w1, b1, w2, b2 = (params.value(f"score.{scorer}.{name}") for name in ("W1", "b1", "w2", "b2"))
     if w1.shape[1] != input_dim:
@@ -265,27 +265,42 @@ def _scorer_tensors(params: ParamStore, scorer: str, input_dim: int):
     return w1, b1, w2, float(b2[0])
 
 
-def ffn_forward(params: ParamStore, scorer: str, x: np.ndarray, buffers: Optional[RowBuffers] = None):
+def ffn_forward(params: ParamStore, scorer: str, x: np.ndarray, buffers: Optional[RowBuffers] = None, lead=None):
     """Scalar score per row of x; x has shape (S, d_in), result (S,).
 
+    ``lead`` = (rows, counts) gives the first input columns once per group:
+    the next ``counts[i]`` (at least one) rows of x all begin with
+    ``rows[i]``, and x holds only their later columns. A lead's share of the
+    hidden layer is computed once per group.
+
     With ``buffers``, the hidden rows (kept in the returned cache) are
-    written into its "hidden" buffer.
+    written into its "hidden" buffer, and a lead's share into "lead", then
+    onto each row through "slope", which ``ffn_backward`` writes before it reads.
     """
-    w1, b1, w2, b2 = _scorer_tensors(params, scorer, x.shape[1])
-    hidden = np.matmul(x, w1.T, out=_rows(buffers, "hidden", len(x), len(b1)))
-    hidden += b1
+    n = 0 if lead is None else lead[0].shape[1]
+    w1, b1, w2, b2 = scorer_tensors(params, scorer, n + x.shape[1])
+    hidden = np.matmul(x, w1[:, n:].T, out=_rows(buffers, "hidden", len(x), len(b1)))
+    if lead is None:
+        hidden += b1
+    else:
+        rows, counts = lead
+        shared = np.matmul(rows, w1[:, :n].T, out=_rows(buffers, "lead", len(rows), len(b1)))
+        shared += b1
+        group = np.repeat(np.arange(len(rows)), counts)
+        # "clip" writes straight into out; the default mode copies through a temporary
+        hidden += np.take(shared, group, axis=0, out=_rows(buffers, "slope", len(x), len(b1)), mode="clip")
     np.tanh(hidden, out=hidden)
     scores = hidden @ w2 + b2
-    return scores, (scorer, x, hidden)
+    return scores, (scorer, x, hidden, lead)
 
 
-def ffn_backward(
-    params: ParamStore, dscores: np.ndarray, cache, buffers: Optional[RowBuffers] = None
-) -> np.ndarray:
+def ffn_backward(params: ParamStore, dscores: np.ndarray, cache, buffers: Optional[RowBuffers] = None):
     """Accumulate the scorer's parameter gradients and return the gradient
-    of its input rows. With ``buffers``, that gradient and the intermediate
-    rows are written into its "dx", "dhidden" and "slope" buffers."""
-    scorer, x, hidden = cache
+    of its input rows; with a lead (``ffn_forward``), return that and the
+    gradient of the lead's rows. With ``buffers``, the input rows' gradient
+    and the intermediate rows are written into its "dx", "dhidden" and
+    "slope" buffers."""
+    scorer, x, hidden, lead = cache
     w1 = params.value(f"score.{scorer}.W1")
     w2 = params.value(f"score.{scorer}.w2")
     params[f"score.{scorer}.w2"].grad += hidden.T @ dscores
@@ -295,9 +310,20 @@ def ffn_backward(
     slope = np.multiply(hidden, hidden, out=_rows(buffers, "slope", *hidden.shape))
     np.subtract(1.0, slope, out=slope)
     dz *= slope
-    params[f"score.{scorer}.W1"].grad += dz.T @ x
     params[f"score.{scorer}.b1"].grad += dz.sum(axis=0)
-    return np.matmul(dz, w1, out=_rows(buffers, "dx", len(dz), w1.shape[1]))
+    if lead is None:
+        params[f"score.{scorer}.W1"].grad += dz.T @ x
+        return np.matmul(dz, w1, out=_rows(buffers, "dx", len(dz), w1.shape[1]))
+    # a group's rows share their lead, so their hidden gradients are summed first
+    rows, counts = lead
+    n = rows.shape[1]
+    dz_lead = np.add.reduceat(dz, np.cumsum(counts) - counts, axis=0)
+    dw1 = _rows(buffers, "slope", *w1.shape)  # dz holds what slope did
+    np.matmul(dz_lead.T, rows, out=dw1[:, :n])
+    np.matmul(dz.T, x, out=dw1[:, n:])
+    params[f"score.{scorer}.W1"].grad += dw1
+    dx = np.matmul(dz, w1[:, n:], out=_rows(buffers, "dx", len(dz), w1.shape[1] - n))
+    return dx, dz_lead @ w1[:, :n]
 
 
 def pair_features(x: np.ndarray, cmat: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -463,11 +489,11 @@ def resolve_document(
             if live == 1 and not len(feats):
                 # the first scored span: the scorers are read, and checked against its rows, once
                 if pair_score_fn is None:
-                    pair_w1, pair_b1, pair_w2, pair_b2 = _scorer_tensors(params, "pair", 3 * len(x))
+                    pair_w1, pair_b1, pair_w2, pair_b2 = scorer_tensors(params, "pair", 3 * len(x))
                     # contiguous, so the per-span product needs no transposed BLAS call
                     pair_w1t = np.ascontiguousarray(pair_w1.T)
                 if alpha_fn is None:
-                    gate_w1, gate_b1, gate_w2, gate_b2 = _scorer_tensors(params, "merge", 3 * len(x))
+                    gate_w1, gate_b1, gate_w2, gate_b2 = scorer_tensors(params, "merge", 3 * len(x))
             if live:
                 if len(feats) != live:  # a cluster was created since the last scored span
                     feats = buffers.take("feats", live, 3 * len(x))

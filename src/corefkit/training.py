@@ -13,22 +13,26 @@ backpropagated through cluster merges within a segment; cluster embeddings
 carried across segments are treated as constants.
 
 Teacher forcing fixes each step's target and every merge before anything is
-scored, so the walk computes only the merge gates and the cluster rows; one
-pair-scorer call on the segment's stacked rows follows it, and every step's
-softmax, loss and checks are computed from its scores as whole-segment arrays.
+scored, so the walk computes only the cluster rows and the merge gates, each
+as one matrix-vector product on the target's pair row, as
+``resolve_document`` does. One pair-scorer call on the segment's stacked rows
+follows it. A step's rows all begin with its span, so that call computes the
+span's share of the hidden layer once per step (``ffn_forward``'s ``lead``)
+and takes only each row's [c; x*c] columns. Every step's softmax, loss and
+checks are whole-segment arrays.
 
 The backward pass makes one call per scorer per segment. Every pair score's
-gradient is known when the forward walk ends, so one call on the segment's
-stacked pair rows gives the pair scorer's gradients. The merge gate's input
-gradient depends on the clusters' gradients, so the reverse walk takes it one
-merge at a time, and one call after the walk gives the gate's parameter
-gradients.
+gradient is known when the forward walk ends, so one call on the stacked pair
+rows gives the pair scorer's gradients. The merge gate's input gradient
+depends on the clusters' gradients, so the reverse walk takes it one merge at
+a time, from every merge's d logit / d pair row, found as one product; one
+call after the walk gives the gate's parameter gradients.
 
-The stacked pair rows (features, hidden layer, and the backward pass's
-intermediate and input-gradient rows) go into grow-only buffers
-(``engine.RowBuffers``), passed to ``document_loss`` as ``buffers``. One
-``train()`` call passes one set to all of its training steps, so that each
-segment reuses the memory of the last; a call without one uses a set of its own.
+The pair rows, the merge gates' rows and their backward rows go into
+grow-only buffers (``engine.RowBuffers``), passed to ``document_loss`` as
+``buffers``. One ``train()`` call passes one set to all of its training
+steps, so that each segment reuses the memory of the last; a call without
+one uses a set of its own.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .engine import (
     param_layout,
     plan_document,
     resolve_document,
+    scorer_tensors,
     segment_forward,
     span_embeddings_backward,
 )
@@ -157,25 +162,30 @@ def _segment_loss(
         return 0.0
     spans, xs, sm = fwd.spans, fwd.xs, fwd.mention_scores
     kept = np.array(fwd.kept, dtype=np.intp)
+    n = xs.shape[1]
 
-    # teacher forcing fixes which spans create clusters before anything is
-    # scored, so the pair rows of every step are counted here and the
-    # segment's feature rows go into one buffer: step i scores rows
-    # offsets[i]:offsets[i + 1], one per cluster live before it
-    live, seen, sizes = len(state.clusters), set(by_entity), []
+    # teacher forcing fixes which spans create clusters and which merge before
+    # anything is scored, so the pair rows and merges are counted here: step i
+    # scores rows offsets[i]:offsets[i + 1], one per cluster live before it
+    live, seen, sizes, merges = len(state.clusters), set(by_entity), [], 0
     for row in fwd.kept:
         sizes.append(live)
         entity = gold.get(spans[row])
-        if entity is not None and entity not in seen:
+        if entity in seen:
+            merges += 1
+        elif entity is not None:
             seen.add(entity)
             live += 1
     offsets = list(accumulate(sizes, initial=0))
-    feats = buffers.take("feats", offsets[-1], 3 * xs.shape[1])
+    feats = buffers.take("feats", offsets[-1], 3 * n)
+    gate_w1, gate_b1, gate_w2, gate_b2 = scorer_tensors(params, "merge", 3 * n)
+    gate_hidden = buffers.take("gate_hidden", merges, len(gate_b1))
 
-    # it also fixes every step's target and merge, so the walk computes only
-    # the merge gates and the cluster rows; the pair scores come after it
+    # the walk computes only the merge gates and the cluster rows
     targets = []  # the target cluster id of each step; -1 is the dummy
-    steps = []
+    steps = []  # (first pair row, end pair row, merge index or -1) of each step
+    merged = []  # (kept row, pair row of the target, cluster id, alpha) of each merge
+    made = []  # (kept row, cluster id) of each cluster created
     for i, row in enumerate(fwd.kept):
         span = spans[row]
         entity = gold.get(span)
@@ -187,30 +197,34 @@ def _segment_loss(
         # teacher forcing keeps one cluster per gold entity: it is the target,
         # and the dummy is when there is none yet (or the span is no mention)
         cluster = by_entity.get(entity)
-        target = -1
-        merge = None
-        created = None
+        target = merge = -1
         if cluster is not None:
-            target = cluster.cluster_id
-            # the gate scores the target's pair row, which keeps its pre-merge embedding
-            logit, cache = ffn_forward(params, "merge", feats[a + target : a + target + 1])
-            alpha = float(sigmoid(logit[0]))
-            merge = (a + target, target, alpha, cache[2][0])
+            target, merge = cluster.cluster_id, len(merged)
+            # the gate scores the target's pair row, which keeps its pre-merge
+            # embedding, as resolve_document scores it
+            z = np.matmul(gate_w1, feats[a + target], out=gate_hidden[merge])
+            z += gate_b1
+            np.tanh(z, out=z)
+            alpha = float(sigmoid(z @ gate_w2 + gate_b2))
+            merged.append((row, a + target, target, alpha))
             state.merge(cluster, span, x, alpha)
         elif entity is not None:
             by_entity[entity] = state.create(x, span)
-            created = by_entity[entity].cluster_id
+            made.append((row, by_entity[entity].cluster_id))
         targets.append(target)
-        steps.append((row, a, b, merge, created))
+        steps.append((a, b, merge))
 
-    # one pair-scorer call on the segment's stacked rows; then each step's
-    # softmax over its clusters plus the dummy, as one row of a padded matrix
-    # whose pad cells are -inf, so that they get probability zero
+    # one pair-scorer call on the segment's stacked rows, which share each
+    # step's span block: its share of the hidden layer is computed once per
+    # step, and the rows hold only their [c; x*c] columns
     joint = objective == OBJECTIVE_JOINT
-    sa, hidden = np.zeros(0), None
-    if offsets[-1]:
-        sa, (_, _, hidden) = ffn_forward(params, "pair", feats, buffers)
     sizes, targets = np.array(sizes, dtype=np.intp), np.array(targets, dtype=np.intp)
+    firsts, scored = np.array(offsets[:-1], dtype=np.intp), sizes > 0
+    sa, pair_cache = np.zeros(0), None
+    if offsets[-1]:
+        sa, pair_cache = ffn_forward(params, "pair", feats[:, n:], buffers, (xs[kept[scored]], sizes[scored]))
+    # then each step's softmax over its clusters plus the dummy, as one row of
+    # a padded matrix whose pad cells are -inf, so that they get probability zero
     steps_ix = np.arange(len(kept))
     pair_cell = np.arange(max(sizes, default=0) + 1) < sizes[:, None]
     logits = np.full(pair_cell.shape, -np.inf)
@@ -223,7 +237,7 @@ def _segment_loss(
     # softmax cross-entropy over clusters + dummy: d s_k = p_k - [k == target]
     dscores = p[pair_cell]
     merging = targets >= 0
-    dscores[np.array(offsets[:-1], dtype=np.intp)[merging] + targets[merging]] -= 1.0
+    dscores[firsts[merging] + targets[merging]] -= 1.0
     terms = step_loss
 
     mention_grad = None
@@ -254,14 +268,14 @@ def _segment_loss(
         raise NumericError(f"non-finite {kind} at span {spans[rows[i]]}")
 
     if backward:
-        _segment_backward(
-            params, fwd, len(state.clusters), steps, (feats, hidden, dscores), mention_grad, joint, buffers
-        )
+        pair = (feats, dscores, pair_cache, kept[scored], firsts[scored])
+        gates = (merged, gate_hidden)
+        _segment_backward(params, fwd, len(state.clusters), steps, pair, gates, made, mention_grad, joint, buffers)
     # one running total in walk order, as the terms were met
     return float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
 
 
-def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, pair_rows, mention_grad, joint, buffers):
+def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, pair, gates, made, mention_grad, joint, buffers):
     xs = fwd.xs
     n = xs.shape[1]
     dxs = np.zeros_like(xs)
@@ -271,44 +285,55 @@ def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, pair_rows,
     dcs = np.zeros((n_clusters, n))
 
     # every pair score's gradient is known once the walk ends: one backward
-    # call gives the pair scorer's parameter gradients and every input row
-    feats, hidden, dscores = pair_rows
-    scored = [(row, a) for row, a, b, _, _ in steps if b > a]
-    if scored:
-        dfeat = ffn_backward(params, dscores, ("pair", feats, hidden), buffers)
-        # [x; c; x*c] rows: the span part is summed per step, the cluster part
-        # is added to dcs when the reverse walk reaches the step
-        dc_rows = dfeat[:, n : 2 * n] + dfeat[:, 2 * n :] * feats[:, :n]
-        rows, starts = (np.array(v, dtype=np.intp) for v in zip(*scored))
-        dxs[rows] += np.add.reduceat(dfeat[:, :n] + dfeat[:, 2 * n :] * feats[:, n : 2 * n], starts)
+    # call gives the pair scorer's parameter gradients and those of every
+    # row's [c; x*c] columns and of every scored step's span block
+    feats, dscores, pair_cache, rows, starts = pair
+    if pair_cache is not None:
+        dfeat, dspan = ffn_backward(params, dscores, pair_cache, buffers)
+        # a row's x*c part adds to its step's span, and to its cluster, whose
+        # part dc_rows is added to dcs when the reverse walk reaches the step;
+        # ffn_backward is done with its "dhidden" rows, which hold the parts
+        part = np.multiply(dfeat[:, n:], feats[:, n : 2 * n], out=buffers.take("dhidden", len(dfeat), n))
+        dxs[rows] += dspan + np.add.reduceat(part, starts)
+        dc_rows = dfeat[:, :n]
+        dc_rows += np.multiply(dfeat[:, n:], feats[:, :n], out=part)
         if not joint:
             dsm[rows] += np.add.reduceat(dscores, starts)
 
-    # the merge gate's input gradient needs dcs, so it is taken step by step;
-    # its parameter gradients wait for one call after the walk
-    w1 = params.value("score.merge.W1")
-    w2 = params.value("score.merge.w2")
-    merged = []  # (pair row, gate hidden row, d logit)
-    for (row, a, b, merge, created) in reversed(steps):
-        x = xs[row]
-        if merge is not None:
-            r, j, alpha, gate_hidden = merge
-            c_before = feats[r, n : 2 * n]
-            dc_after = dcs[j]
-            dalpha = float(dc_after @ (x - c_before))
-            dxs[row] += alpha * dc_after
-            dlogit = dalpha * alpha * (1.0 - alpha)
-            dfeat_gate = (dlogit * w2 * (1.0 - gate_hidden * gate_hidden)) @ w1
-            dxs[row] += dfeat_gate[:n] + dfeat_gate[2 * n :] * c_before
-            dcs[j] = (1.0 - alpha) * dc_after + (dfeat_gate[n : 2 * n] + dfeat_gate[2 * n :] * x)
-            merged.append((r, gate_hidden, dlogit))
-        if created is not None:
-            dxs[row] += dcs[created]
+    # a gate's input gradient needs dcs, so the reverse walk takes it one
+    # merge at a time, from d logit / d feature row, found for every merge
+    # here as one product: (w2 * (1 - gh^2)) @ W1
+    merged, gate_hidden = gates
+    if merged:
+        merge_rows, pair_rows, cluster_ids, alphas = zip(*merged)
+        pair_rows = list(pair_rows)
+        w1 = params.value("score.merge.W1")
+        dgate = buffers.take("dgate", len(merged), w1.shape[1])
+        np.matmul((1.0 - gate_hidden * gate_hidden) * params.value("score.merge.w2"), w1, out=dgate)
+        x_rows, c_rows = feats[pair_rows, :n], feats[pair_rows, n : 2 * n]
+        # d logit / d span and d logit / d cluster, through [x; c; x*c]
+        dgate_x = dgate[:, :n] + dgate[:, 2 * n :] * c_rows
+        dgate_c = dgate[:, n : 2 * n] + dgate[:, 2 * n :] * x_rows
+        shift = np.subtract(x_rows, c_rows, out=x_rows)  # d c_after / d alpha
+        dc_after = buffers.take("dc_after", len(merged), n)
+        dlogits = np.empty(len(merged))
+    for a, b, m in reversed(steps):
+        if m >= 0:
+            alpha = alphas[m]
+            dc = dcs[cluster_ids[m]]
+            dc_after[m] = dc
+            dlogits[m] = float(dc @ shift[m]) * alpha * (1.0 - alpha)
+            dc *= 1.0 - alpha
+            dc += dlogits[m] * dgate_c[m]
         if b > a:
             dcs[: b - a] += dc_rows[a:b]
     if merged:
-        r, gate_hidden, dlogits = zip(*merged)
-        ffn_backward(params, np.array(dlogits), ("merge", feats[list(r)], np.stack(gate_hidden)))
+        dxs[list(merge_rows)] += np.array(alphas)[:, None] * dc_after + dlogits[:, None] * dgate_x
+        ffn_backward(params, dlogits, ("merge", feats[pair_rows], gate_hidden, None))
+    # a cluster made in this segment has its final gradient once the walk passed its creation
+    if made:
+        made_rows, made_ids = zip(*made)
+        dxs[list(made_rows)] += dcs[list(made_ids)]
 
     if mention_grad is not None:
         rows, dsm_rows = mention_grad
@@ -415,6 +440,9 @@ def train(
     # evaluation keys predictions by doc_id: reject a repeat before the first epoch
     check_unique_ids(dev_docs)
     check_unique_ids(extra_eval_docs or ())
+    # checkpoints are selected on dev F1: with no dev document every epoch ties at 0.0
+    if not dev_docs:
+        raise ValueError("empty dev set")
     params = init_params.copy()
     apply_freeze(params, encoder_cfg, config.freeze)
     optimizer = AdamOptimizer(params, config)
@@ -504,6 +532,8 @@ def continued_train(
     """
     layout = param_layout(encoder_cfg, engine_cfg)
     check_compatible(source_params, layout, "the source model does not fit the configs")
+    if not target_dev:
+        raise ValueError("empty dev set")
     if not target_train:
         report, _ = evaluate_docs(target_dev, source_params, encoder_cfg, engine_cfg)
         checkpoint = Checkpoint(source_params.copy(), 0, report.avg_f1)

@@ -257,20 +257,39 @@ class TestConfigValues:
         assert synth_manifest_config(capsys, tmp_path, f"{field}={text}")[section][key] == entry
 
     @pytest.mark.parametrize("assignment, message", [
-        ("synth.sentences_per_doc=1,2,3", "too many values to unpack (expected 2)"),
-        ("synth.sentences_per_doc=5", "not enough values to unpack (expected 2, got 1)"),
+        ("synth.sentences_per_doc=1,2,3", "a range needs lo,hi, got '1,2,3'"),
+        ("synth.sentences_per_doc=5", "a range needs lo,hi, got '5'"),
+        ("synth.sentences_per_doc=2", "a range needs lo,hi, got '2'"),
+        ("synth.sentences_per_doc=2,x", "invalid literal for int() with base 10: 'x'"),
         ("engine.emit_singletons=maybe", "expected a boolean, got 'maybe'"),
         ("engine.emit_singletons=", "expected a boolean, got ''"),
         ("engine.emit_singletons=all", "expected a boolean, got 'all'"),
         ("engine.gold_mentions=none", "expected a boolean, got 'none'"),
+        ("engine.gold_mentions=maybe", "expected a boolean, got 'maybe'"),
         ("train.freeze=x", "invalid literal for int() with base 10: 'x'"),
         ("train.freeze=", "invalid literal for int() with base 10: ''"),
+        ("train.max_epochs=x", "invalid literal for int() with base 10: 'x'"),
+        ("train.lr_task=abc", "could not convert string to float: 'abc'"),
         ("encoder.num_layers=2.5", "invalid literal for int() with base 10: '2.5'"),
         ("synth.bogus=1", "unknown key synth.bogus"),
         ("synth.allowed_entity_types=,", "[synth] allowed_entity_types is empty; use none for no restriction"),
     ])
     def test_bad_spelling_rejected(self, capsys, tmp_path, assignment, message):
-        assert synth_manifest_config(capsys, tmp_path, assignment) == f"error:config: {message}\n"
+        field = assignment.split("=", 1)[0]
+        # a value its type cannot read is named by its key, in front of the reader's message
+        line = message if field.split(".")[1] in message else f"{field}: {message}"
+        assert synth_manifest_config(capsys, tmp_path, assignment) == f"error:config: {line}\n"
+
+    def test_bad_file_value_names_its_key(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("[train]\nmax_epochs = x\n")
+        code, _, err = run_cli(capsys, "synth", "--out-file", str(tmp_path / "s.jsonl"), "--config", str(config))
+        assert code == 1 and err == "error:config: train.max_epochs: invalid literal for int() with base 10: 'x'\n"
+
+    def test_bad_seed_variable_names_it(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COREF_SEED", "x")
+        code, _, err = run_cli(capsys, "synth", "--out-file", str(tmp_path / "s.jsonl"))
+        assert code == 1 and err == "error:config: COREF_SEED: invalid literal for int() with base 10: 'x'\n"
 
     @pytest.mark.parametrize("assignment, entry", [
         ("synth.allowed_entity_types=", None),
@@ -321,6 +340,15 @@ class TestTrainResolve:
         assert code == 0
         assert 0.0 <= json.loads(out)["avg_f1"] <= 1.0
 
+
+    def test_empty_dev_file_rejected(self, capsys, corpus_files, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, out, err = run_cli(capsys, "train", "--train", corpus_files["train"], "--dev", str(empty),
+                                 "--out", str(tmp_path / "run"), "--seed", "0", *SMALL_MODEL)
+        assert code == 1 and out == ""
+        assert err == "error:config: empty dev set\n"
+        assert not (tmp_path / "run").exists()
     def test_resolve_to_conll_rejects_crossing_predictions(self, capsys, model_file, tmp_path, monkeypatch):
         """A predicted cluster with crossing mentions ends the command with
         a parse error, and neither the output file nor a run directory is left."""

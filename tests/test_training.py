@@ -40,6 +40,19 @@ ENG = EngineConfig(max_span_width=3, scorer_hidden_dim=6, width_embedding_dim=4,
                    pruning_mode="reformulated", max_segment_tokens=32)
 
 
+def chain_doc():
+    """One entity mentioned 8 times in a 15-token sentence, then again in the
+    later 16-token segments together with a second entity: long merge chains
+    inside one segment, and clusters carried across segment boundaries that
+    merge again."""
+    text = ["Anna met Anna saw Anna told Anna and Anna met Anna saw Anna told Anna",
+            "Bob saw Anna .", "Anna fed Bob .", "Bob and Anna left .", "Then Bob and Anna slept ."]
+    sentences = [line.split() for line in text]
+    anna = [(t, t) for t in (0, 2, 4, 6, 8, 10, 12, 14, 17, 19, 25, 31)]
+    bob = [(t, t) for t in (15, 21, 23, 29)]
+    return Document("chain", sentences, [tuple(anna), tuple(bob)])
+
+
 def zero_scorer(params, scorer, bias=0.0):
     params[f"score.{scorer}.w2"].value[...] = 0.0
     params[f"score.{scorer}.b2"].value[...] = bias
@@ -123,6 +136,24 @@ class TestLossProperties:
         )
         assert err < 1e-4
 
+    @pytest.mark.parametrize("objective", ["antecedent_only", "joint_singleton"])
+    @pytest.mark.parametrize("gold_mentions", [False, True])
+    def test_gradcheck_long_merge_chains(self, objective, gold_mentions):
+        # a cluster carried into a later segment is a constant there, so finite
+        # differences follow the analytic gradient only inside one segment: the
+        # 34-token document is one segment here, with chains of 12 and 4
+        # mentions; pruning's cap keeps every candidate it allows, so that
+        # predicted mentions walk the chains too
+        enc = dataclasses.replace(ENC, max_position=64)
+        eng = dataclasses.replace(ENG, gold_mentions=gold_mentions, max_segment_tokens=64, prune_ratio=1.0)
+        params = init_params(enc, eng, seed=1)
+        assert len(segment_document(chain_doc(), 64)) == 1
+        err = grad_check(
+            lambda backward: document_loss(chain_doc(), params, enc, eng, objective, backward=backward),
+            params, eps=1e-5, max_scalars=250, seed=5,
+        )
+        assert err < 1e-4
+
     def test_unknown_objective_rejected(self, tiny_doc):
         params = init_params(ENC, ENG, seed=0)
         with pytest.raises(ValueError, match="objective"):
@@ -142,24 +173,29 @@ class TestMatchesPerPairReference:
                                   max_segment_tokens=16)
         docs = synth_corpus(SchemeConfig(num_docs=3, seed=5, sentences_per_doc=(4, 6),
                                          entities_per_doc=(2, 3), mentions_per_entity=(2, 4)))
+        # pruning keeps at most 0.4 of a segment's token count, too few for a
+        # chain of 8 mentions in 15 tokens to be walked with predicted mentions
+        cases = [(doc, eng) for doc in docs] + [(chain_doc(), dataclasses.replace(eng, prune_ratio=1.0))]
         params = init_params(ENC, eng, seed=3)
         merges = []
         merge = EngineState.merge
         monkeypatch.setattr(EngineState, "merge",
                             lambda state, *a: merges.append(a) or merge(state, *a))
-        for doc in docs:
+        for doc, doc_eng in cases:
+            before = len(merges)
             assert len(segment_document(doc, 16)) > 1
             params.zero_grads()
-            loss = document_loss(doc, params, ENC, eng, objective)
+            loss = document_loss(doc, params, ENC, doc_eng, objective)
             grads = {n: params[n].grad.copy() for n in params.names()}
             params.zero_grads()
-            expected = reference_document_loss(doc, params, ENC, eng, objective)
+            expected = reference_document_loss(doc, params, ENC, doc_eng, objective)
             assert loss == pytest.approx(expected, rel=1e-12)
             scale = max(float(np.abs(params[n].grad).max()) for n in params.names())
             for name in params.names():
                 np.testing.assert_allclose(grads[name], params[name].grad, rtol=0,
                                            atol=1e-12 * scale, err_msg=name)
         assert merges
+        assert len(merges) - before >= 7  # the chain document, walked last
 
     @pytest.mark.parametrize("objective", ["antecedent_only", "joint_singleton"])
     def test_clusters_past_the_first_capacity(self, objective, growing_doc):
@@ -480,6 +516,21 @@ class TestTrainLoop:
         params = init_params(ENC, ENG, seed=0)
         with pytest.raises(ValueError, match="empty"):
             train([], [], params, ENC, ENG, TrainConfig())
+
+    def test_empty_dev_set_rejected(self, monkeypatch):
+        # every epoch would score 0.0 on it, and the first would be returned as the best
+        docs = small_corpus()
+        params = init_params(ENC, ENG, seed=0)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr("corefkit.training.document_loss", fail)
+        with pytest.raises(ValueError, match="^empty dev set$"):
+            train(docs[:2], [], params, ENC, ENG, TrainConfig(max_epochs=1, patience=1))
+        for target_train in (docs[:2], []):
+            with pytest.raises(ValueError, match="^empty dev set$"):
+                continued_train(params, target_train, [], ENC, ENG, TrainConfig(max_epochs=1, patience=1))
 
     def test_same_seed_identical_history(self):
         docs = small_corpus()
