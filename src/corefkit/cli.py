@@ -30,7 +30,7 @@ from .bundled import load_bundled_doc
 from .conll import parse_conll, write_conll
 from .documents import Document, DocumentError, check_unique_ids
 from .encoder import EncoderConfig
-from .engine import EngineConfig, init_params, param_layout, resolve_document
+from .engine import EngineConfig, init_params, param_layout, plan_document, resolve_document
 from .harness import (
     CorpusSplit,
     DevAllocSpec,
@@ -353,8 +353,14 @@ def _split(args) -> CorpusSplit:
     return CorpusSplit(train=load_docs(args.train), dev=load_docs(args.dev), test=load_docs(args.test))
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip() != ""]
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        values = [int(p) for p in text.split(",") if p.strip() != ""]
+        if not values:
+            raise ValueError(f"no integer in {text!r}")
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
+    return values
 
 
 def _report(run: RunDir, name: str, rows: list[dict], line: str) -> None:
@@ -446,7 +452,7 @@ def cmd_train(args, config, run):
 def cmd_curve(args, config, run):
     source_params, encoder_cfg, _, engine_cfg, train_cfg = _load_run_model(config, args.source)
     rows = learning_curve(
-        _split(args), _int_list(args.sizes), encoder_cfg, engine_cfg, train_cfg, source_params
+        _split(args), _int_list("--sizes", args.sizes), encoder_cfg, engine_cfg, train_cfg, source_params
     )
     _report(run, "curve.csv", rows,
             "size {train_size:4d}: test avg F1 {avg_f1:.4f} mention F1 {mention_f1:.4f}")
@@ -457,7 +463,7 @@ def cmd_devalloc(args, config, run):
     _, encoder_cfg, _, engine_cfg, train_cfg = _load_run_model(config)
     split = _split(args)
     spec = DevAllocSpec(
-        dev_subset_sizes=tuple(_int_list(args.subset_sizes)),
+        dev_subset_sizes=tuple(_int_list("--subset-sizes", args.subset_sizes)),
         num_subsets=args.num_subsets,
         seed=train_cfg.seed,
     ).validate(len(split.dev))
@@ -480,7 +486,7 @@ def cmd_forget(args, config, run):
         config, args.source
     )
     rows = forgetting_eval(
-        source_params, load_docs(args.source_test), _split(args), _int_list(args.sizes),
+        source_params, load_docs(args.source_test), _split(args), _int_list("--sizes", args.sizes),
         encoder_cfg, source_engine_cfg, target_engine_cfg, train_cfg,
     )
     _report(run, "forget.csv", rows,
@@ -491,7 +497,7 @@ def cmd_forget(args, config, run):
 def cmd_freeze_sweep(args, config, run):
     source_params, encoder_cfg, _, engine_cfg, train_cfg = _load_run_model(config, args.source)
     rows = layer_freezing_sweep(
-        _split(args), _int_list(args.top_k), encoder_cfg, engine_cfg, train_cfg, source_params
+        _split(args), _int_list("--top-k", args.top_k), encoder_cfg, engine_cfg, train_cfg, source_params
     )
     _report(run, "freeze.csv", rows, "top-{top_k}: test avg F1 {avg_f1:.4f}")
     return train_cfg.seed
@@ -504,12 +510,16 @@ def cmd_gradcheck(args, config, run):
     docs = load_docs(args.doc) if args.doc else [load_bundled_doc()]
     if not docs:
         raise ValueError(f"no document in {args.doc}")
+    plan = plan_document(docs[0], encoder_cfg, engine_cfg)  # once, for every loss evaluation
+    if len(plan.segments) > 1:  # a cluster carried into a later segment is a constant to the analytic gradient
+        raise ValueError(f"doc {docs[0].doc_id!r} has {len(plan.segments)} segments at engine.max_segment_tokens "
+                         f"{engine_cfg.max_segment_tokens}; gradcheck takes a one-segment document")
     objective = {"joint": "joint_singleton", "antecedent": "antecedent_only"}.get(
         args.objective, args.objective
     )
     params = init_params(encoder_cfg, engine_cfg, seed=train_cfg.seed)
     err = grad_check(
-        lambda backward: document_loss(docs[0], params, encoder_cfg, engine_cfg, objective, backward=backward),
+        lambda backward: document_loss(plan, params, encoder_cfg, engine_cfg, objective, backward=backward),
         params,
         eps=args.eps,
         max_scalars=args.scalars,

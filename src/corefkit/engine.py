@@ -265,42 +265,25 @@ def scorer_tensors(params: ParamStore, scorer: str, input_dim: int):
     return w1, b1, w2, float(b2[0])
 
 
-def ffn_forward(params: ParamStore, scorer: str, x: np.ndarray, buffers: Optional[RowBuffers] = None, lead=None):
+def ffn_forward(params: ParamStore, scorer: str, x: np.ndarray, buffers: Optional[RowBuffers] = None):
     """Scalar score per row of x; x has shape (S, d_in), result (S,).
 
-    ``lead`` = (rows, counts) gives the first input columns once per group:
-    the next ``counts[i]`` (at least one) rows of x all begin with
-    ``rows[i]``, and x holds only their later columns. A lead's share of the
-    hidden layer is computed once per group.
-
     With ``buffers``, the hidden rows (kept in the returned cache) are
-    written into its "hidden" buffer, and a lead's share into "lead", then
-    onto each row through "slope", which ``ffn_backward`` writes before it reads.
+    written into its "hidden" buffer.
     """
-    n = 0 if lead is None else lead[0].shape[1]
-    w1, b1, w2, b2 = scorer_tensors(params, scorer, n + x.shape[1])
-    hidden = np.matmul(x, w1[:, n:].T, out=_rows(buffers, "hidden", len(x), len(b1)))
-    if lead is None:
-        hidden += b1
-    else:
-        rows, counts = lead
-        shared = np.matmul(rows, w1[:, :n].T, out=_rows(buffers, "lead", len(rows), len(b1)))
-        shared += b1
-        group = np.repeat(np.arange(len(rows)), counts)
-        # "clip" writes straight into out; the default mode copies through a temporary
-        hidden += np.take(shared, group, axis=0, out=_rows(buffers, "slope", len(x), len(b1)), mode="clip")
+    w1, b1, w2, b2 = scorer_tensors(params, scorer, x.shape[1])
+    hidden = np.matmul(x, w1.T, out=_rows(buffers, "hidden", len(x), len(b1)))
+    hidden += b1
     np.tanh(hidden, out=hidden)
     scores = hidden @ w2 + b2
-    return scores, (scorer, x, hidden, lead)
+    return scores, (scorer, x, hidden)
 
 
-def ffn_backward(params: ParamStore, dscores: np.ndarray, cache, buffers: Optional[RowBuffers] = None):
+def ffn_backward(params: ParamStore, dscores: np.ndarray, cache, buffers: Optional[RowBuffers] = None) -> np.ndarray:
     """Accumulate the scorer's parameter gradients and return the gradient
-    of its input rows; with a lead (``ffn_forward``), return that and the
-    gradient of the lead's rows. With ``buffers``, the input rows' gradient
-    and the intermediate rows are written into its "dx", "dhidden" and
-    "slope" buffers."""
-    scorer, x, hidden, lead = cache
+    of its input rows. With ``buffers``, that goes into its "dx" buffer, W1's
+    gradient into "dw1" and the intermediate rows into "dhidden" and "slope"."""
+    scorer, x, hidden = cache
     w1 = params.value(f"score.{scorer}.W1")
     w2 = params.value(f"score.{scorer}.w2")
     params[f"score.{scorer}.w2"].grad += hidden.T @ dscores
@@ -310,20 +293,9 @@ def ffn_backward(params: ParamStore, dscores: np.ndarray, cache, buffers: Option
     slope = np.multiply(hidden, hidden, out=_rows(buffers, "slope", *hidden.shape))
     np.subtract(1.0, slope, out=slope)
     dz *= slope
+    params[f"score.{scorer}.W1"].grad += np.matmul(dz.T, x, out=_rows(buffers, "dw1", *w1.shape))
     params[f"score.{scorer}.b1"].grad += dz.sum(axis=0)
-    if lead is None:
-        params[f"score.{scorer}.W1"].grad += dz.T @ x
-        return np.matmul(dz, w1, out=_rows(buffers, "dx", len(dz), w1.shape[1]))
-    # a group's rows share their lead, so their hidden gradients are summed first
-    rows, counts = lead
-    n = rows.shape[1]
-    dz_lead = np.add.reduceat(dz, np.cumsum(counts) - counts, axis=0)
-    dw1 = _rows(buffers, "slope", *w1.shape)  # dz holds what slope did
-    np.matmul(dz_lead.T, rows, out=dw1[:, :n])
-    np.matmul(dz.T, x, out=dw1[:, n:])
-    params[f"score.{scorer}.W1"].grad += dw1
-    dx = np.matmul(dz, w1[:, n:], out=_rows(buffers, "dx", len(dz), w1.shape[1] - n))
-    return dx, dz_lead @ w1[:, :n]
+    return np.matmul(dz, w1, out=_rows(buffers, "dx", len(dz), w1.shape[1]))
 
 
 def pair_features(x: np.ndarray, cmat: np.ndarray, out: np.ndarray) -> np.ndarray:

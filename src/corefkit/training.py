@@ -15,11 +15,9 @@ carried across segments are treated as constants.
 Teacher forcing fixes each step's target and every merge before anything is
 scored, so the walk computes only the cluster rows and the merge gates, each
 as one matrix-vector product on the target's pair row, as
-``resolve_document`` does. One pair-scorer call on the segment's stacked rows
-follows it. A step's rows all begin with its span, so that call computes the
-span's share of the hidden layer once per step (``ffn_forward``'s ``lead``)
-and takes only each row's [c; x*c] columns. Every step's softmax, loss and
-checks are whole-segment arrays.
+``resolve_document`` does. One pair-scorer call on the segment's stacked
+[x; c; x*c] rows follows it. Every step's softmax, loss and checks are
+whole-segment arrays.
 
 The backward pass makes one call per scorer per segment. Every pair score's
 gradient is known when the forward walk ends, so one call on the stacked pair
@@ -44,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .documents import Document, Span, check_unique_ids
+from .documents import Document, check_unique_ids
 from .encoder import (
     EncoderConfig,
     apply_freeze,
@@ -114,14 +112,6 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def _gold_entity_map(doc: Document) -> dict[Span, int]:
-    mapping = {}
-    for entity, cluster in enumerate(doc.clusters):
-        for span in cluster:
-            mapping[span] = entity
-    return mapping
-
-
 def document_loss(
     doc: Document | DocumentPlan,
     params: ParamStore,
@@ -142,7 +132,7 @@ def document_loss(
     if objective not in (OBJECTIVE_ANTECEDENT, OBJECTIVE_JOINT):
         raise ValueError(f"unknown objective {objective!r}")
     plan = plan_document(doc, encoder_cfg, engine_cfg)
-    gold = _gold_entity_map(plan.doc)
+    gold = {span: entity for entity, cluster in enumerate(plan.doc.clusters) for span in cluster}
     state = EngineState()
     by_entity: dict[int, EntityCluster] = {}
     buffers = RowBuffers() if buffers is None else buffers
@@ -214,17 +204,15 @@ def _segment_loss(
         targets.append(target)
         steps.append((a, b, merge))
 
-    # one pair-scorer call on the segment's stacked rows, which share each
-    # step's span block: its share of the hidden layer is computed once per
-    # step, and the rows hold only their [c; x*c] columns
+    # one pair-scorer call on the segment's stacked rows; then each step's
+    # softmax over its clusters plus the dummy, as one row of a padded matrix
+    # whose pad cells are -inf, so that they get probability zero
     joint = objective == OBJECTIVE_JOINT
     sizes, targets = np.array(sizes, dtype=np.intp), np.array(targets, dtype=np.intp)
     firsts, scored = np.array(offsets[:-1], dtype=np.intp), sizes > 0
     sa, pair_cache = np.zeros(0), None
     if offsets[-1]:
-        sa, pair_cache = ffn_forward(params, "pair", feats[:, n:], buffers, (xs[kept[scored]], sizes[scored]))
-    # then each step's softmax over its clusters plus the dummy, as one row of
-    # a padded matrix whose pad cells are -inf, so that they get probability zero
+        sa, pair_cache = ffn_forward(params, "pair", feats, buffers)
     steps_ix = np.arange(len(kept))
     pair_cell = np.arange(max(sizes, default=0) + 1) < sizes[:, None]
     logits = np.full(pair_cell.shape, -np.inf)
@@ -285,18 +273,16 @@ def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, pair, gate
     dcs = np.zeros((n_clusters, n))
 
     # every pair score's gradient is known once the walk ends: one backward
-    # call gives the pair scorer's parameter gradients and those of every
-    # row's [c; x*c] columns and of every scored step's span block
+    # call gives the pair scorer's parameter gradients and every input row
     feats, dscores, pair_cache, rows, starts = pair
     if pair_cache is not None:
-        dfeat, dspan = ffn_backward(params, dscores, pair_cache, buffers)
-        # a row's x*c part adds to its step's span, and to its cluster, whose
-        # part dc_rows is added to dcs when the reverse walk reaches the step;
-        # ffn_backward is done with its "dhidden" rows, which hold the parts
-        part = np.multiply(dfeat[:, n:], feats[:, n : 2 * n], out=buffers.take("dhidden", len(dfeat), n))
-        dxs[rows] += dspan + np.add.reduceat(part, starts)
-        dc_rows = dfeat[:, :n]
-        dc_rows += np.multiply(dfeat[:, n:], feats[:, :n], out=part)
+        dfeat = ffn_backward(params, dscores, pair_cache, buffers)
+        # [x; c; x*c] rows: the span part is summed per step, the cluster part
+        # dc_rows is added to dcs when the reverse walk reaches the step;
+        # ffn_backward is done with its "dhidden" rows, which hold dc_rows
+        dxs[rows] += np.add.reduceat(dfeat[:, :n] + dfeat[:, 2 * n :] * feats[:, n : 2 * n], starts)
+        dc_rows = np.multiply(dfeat[:, 2 * n :], feats[:, :n], out=buffers.take("dhidden", len(dfeat), n))
+        dc_rows += dfeat[:, n : 2 * n]
         if not joint:
             dsm[rows] += np.add.reduceat(dscores, starts)
 
@@ -329,7 +315,7 @@ def _segment_backward(params, fwd: SegmentForward, n_clusters, steps, pair, gate
             dcs[: b - a] += dc_rows[a:b]
     if merged:
         dxs[list(merge_rows)] += np.array(alphas)[:, None] * dc_after + dlogits[:, None] * dgate_x
-        ffn_backward(params, dlogits, ("merge", feats[pair_rows], gate_hidden, None))
+        ffn_backward(params, dlogits, ("merge", feats[pair_rows], gate_hidden))
     # a cluster made in this segment has its final gradient once the walk passed its creation
     if made:
         made_rows, made_ids = zip(*made)

@@ -604,6 +604,33 @@ class TestFailEarly:
         assert trained == []
         assert not (tmp_path / "exp").exists()
 
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("curve", "--sizes", "", "--sizes: no integer in ''"),  # exited 0, printing nothing
+        ("curve", "--sizes", "1,x", "--sizes: invalid literal for int() with base 10: 'x'"),
+        ("forget", "--sizes", "", "--sizes: no integer in ''"),
+        ("freeze-sweep", "--top-k", "", "--top-k: no integer in ''"),  # exited 0, printing nothing
+        ("devalloc", "--subset-sizes", "", "--subset-sizes: no integer in ''"),  # trained, wrote no devalloc.csv
+    ])
+    def test_empty_or_non_integer_list_rejected(self, capsys, corpus_files, tmp_path, monkeypatch,
+                                                request, command, flag, value, message):
+        extra = ["--num-subsets", "4"] if command == "devalloc" else []
+        if command == "forget":
+            model = str(request.getfixturevalue("model_file"))
+            extra = ["--source", model, "--source-test", corpus_files["test"]]
+        trained = []
+        for module in ("corefkit.harness", "corefkit.cli"):
+            monkeypatch.setattr(f"{module}.train", lambda *a, **k: trained.append(a))
+        monkeypatch.setattr("corefkit.harness.continued_train", lambda *a, **k: trained.append(a))
+        code, out, err = run_cli(
+            capsys, command, *extra,
+            "--train", corpus_files["train"], "--dev", corpus_files["dev"],
+            "--test", corpus_files["test"], f"{flag}={value}", "--out", str(tmp_path / "exp"),
+            "--seed", "0", *SMALL_MODEL,
+        )
+        assert (code, out, err) == (1, "", f"error:config: {message}\n")
+        assert trained == []
+        assert not (tmp_path / "exp").exists()
+
 
 class TestGradcheck:
     def test_bundled_doc_passes(self, capsys):
@@ -646,6 +673,22 @@ class TestGradcheck:
         code, out, err = run_cli(capsys, "gradcheck", *flags, "--seed", "1", *SMALL_MODEL)
         assert code == 1 and out == ""
         assert err.startswith(f"error:config: {message}")
+
+    def test_multi_segment_doc_rejected(self, capsys, tmp_path):
+        # carried clusters are constants to the analytic gradient, so finite
+        # differences reported the designed cut as error:numeric
+        doc = tmp_path / "two.jsonl"
+        doc.write_text(write_jsonl([Document(
+            "two", [["Anna", "saw", "Bob", "."], ["Bob", "met", "Anna", "."]],
+            [((0, 0), (6, 6)), ((2, 2), (4, 4))],
+        )]))
+        code, out, err = run_cli(
+            capsys, "gradcheck", "--doc", str(doc), "--seed", "1", *SMALL_MODEL,
+            "--set", "engine.max_segment_tokens=4", "--set", "engine.gold_mentions=true",
+        )
+        assert code == 1 and out == ""
+        assert err == ("error:config: doc 'two' has 2 segments at engine.max_segment_tokens 4; "
+                       "gradcheck takes a one-segment document\n")
 
     def test_doc_file_without_documents_rejected(self, capsys, tmp_path):
         empty = tmp_path / "empty.jsonl"
